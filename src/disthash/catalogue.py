@@ -55,12 +55,18 @@ class ObjectMeta:
 class MetaCatalogue:
     """Pattern key -> set of object ids; one holder list per object id
     (owner first) shared by every key the object is listed under, which
-    keeps the per-key holder lists identical by construction."""
+    keeps the per-key holder lists identical by construction.
+
+    A live super-peer's catalogue also keeps a journal: every mutation
+    method appends one value-only entry ``(method, *args)``, and
+    ``replay`` applies such entries to another copy. ``journal`` is
+    ``None`` (nothing recorded) on every other catalogue."""
 
     def __init__(self):
         self.entries: dict[PatternKey, set[ObjectId]] = {}
         self.holders: dict[ObjectId, list[NodeId]] = {}
         self.meta: dict[ObjectId, ObjectMeta] = {}
+        self.journal: list[tuple] | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -73,11 +79,6 @@ class MetaCatalogue:
     @property
     def key_count(self) -> int:
         return len(self.entries)
-
-    @property
-    def owner_index(self) -> dict[ObjectId, NodeId]:
-        # Derived cache; accesses cost zero accounted steps.
-        return {oid: hl[0] for oid, hl in self.holders.items()}
 
     def object_ids(self) -> set[ObjectId]:
         return set(self.holders)
@@ -107,10 +108,18 @@ class MetaCatalogue:
         self.meta[oid] = meta
         for key in meta.pattern_keys():
             self.entries.setdefault(key, set()).add(oid)
+        if self.journal is not None:
+            self.journal.append(("insert", oid, type_tag, meta.index_keys,
+                                 tuple(holders)))
 
     def remove_object(self, oid: ObjectId) -> None:
         if oid not in self.holders:
             raise UnknownObject(oid)
+        self._unlist(oid)
+        if self.journal is not None:
+            self.journal.append(("remove_object", oid))
+
+    def _unlist(self, oid: ObjectId) -> None:
         for key in self.meta[oid].pattern_keys():
             ids = self.entries.get(key)
             if ids is not None:
@@ -128,6 +137,8 @@ class MetaCatalogue:
             raise NotAHolder((oid, new_owner))
         hl.remove(new_owner)
         hl.insert(0, new_owner)
+        if self.journal is not None:
+            self.journal.append(("set_owner", oid, new_owner))
 
     def add_holder(self, oid: ObjectId, agent: NodeId) -> None:
         if oid not in self.holders:
@@ -135,6 +146,8 @@ class MetaCatalogue:
         if agent in self.holders[oid]:
             raise ValueError(f"{agent} already holds {oid}")
         self.holders[oid].append(agent)
+        if self.journal is not None:
+            self.journal.append(("add_holder", oid, agent))
 
     def remove_holder(self, oid: ObjectId, agent: NodeId) -> None:
         """Drop one non-owner replica from an object's holder list."""
@@ -146,6 +159,8 @@ class MetaCatalogue:
         if hl[0] == agent:
             raise ValueError(f"{agent} owns {oid}; reassign the owner first")
         hl.remove(agent)
+        if self.journal is not None:
+            self.journal.append(("remove_holder", oid, agent))
 
     def remove_agent(self, failed: NodeId) -> list[tuple[ObjectId, list[NodeId]]]:
         """Strip ``failed`` from every holder list. Returns the affected
@@ -160,8 +175,28 @@ class MetaCatalogue:
             hl.remove(failed)
             orphans.append((oid, list(hl)))
             if not hl:
-                self.remove_object(oid)
+                self._unlist(oid)
+        if self.journal is not None:
+            self.journal.append(("remove_agent", failed))
         return orphans
+
+    # -- log shipping --------------------------------------------------
+
+    def start_journal(self) -> None:
+        """Begin (or restart) recording mutations from the current state."""
+        self.journal = []
+
+    def take_journal(self) -> tuple:
+        """The entries recorded since the last call, oldest first."""
+        ops = tuple(self.journal)
+        self.journal.clear()
+        return ops
+
+    def replay(self, ops) -> None:
+        """Apply journal entries, in order, through the same methods that
+        recorded them."""
+        for name, *args in ops:
+            getattr(self, name)(*args)
 
     # -- lookup --------------------------------------------------------
 
@@ -214,18 +249,6 @@ class MetaCatalogue:
             m = self.meta[oid]
             dup.insert(oid, m.type_tag, m.index_keys, hl)
         return dup
-
-    def dump(self) -> list[str]:
-        """Stable debug listing: one line per (key, object) entry."""
-        lines = []
-        for key in sorted(self.entries):
-            for oid in sorted(self.entries[key]):
-                hl = self.holders[oid]
-                lines.append(
-                    f"{key.kind.value} {key.key} {oid.hex} {hl[0].value} "
-                    + ",".join(a.value for a in hl)
-                )
-        return lines
 
     def __eq__(self, other):
         if not isinstance(other, MetaCatalogue):

@@ -102,7 +102,7 @@ class JoinRedirect:
 
 @dataclass(kw_only=True)
 class AgentHeartbeat:
-    pass
+    resync: bool = False  # the secondary's catalogue copy missed a batch
 
 
 @dataclass(kw_only=True)
@@ -143,7 +143,14 @@ class AssumeRAgent:
 
 @dataclass(kw_only=True)
 class CatalogueSync:
-    catalogue: MetaCatalogue
+    """Primary to secondary: a full ``snapshot``, or (``snapshot`` None)
+    the journal ``ops`` recorded since sync number ``base``. ``seq``
+    numbers this sync; loads, members and peers are always whole."""
+
+    snapshot: MetaCatalogue | None
+    ops: tuple
+    base: int
+    seq: int
     loads: dict
     members: tuple
     peers: tuple
@@ -565,6 +572,9 @@ class AgentNode(BaseNode):
         self.joined = False
         # secondary-backup shadow state, populated by CatalogueSync
         self.sync_catalogue: MetaCatalogue | None = None
+        self.sync_source: NodeId | None = None
+        self.sync_seq = 0
+        self.sync_stale = False
         self.sync_loads: dict | None = None
         self.sync_members: tuple = ()
         self.sync_peers: tuple = ()
@@ -626,6 +636,8 @@ class AgentNode(BaseNode):
         self.ragent = None
         self.secondary_id = None
         self.sync_catalogue = None
+        self.sync_source = None
+        self.sync_stale = False
         self.sync_loads = None
         self._suspected_ragent = None
         self._begin_join(sim)
@@ -636,7 +648,7 @@ class AgentNode(BaseNode):
         if payload != self.epoch:
             return
         if self.joined and self.ragent is not None:
-            sim.send(self.node_id, self.ragent, AgentHeartbeat())
+            sim.send(self.node_id, self.ragent, AgentHeartbeat(resync=self.sync_stale))
             silent = sim.clock - self.last_ragent_seen
             if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
@@ -682,7 +694,17 @@ class AgentNode(BaseNode):
         self._suspected_ragent = None
 
     def _on_CatalogueSync(self, sim, msg: CatalogueSync, src):
-        self.sync_catalogue = msg.catalogue
+        if msg.snapshot is not None:
+            self.sync_catalogue = msg.snapshot
+            self.sync_source = src
+            self.sync_stale = False
+        elif src != self.sync_source or msg.base != self.sync_seq:
+            # a batch went missing: keep the copy, ask for a snapshot
+            self.sync_stale = True
+            return
+        else:
+            self.sync_catalogue.replay(msg.ops)
+        self.sync_seq = msg.seq
         self.sync_loads = msg.loads
         self.sync_members = msg.members
         self.sync_peers = msg.peers
@@ -940,6 +962,11 @@ class RAgentNode(BaseNode):
         self.reconfiguring = False
         self.merge_target: NodeId | None = None
         self.deferred: list = []
+        # log shipping: the secondary and catalogue object the journal
+        # is relative to, and the number of the last sync sent
+        self._sync_to: NodeId | None = None
+        self._sync_cat: MetaCatalogue | None = None
+        self._sync_seq = 0
 
     @property
     def hb(self) -> HeartbeatConfig:
@@ -985,6 +1012,9 @@ class RAgentNode(BaseNode):
                 ragent=self.node_id, secondary=self.secondary))
         self.start(sim)
 
+    def on_crash(self, sim):
+        self._forget_sync()
+
     def on_rejoin(self, sim):
         # a crashed super-peer re-enters the system as a fresh agent
         agent = AgentNode(NodeId(self.node_id.value, Role.AGENT),
@@ -997,20 +1027,43 @@ class RAgentNode(BaseNode):
 
     def _sync_secondary(self, sim):
         if self.secondary is None:
+            self._forget_sync()
             return
-        sim.send(self.node_id, self.secondary, CatalogueSync(
-            catalogue=self.catalogue.copy(),
+        sim.send(self.node_id, self.secondary, self.next_sync())
+
+    def next_sync(self) -> CatalogueSync:
+        """The next sync for the secondary: the journal since the last
+        one, or a snapshot if the secondary or the catalogue object has
+        changed since then."""
+        cat = self.catalogue
+        if self.secondary != self._sync_to or cat is not self._sync_cat:
+            self._forget_sync()
+            snapshot, ops = cat.copy(), ()
+            cat.start_journal()
+            self._sync_to, self._sync_cat = self.secondary, cat
+        else:
+            snapshot, ops = None, cat.take_journal()
+        self._sync_seq += 1
+        return CatalogueSync(
+            snapshot=snapshot, ops=ops, base=self._sync_seq - 1,
+            seq=self._sync_seq,
             loads=dict(self.loads.counts),
             members=tuple(sorted(self.members)),
-            peers=tuple(sorted(self.peers | {self.node_id}))))
+            peers=tuple(sorted(self.peers | {self.node_id})))
+
+    def _forget_sync(self):
+        """Stop journaling: the next sync will be a snapshot."""
+        if self._sync_cat is not None:
+            self._sync_cat.journal = None
+        self._sync_to = self._sync_cat = None
 
     def _elect_secondary(self, sim):
         if self.members:
             self.secondary = elect_agent(self.members)
             sim.record_member_event("secondary_elected", self.node_id, self.secondary)
-            self._sync_secondary(sim)
         else:
             self.secondary = None
+        self._sync_secondary(sim)
 
     def _update_lus_count(self, sim):
         if self.config.lus_ids:
@@ -1056,9 +1109,12 @@ class RAgentNode(BaseNode):
         if payload == self.epoch:
             self._check_thresholds(sim)
 
-    def _on_AgentHeartbeat(self, sim, msg, src):
+    def _on_AgentHeartbeat(self, sim, msg: AgentHeartbeat, src):
         if src in self.members:
             self.member_last_seen[src] = sim.clock
+            if msg.resync and src == self.secondary:
+                self._forget_sync()
+                self._sync_secondary(sim)
 
     def _on_PeerHeartbeat(self, sim, msg: PeerHeartbeat, src):
         if src == self.node_id:

@@ -119,11 +119,9 @@ def build_simulation(sc: Scenario) -> RunResult:
             member = sim.nodes[m]
             member.secondary_id = r.secondary
         if r.secondary is not None:
-            sec = sim.nodes[r.secondary]
-            sec.sync_catalogue = r.catalogue.copy()
-            sec.sync_loads = dict(r.loads.counts)
-            sec.sync_members = tuple(sorted(r.members))
-            sec.sync_peers = tuple(sorted(r.peers | {r.node_id}))
+            # hand over the first sync directly, so runtime syncs start
+            # as journal batches
+            sim.nodes[r.secondary]._on_CatalogueSync(sim, r.next_sync(), r.node_id)
         for lus in lus_nodes:
             lus.registry.register(r.node_id, r.locality, len(r.members), 0)
 
