@@ -3,6 +3,8 @@ linear-scan oracle, plus the split/merge conservation rules."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disthash.catalogue import (AgentLoadTable, ConflictingObject,
                                 DuplicateObject, MetaCatalogue, NotAHolder,
@@ -232,6 +234,75 @@ def test_randomized_lookup_matches_linear_scan_oracle():
         found, steps = cat.lookup(criterion)
         assert found == scan(criterion)
         assert steps == (clog2(m) if criterion.kind is KeyKind.EXACT_TYPE else m)
+
+
+AGENTS = [nid(f"a{i}") for i in range(5)]
+MUTATIONS = ("insert", "remove_object", "set_owner", "add_holder",
+             "remove_holder", "remove_agent")
+
+
+def draw_mutation(data, cat: MetaCatalogue, serial: int) -> None:
+    """Apply one random valid mutation to ``cat``."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    ids = sorted(cat.object_ids())
+    if kind == "insert" or not ids:
+        holders = data.draw(st.lists(st.sampled_from(AGENTS), min_size=1,
+                                     max_size=3, unique=True))
+        keys = data.draw(st.lists(st.sampled_from(["k1", "k2", "k3"])))
+        cat.insert(oid(serial), data.draw(st.sampled_from("AB")), keys, holders)
+        return
+    if kind == "remove_agent":
+        cat.remove_agent(data.draw(st.sampled_from(AGENTS)))
+        return
+    o = data.draw(st.sampled_from(ids))
+    hl = cat.holders_of(o)
+    if kind == "remove_object":
+        cat.remove_object(o)
+    elif kind == "set_owner":
+        cat.set_owner(o, data.draw(st.sampled_from(hl)))
+    elif kind == "add_holder" and len(hl) < len(AGENTS):
+        cat.add_holder(o, data.draw(st.sampled_from(
+            [a for a in AGENTS if a not in hl])))
+    elif kind == "remove_holder" and len(hl) > 1:
+        cat.remove_holder(o, data.draw(st.sampled_from(hl[1:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_journal_replay_from_any_cut_rebuilds_the_catalogue(data):
+    cat = MetaCatalogue()
+    cat.start_journal()
+    cuts = [(cat.copy(), 0)]  # (state, journal length) before each mutation
+    for serial in range(data.draw(st.integers(0, 40))):
+        before = len(cat.journal)
+        draw_mutation(data, cat, serial)
+        assert len(cat.journal) - before <= 1  # remove_agent is one entry
+        cuts.append((cat.copy(), len(cat.journal)))
+    ops = cat.take_journal()
+    assert cat.journal == []
+    for state, cut in cuts:
+        assert state.journal is None
+        state.replay(ops[cut:])
+        assert state == cat  # holder lists compared in order
+        assert state.entries == cat.entries
+        assert state.journal is None  # replaying records nothing
+    # catalogues derived from a journaled one do not journal
+    keep, move = cat.split(set(AGENTS[:2]), set(AGENTS[2:]))
+    payload = keep.copy()
+    assert payload.journal is None
+    assert keep.journal is None and move.journal is None
+    move.merge(payload)
+    assert move.journal is None and payload.journal is None
+
+
+def test_merge_into_a_journaled_catalogue_logs_inserts():
+    cat = MetaCatalogue()
+    cat.start_journal()
+    other = MetaCatalogue()
+    other.insert(oid(1), "A", ("k",), [nid("a1"), nid("a2")])
+    cat.merge(other)
+    assert cat.take_journal() == (
+        ("insert", oid(1), "A", ("k",), (nid("a1"), nid("a2"))),)
 
 
 def test_load_table():

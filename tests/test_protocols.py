@@ -2,8 +2,10 @@
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
 from disthash.core import KeyKind, NodeId, Role, make_object
-from disthash.nodes import AgentNode, LusNode, RAgentNode
-from disthash.runner import build_simulation, run_scenario, schedule_events
+from disthash.nodes import (AgentHeartbeat, AgentNode, CatalogueSync, LusNode,
+                            RAgentNode)
+from disthash.runner import (build_simulation, check_invariants, run_scenario,
+                             schedule_events)
 from disthash.scenario import parse_scenario
 from disthash.sim import MS
 
@@ -513,3 +515,145 @@ def test_run_twice_identical_output():
     r2 = build(sc_text)
     assert r1.metrics_lines() == r2.metrics_lines()
     assert r1.sim.trace_lines() == r2.sim.trace_lines()
+
+
+# -- secondary log shipping ------------------------------------------------
+
+BURST_NODES = """
+[config]
+min_cluster = 2
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+"""
+
+
+def burst(*faults):
+    """30 inserts 10 ms apart from 100 ms (op ``q{i+1}`` inserts ``o{i}``),
+    interleaved with the given fault event lines."""
+    lines = [f"{100 + 10 * i} insert c1 a{2 + i % 3} o{i} t{i % 4} k{i % 3} {i:02x}"
+             for i in range(30)] + list(faults)
+    lines.sort(key=lambda line: int(line.split()[0]))
+    return BURST_NODES + "\n".join(lines) + "\n"
+
+
+def staged(text):
+    res = build_simulation(parse_scenario(text))
+    schedule_events(res)
+    return res
+
+
+def finish(res):
+    sc = res.scenario
+    last = max(ev.time_ms for ev in sc.events)
+    res.sim.run_until((last + sc.config.drain_ms) * MS)
+    res.issues = check_invariants(res)
+    return res
+
+
+def spy_sends(sim, drop=lambda msg: False):
+    """Log every send as (src, dst, msg, sender's catalogue copy or None);
+    sends that ``drop`` picks are logged but never reach the network."""
+    log = []
+    send = sim.send
+
+    def spy(src, dst, msg):
+        node = sim.nodes[src]
+        cat = node.catalogue.copy() if isinstance(node, RAgentNode) else None
+        log.append((src, dst, msg, cat))
+        if not drop(msg):
+            send(src, dst, msg)
+
+    sim.send = spy
+    return log
+
+
+def syncs(log, src=None, dst=None):
+    return [(m, cat) for s, d, m, cat in log if isinstance(m, CatalogueSync)
+            and src in (None, s) and dst in (None, d)]
+
+
+def assert_chained(batches):
+    """Sequence numbers run on without a gap from batch to batch."""
+    for prev, cur in zip(batches, batches[1:]):
+        assert cur.base == prev.seq and cur.seq == cur.base + 1
+
+
+def test_primary_crash_mid_burst_promotes_last_synced_catalogue():
+    res = staged(burst("250 crash r1"))
+    sim = res.sim
+    r1 = ragent(res, "r1")
+    sec = r1.secondary
+    log = spy_sends(sim)
+    sim.run_until(1000 * MS)  # crash handled, promotion not yet due
+    sent = syncs(log, src=r1.node_id)
+    assert len(sent) > 5
+    # set-up handed over the first snapshot, so every runtime sync is a
+    # batch, and the batches chain
+    assert all(m.snapshot is None for m, _ in sent)
+    assert_chained([m for m, _ in sent])
+    assert sim.nodes[sec].sync_catalogue == sent[-1][1]
+    finish(res)
+    assert res.issues == []
+    promoted = sim.nodes[sec]
+    assert isinstance(promoted, RAgentNode) and sim.is_alive(sec)
+    acked = [rec for rec in completions(res).values()
+             if rec["op"] == "insert" and rec["outcome"] == "ok"]
+    assert len(acked) > 5
+    for rec in acked:
+        label = f"o{int(rec['id'][1:]) - 1}"
+        assert res.labels[label].id in promoted.catalogue
+
+
+def test_reelected_secondary_gets_snapshot_then_batches():
+    res = staged(burst("200 crash a1"))
+    sim = res.sim
+    r1 = ragent(res, "r1")
+    assert r1.secondary == NodeId("a1")
+    log = spy_sends(sim)
+    sim.run_until(600 * MS)
+    new = r1.secondary
+    assert new not in (None, NodeId("a1"))
+    sent = [m for m, _ in syncs(log, src=r1.node_id, dst=new)]
+    assert sent[0].snapshot is not None
+    assert len(sent) > 3 and all(m.snapshot is None for m in sent[1:])
+    assert_chained(sent)
+    assert sim.nodes[new].sync_catalogue == r1.catalogue
+    finish(res)
+    assert res.issues == []
+    assert not sim.nodes[new].sync_stale
+
+
+def test_lost_batch_is_flagged_and_repaired_by_snapshot():
+    res = staged(burst())
+    sim = res.sim
+    r1 = ragent(res, "r1")
+    sec = sim.nodes[r1.secondary]
+    dropped = []
+
+    def drop_fifth_batch(msg):
+        if isinstance(msg, CatalogueSync) and msg.snapshot is None and msg.ops:
+            dropped.append(msg)
+            return len(dropped) == 5
+        return False
+
+    log = spy_sends(sim, drop_fifth_batch)
+    sim.run_until(400 * MS)  # burst over; the gap was seen, not yet reported
+    assert sec.sync_stale and sec.sync_catalogue != r1.catalogue
+    finish(res)
+    flagged = [i for i, (s, _, m, _) in enumerate(log)
+               if s == sec.node_id and isinstance(m, AgentHeartbeat) and m.resync]
+    assert flagged
+    after = [m for _, _, m, _ in log[flagged[0]:] if isinstance(m, CatalogueSync)]
+    assert after[0].snapshot is not None
+    assert not sec.sync_stale
+    assert res.issues == []
+
