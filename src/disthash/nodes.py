@@ -1131,6 +1131,8 @@ class RAgentNode(BaseNode):
             if p != self.node_id:
                 self.peers.add(p)
                 self.peer_last_seen[p] = sim.clock
+        # the secondary must know the peer set it would take over
+        self._sync_secondary(sim)
 
     def _drop_peer(self, sim, peer: NodeId):
         if peer not in self.peers and peer not in self.peer_last_seen:

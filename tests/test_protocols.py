@@ -657,3 +657,37 @@ def test_lost_batch_is_flagged_and_repaired_by_snapshot():
     assert not sec.sync_stale
     assert res.issues == []
 
+
+def test_failover_after_split_keeps_the_split_off_peer():
+    res = build("""
+[config]
+min_cluster = 2
+max_cluster = 4
+drain_ms = 12000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+b1 agent net2 as2 us na
+b2 agent net2 as2 us na
+b3 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 b1 obj2 sensor k2 02
+1000 join a6 net1 as1 ro eu
+1100 join a7 net1 as1 ro eu
+6000 crash r2
+""")
+    splits = [e for e in res.sim.member_events if e[1] == "split"]
+    promotions = [e for e in res.sim.member_events if e[1] == "promote"]
+    assert len(splits) == 1 and len(promotions) == 1
+    split_off, promoted = splits[0][3], promotions[0][3]
+    assert promoted.value.startswith("b")
+    assert split_off in ragent(res, promoted.value).peers
+    assert res.issues == []
