@@ -59,8 +59,9 @@ class MetaCatalogue:
 
     A live super-peer's catalogue also keeps a journal: every mutation
     method appends one value-only entry ``(method, *args)``, and
-    ``replay`` applies such entries to another copy. ``journal`` is
-    ``None`` (nothing recorded) on every other catalogue."""
+    ``replay`` applies such entries to another copy. Setting ``journal``
+    to ``[]`` starts recording; it is ``None`` (nothing recorded) on every
+    other catalogue."""
 
     def __init__(self):
         self.entries: dict[PatternKey, set[ObjectId]] = {}
@@ -181,10 +182,6 @@ class MetaCatalogue:
         return orphans
 
     # -- log shipping --------------------------------------------------
-
-    def start_journal(self) -> None:
-        """Begin (or restart) recording mutations from the current state."""
-        self.journal = []
 
     def take_journal(self) -> tuple:
         """The entries recorded since the last call, oldest first."""

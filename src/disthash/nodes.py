@@ -24,7 +24,7 @@ from .lus import LusRegistry
 from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          choose_merge_target, detect_failures, elect_agent,
                          join_select_ragent, split_partition)
-from .sim import SendFailed, Simulator
+from .sim import SendFailed, Simulator, UnknownRequest
 
 COPY_RETRY_LIMIT = 5
 FETCH_RETRY_LIMIT = 5
@@ -648,7 +648,9 @@ class AgentNode(BaseNode):
         if payload != self.epoch:
             return
         if self.joined and self.ragent is not None:
-            sim.send(self.node_id, self.ragent, AgentHeartbeat(resync=self.sync_stale))
+            # the plain message is the hot path: heartbeats dominate traffic
+            hb = AgentHeartbeat(resync=True) if self.sync_stale else AgentHeartbeat()
+            sim.send(self.node_id, self.ragent, hb)
             silent = sim.clock - self.last_ragent_seen
             if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
@@ -1039,7 +1041,7 @@ class RAgentNode(BaseNode):
         if self.secondary != self._sync_to or cat is not self._sync_cat:
             self._forget_sync()
             snapshot, ops = cat.copy(), ()
-            cat.start_journal()
+            cat.journal = []
             self._sync_to, self._sync_cat = self.secondary, cat
         else:
             snapshot, ops = None, cat.take_journal()
@@ -2085,7 +2087,7 @@ class ClientNode(BaseNode):
     def _record(self, sim, rid, op, outcome, hop, objects=(), version=None):
         try:
             acct = sim.steps.account_search(rid)
-        except Exception:
+        except UnknownRequest:
             acct = None
         rec = {
             "time": sim.clock,
