@@ -26,7 +26,6 @@ from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          join_select_ragent, split_partition)
 from .sim import SendFailed, Simulator, UnknownRequest
 
-COPY_RETRY_LIMIT = 5
 FETCH_RETRY_LIMIT = 5
 
 
@@ -177,16 +176,18 @@ class MergeAck:
 
 @dataclass(kw_only=True)
 class CopyReplica:
+    """Source holder, copy ``oid`` to ``dest``; ``dest`` acknowledges
+    with CopyDone and only then becomes a catalogue holder."""
+
     oid: ObjectId
     dest: NodeId
-    copy_id: str | None = None  # set when the catalogue entry waits for CopyDone
+    copy_id: str
 
 
 @dataclass(kw_only=True)
 class CopyFailed:
     oid: ObjectId
-    dest: NodeId
-    copy_id: str | None = None
+    copy_id: str
 
 
 @dataclass(kw_only=True)
@@ -468,13 +469,15 @@ class BaseNode:
     def role(self) -> Role:
         return self.node_id.role
 
-    def on_message(self, sim: Simulator, msg, src: NodeId) -> None:
+    def on_message(self, sim: Simulator, msg, src: NodeId) -> bool:
+        """Run the handler for ``msg``'s type. A type the node's current
+        role has no handler for (stale traffic after a role change) is
+        ignored, and False tells the engine so."""
         handler = getattr(self, f"_on_{type(msg).__name__}", None)
         if handler is None:
-            raise RuntimeError(
-                f"{self.node_id} ({type(self).__name__}) cannot handle "
-                f"{type(msg).__name__}")
+            return False
         handler(sim, msg, src)
+        return True
 
     def on_timer(self, sim: Simulator, tag: str, payload) -> None:
         handler = getattr(self, f"_tick_{tag}", None)
@@ -546,9 +549,6 @@ class LusNode(BaseNode):
             return
         entries = tuple(self.registry.query(msg.role))
         sim.send(self.node_id, src, LusQueryReply(entries=entries, hop=msg.hop + 1))
-
-    def _on_SendFailed(self, sim, msg, src):
-        pass  # a dead addressee needs no follow-up from the registry
 
 
 # ---------------------------------------------------------------------
@@ -763,8 +763,7 @@ class AgentNode(BaseNode):
     def _on_CopyReplica(self, sim, msg: CopyReplica, src):
         obj = self.store.get(msg.oid)
         if obj is None:
-            sim.send(self.node_id, src, CopyFailed(
-                oid=msg.oid, dest=msg.dest, copy_id=msg.copy_id))
+            sim.send(self.node_id, src, CopyFailed(oid=msg.oid, copy_id=msg.copy_id))
         else:
             sim.send(self.node_id, msg.dest,
                      StoreReplica(obj=obj, copy_id=msg.copy_id))
@@ -841,7 +840,8 @@ class AgentNode(BaseNode):
             request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
             agent=self.node_id, client=src, hop=msg.hop + 1))
 
-    # a demoted or stale node may still receive super-peer traffic briefly
+    # a peer that still lists this node as a super-peer is told "not
+    # here", so it neither waits for an answer nor leaks request state
     def _on_RemoteSearch(self, sim, msg: RemoteSearch, src):
         sim.send(self.node_id, src, RemoteSearchReply(
             request_id=msg.request_id, objects=(), hop=msg.hop + 1))
@@ -854,24 +854,6 @@ class AgentNode(BaseNode):
     def _on_MigrateRequest(self, sim, msg: MigrateRequest, src):
         sim.send(self.node_id, src, MigrateDenied(
             request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
-
-    def _on_AgentHeartbeat(self, sim, msg, src):
-        pass
-
-    def _on_PeerHeartbeat(self, sim, msg, src):
-        pass
-
-    def _on_PeerUpdate(self, sim, msg, src):
-        pass
-
-    def _on_RemoteSearchReply(self, sim, msg, src):
-        pass
-
-    def _on_OwnerQueryReply(self, sim, msg, src):
-        pass
-
-    def _on_CopyDone(self, sim, msg, src):
-        pass  # a copy acked to a node demoted since it asked for it
 
     def _on_AssumeRAgent(self, sim, msg: AssumeRAgent, src):
         assume_ragent(sim, self, msg)
@@ -960,7 +942,6 @@ class RAgentNode(BaseNode):
         # dest only becomes a catalogue holder on CopyDone
         self.pending_copies: dict[str, tuple] = {}
         self._copyseq = 0
-        self._copy_attempts: dict[tuple, int] = {}
         self.reconfiguring = False
         self.merge_target: NodeId | None = None
         self.deferred: list = []
@@ -1090,8 +1071,8 @@ class RAgentNode(BaseNode):
                                     self.hb.failure_timeout_us):
             self._drop_peer(sim, dead)
         self._check_thresholds(sim)
-        # safety net: re-replicate anything that lost a copy attempt to a
-        # race the reactive handlers did not see
+        # re-replicate what a split left with one holder, and anything
+        # that lost a copy attempt to a race the reactive handlers missed
         if not self.reconfiguring and len(self.members) >= REPLICATION_FACTOR:
             for oid in sorted(self.catalogue.object_ids()):
                 holders = self.catalogue.holders_of(oid)
@@ -1269,8 +1250,9 @@ class RAgentNode(BaseNode):
         keep_list, move_list = split_partition(self.members)
         keep_set, move_set = set(keep_list), set(move_list)
         keep_cat, move_cat = self.catalogue.split(keep_set, move_set)
-        # replicas stranded on the other side are replaced while this
-        # node still has the global load view
+        # replicas stranded on the other side are dropped while this node
+        # still has the global load view; each side's redundancy sweep
+        # then copies them back in through the acknowledged protocol
         self._rehome_across(sim, keep_cat, keep_set)
         self._rehome_across(sim, move_cat, move_set)
         move_loads = {a: self.loads.counts[a] for a in move_list}
@@ -1318,15 +1300,6 @@ class RAgentNode(BaseNode):
                 cat.remove_holder(oid, stray)
                 self.loads.bump(stray, -1)
                 sim.send(self.node_id, stray, DropReplica(ids=(oid,)))
-                current = cat.holders_of(oid)
-                candidates = [(self.loads.counts[a], a)
-                              for a in sorted(member_set) if a not in current]
-                if candidates:
-                    new_holder = min(candidates)[1]
-                    cat.add_holder(oid, new_holder)
-                    self.loads.bump(new_holder)
-                    sim.send(self.node_id, cat.owner_of(oid),
-                             CopyReplica(oid=oid, dest=new_holder))
 
     # -- merge ------------------------------------------------------------
 
@@ -1417,56 +1390,33 @@ class RAgentNode(BaseNode):
                 request_id=request_id, ids=ids, hop=hop))
 
     def _on_AgentSearch(self, sim, msg: AgentSearch, src):
-        st = SearchState(mode=msg.mode, criterion=msg.criterion,
-                         route=(msg.agent, msg.client), max_hop=msg.hop)
-        self.searches[msg.request_id] = st
-        matches = self._lookup_counted(sim, msg.request_id, msg.criterion)
-        if msg.mode == "first":
-            if matches:
-                oid, owner = matches[0]
-                st.holder = owner
-                sim.steps.on_fetch_request(msg.request_id, self.cluster_tag, owner, 1)
-                st.awaiting_agents[owner] = 1
-                sim.send(self.node_id, owner, FetchObjects(
-                    request_id=msg.request_id, ids=(oid,), hop=msg.hop + 1))
-            elif self.peers:
-                st.awaiting_peers = set(self.peers)
-                for p in sorted(self.peers):
-                    sim.send(self.node_id, p, RemoteSearch(
-                        request_id=msg.request_id, criterion=msg.criterion,
-                        mode="first", hop=msg.hop + 1))
-            else:
-                self._finish_search(sim, msg.request_id)
-            return
-        # mode "all": fan out to peers and fetch locally in parallel
-        st.awaiting_peers = set(self.peers)
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, RemoteSearch(
-                request_id=msg.request_id, criterion=msg.criterion,
-                mode="all", hop=msg.hop + 1))
-        self._fetch_groups(sim, msg.request_id, matches, st, msg.hop + 1)
-        self._maybe_finish_search(sim, msg.request_id)
+        self._search(sim, msg.request_id, SearchState(
+            mode=msg.mode, criterion=msg.criterion,
+            route=(msg.agent, msg.client), max_hop=msg.hop), fan_out=True)
 
     def _on_RemoteSearch(self, sim, msg: RemoteSearch, src):
-        rid = msg.request_id
-        st = SearchState(mode=msg.mode, criterion=msg.criterion,
-                         remote_origin=src, max_hop=msg.hop)
+        self._search(sim, msg.request_id, SearchState(
+            mode=msg.mode, criterion=msg.criterion,
+            remote_origin=src, max_hop=msg.hop), fan_out=False)
+
+    def _search(self, sim, rid: str, st: SearchState, fan_out: bool):
+        """Look the criterion up here and fetch the matches from their
+        owners (search-first: only the first match). With ``fan_out``
+        (the origin cluster), also ask every peer: always for
+        search-all, only on a local miss for search-first."""
         self.searches[rid] = st
-        matches = self._lookup_counted(sim, rid, msg.criterion)
-        if msg.mode == "first":
-            if matches:
-                oid, owner = matches[0]
-                st.holder = owner
-                sim.steps.on_fetch_request(rid, self.cluster_tag, owner, 1)
-                st.awaiting_agents[owner] = 1
-                sim.send(self.node_id, owner, FetchObjects(
-                    request_id=rid, ids=(oid,), hop=msg.hop + 1))
-            else:
-                del self.searches[rid]
-                sim.send(self.node_id, src, RemoteSearchReply(
-                    request_id=rid, objects=(), hop=msg.hop + 1))
-            return
-        self._fetch_groups(sim, rid, matches, st, msg.hop + 1)
+        hop = st.max_hop + 1
+        matches = self._lookup_counted(sim, rid, st.criterion)
+        if st.mode == "first" and matches:
+            matches = matches[:1]
+            st.holder = matches[0][1]
+            fan_out = False
+        if fan_out:
+            st.awaiting_peers = set(self.peers)
+            for p in sorted(self.peers):
+                sim.send(self.node_id, p, RemoteSearch(
+                    request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
+        self._fetch_groups(sim, rid, matches, st, hop)
         self._maybe_finish_search(sim, rid)
 
     def _on_FetchReply(self, sim, msg: FetchReply, src):
@@ -1493,16 +1443,9 @@ class RAgentNode(BaseNode):
         self._maybe_finish_search(sim, msg.request_id)
 
     def _refetch(self, sim, rid: str, st: SearchState, ids) -> None:
-        by_owner: dict[NodeId, list[ObjectId]] = {}
-        for oid in ids:
-            if oid in self.catalogue:
-                by_owner.setdefault(self.catalogue.owner_of(oid), []).append(oid)
-        for owner in sorted(by_owner):
-            batch = tuple(sorted(by_owner[owner]))
-            sim.steps.on_fetch_request(rid, self.cluster_tag, owner, len(batch))
-            st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
-            sim.send(self.node_id, owner, FetchObjects(
-                request_id=rid, ids=batch, hop=st.max_hop + 1))
+        matches = [(oid, self.catalogue.owner_of(oid))
+                   for oid in ids if oid in self.catalogue]
+        self._fetch_groups(sim, rid, matches, st, st.max_hop + 1)
 
     def _tick_fetch_retry(self, sim, payload):
         epoch, rid, missing = payload
@@ -1888,32 +1831,16 @@ class RAgentNode(BaseNode):
 
     def _on_CopyFailed(self, sim, msg: CopyFailed, src):
         sim.set_timer(self.node_id, "copy_retry", self.hb.period_us,
-                      (self.epoch, msg.oid, msg.dest, msg.copy_id))
+                      (self.epoch, msg.oid, msg.copy_id))
 
     def _tick_copy_retry(self, sim, payload):
-        epoch, oid, dest, copy_id = payload
+        epoch, oid, copy_id = payload
         if epoch != self.epoch:
             return
-        if copy_id is not None:
-            # acknowledged re-replication: drop the stale attempt and run
-            # a fresh one against the current holder list
-            if self.pending_copies.pop(copy_id, None) is None:
-                return
-            if oid in self.catalogue:
-                self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
-            return
-        # fire-and-forget copy issued during a split, where the holder
-        # was recorded up front; retry from the current owner
-        if oid not in self.catalogue or dest not in self.members:
-            return
-        attempts = self._copy_attempts.get((oid, dest), 0) + 1
-        self._copy_attempts[(oid, dest)] = attempts
-        if attempts > COPY_RETRY_LIMIT:
-            sim.record_member_event("copy_failed", self.node_id, dest,
-                                    f"object={oid.hex[:12]}")
-            return
-        sim.send(self.node_id, self.catalogue.owner_of(oid),
-                 CopyReplica(oid=oid, dest=dest))
+        # drop the stale attempt and run a fresh one against the current
+        # holder list
+        if self.pending_copies.pop(copy_id, None) is not None and oid in self.catalogue:
+            self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
 
     # -- reactive failure handling --------------------------------------------
 
@@ -1947,7 +1874,7 @@ class RAgentNode(BaseNode):
                 self.merge_target = None
                 self._replay_deferred(sim)
             self._drop_peer(sim, dead)
-        elif isinstance(orig, CopyReplica) and orig.copy_id is not None:
+        elif isinstance(orig, CopyReplica):
             # the copy source died; the membership handler above already
             # re-orphaned its objects if it was still a member, this
             # covers a bounce that raced an earlier detection
@@ -1983,31 +1910,6 @@ class RAgentNode(BaseNode):
         pending, self.deferred = self.deferred, []
         for m in pending:
             self.on_message(sim, m, self.node_id)
-
-    # stale messages a super-peer can safely ignore
-    def _on_RAgentHeartbeat(self, sim, msg, src):
-        pass
-
-    def _on_RAgentDown(self, sim, msg, src):
-        pass
-
-    def _on_ConfigUpdate(self, sim, msg, src):
-        pass
-
-    def _on_ReassignCluster(self, sim, msg, src):
-        pass
-
-    def _on_CatalogueSync(self, sim, msg, src):
-        pass
-
-    def _on_JoinAccept(self, sim, msg, src):
-        pass
-
-    def _on_JoinRedirect(self, sim, msg, src):
-        pass
-
-    def _on_LusQueryReply(self, sim, msg, src):
-        pass
 
 
 def assume_ragent(sim: Simulator, agent: AgentNode, msg: AssumeRAgent) -> RAgentNode:

@@ -324,8 +324,11 @@ class Simulator:
             self.deliver_count += 1
             if rid is not None:
                 self.steps.on_message(rid)
-            self._trace(seq, ev.dst, "deliver", f"{name}:{rid or ''}:{ev.src.value}")
-            self.nodes[ev.dst].on_message(self, ev.msg, ev.src)
+            detail = f"{name}:{rid or ''}:{ev.src.value}"
+            self._trace(seq, ev.dst, "deliver", detail)
+            # a node whose role has no handler for the type returns False
+            if self.nodes[ev.dst].on_message(self, ev.msg, ev.src) is False:
+                self._trace(seq, ev.dst, "ignored", detail)
         elif isinstance(ev, _Timer):
             if ev.node in self.crashed:
                 return

@@ -1,8 +1,11 @@
 """End-to-end protocol behavior, driven through complete scenarios:
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
-from disthash.core import KeyKind, NodeId, Role, make_object
-from disthash.nodes import (AgentHeartbeat, AgentNode, CatalogueSync, LusNode,
+import copy
+
+from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
+from disthash.nodes import (AgentHeartbeat, AgentNode, AgentSearch,
+                            AssumeRAgent, CatalogueSync, CopyDone, LusNode,
                             RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
@@ -691,3 +694,99 @@ c1 client net1 as1 ro eu
     assert promoted.value.startswith("b")
     assert split_off in ragent(res, promoted.value).peers
     assert res.issues == []
+
+
+# -- off-role messages and split re-homing ---------------------------------
+
+
+def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
+    res = staged(ONE_CLUSTER)
+    sim = res.sim
+    sim.run_until(50 * MS)
+    a2 = sim.nodes[NodeId("a2")]
+    assert isinstance(a2, AgentNode) and not hasattr(a2, "_on_AgentSearch")
+    before = copy.deepcopy(vars(a2))
+    log = spy_sends(sim)
+    timers = []
+    set_timer = sim.set_timer
+    sim.set_timer = lambda node, *rest: (timers.append(node), set_timer(node, *rest))
+    sim.send(NodeId("c1"), a2.node_id, AgentSearch(
+        request_id="x1", criterion=PatternKey(KeyKind.PATTERN, "k1"), mode="all",
+        agent=a2.node_id, client=NodeId("c1")))
+    sim.run_until(80 * MS)
+    assert [s for s, *_ in log if s == a2.node_id] == []
+    assert a2.node_id not in timers
+    assert vars(a2) == before
+    ignored = [r for r in sim.trace if r.kind == "ignored"]
+    assert [(r.node, r.detail) for r in ignored] == [("a2", "AgentSearch:x1:c1")]
+    deliver = [r for r in sim.trace if r.kind == "deliver"]
+    assert sim.deliver_count == len(deliver)
+    assert any(r.seq == ignored[0].seq for r in deliver)
+
+
+SPLIT_ACROSS = """
+[config]
+min_cluster = 2
+max_cluster = 5
+drain_ms = 5000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a1 obj2 sensor k1 02
+300 insert c1 a1 obj3 sensor k1 03
+400 insert c1 a1 obj4 sensor k1 04
+500 insert c1 a1 obj5 sensor k1 05
+2000 join a6 net1 as1 ro eu
+"""
+
+
+def test_split_lists_a_new_holder_only_once_its_copy_is_acknowledged():
+    res = staged(SPLIT_ACROSS)
+    sim = res.sim
+    r1 = ragent(res, "r1")
+    log = spy_sends(sim)
+    t = 0
+    while not any(e[1] == "split" for e in sim.member_events):
+        t += MS
+        sim.run_until(t)
+    # five agents placed the pairs (a1,a2) (a3,a4) (a5,a1) (a2,a3)
+    # (a4,a5); a2 became the new super-peer, a1 a3 a4 stay, a5 a6 move,
+    # so obj3 and obj5 straddle the two sides
+    new_r, handover = next((d, m) for _, d, m, _ in log if isinstance(m, AssumeRAgent))
+    sides = [(r1.node_id, r1.catalogue, r1.members),
+             (new_r, handover.catalogue, set(handover.members))]
+    holders = {}
+    for _, cat, members in sides:
+        for oid in cat.object_ids():
+            holders[oid] = cat.holders_of(oid)
+            for h in holders[oid]:
+                assert h in members and oid in sim.nodes[h].store
+    assert len(handover.catalogue) == 1
+    assert sorted(len(hl) for hl in holders.values()) == [1, 1, 1, 1, 2]
+    end = t + 3000 * MS
+    while t < end:
+        prev, t = t, t + MS
+        sim.run_until(t)
+        for ragent_id, cat, _ in sides:
+            for oid in cat.object_ids():
+                hl = cat.holders_of(oid)
+                for h in hl:
+                    assert oid in sim.nodes[h].store
+                for h in hl[len(holders[oid]):]:
+                    acked = [m for s, d, m, _ in log if isinstance(m, CopyDone)
+                             and m.oid == oid and s == h and d == ragent_id]
+                    delivered = [r for r in sim.trace if r.kind == "deliver"
+                                 and prev < r.time <= t and r.node == ragent_id.value
+                                 and r.detail == f"CopyDone::{h.value}"]
+                    assert acked and delivered, (oid, h)
+                holders[oid] = hl
+    assert sorted(len(hl) for hl in holders.values()) == [2] * 5
