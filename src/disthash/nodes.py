@@ -1368,6 +1368,29 @@ class RAgentNode(BaseNode):
             sim.send(self.node_id, msg.target, m)
         self.deferred.clear()
 
+    # -- client ops addressed to this node while it was an agent ----------
+
+    def _on_CSearch(self, sim, msg: CSearch, src):
+        self._on_AgentSearch(sim, AgentSearch(
+            request_id=msg.request_id, criterion=msg.criterion, mode=msg.mode,
+            agent=self.node_id, client=src, hop=msg.hop), src)
+
+    def _on_CInsert(self, sim, msg: CInsert, src):
+        self._on_AgentInsert(sim, AgentInsert(
+            request_id=msg.request_id, obj=msg.obj,
+            agent=self.node_id, client=src, hop=msg.hop), src)
+
+    def _on_CUpdate(self, sim, msg: CUpdate, src):
+        self._on_AgentUpdate(sim, AgentUpdate(
+            request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
+            agent=self.node_id, client=src, hop=msg.hop), src)
+
+    def _on_CRead(self, sim, msg: CRead, src):
+        # a super-peer stores no replicas
+        sim.send(self.node_id, src, ReadReply(
+            request_id=msg.request_id, obj=None, outcome="not_held",
+            hop=msg.hop + 1))
+
     # -- search ------------------------------------------------------------
 
     def _lookup_counted(self, sim, request_id: str, criterion: PatternKey):

@@ -5,8 +5,8 @@ import copy
 
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
 from disthash.nodes import (AgentHeartbeat, AgentNode, AgentSearch,
-                            AssumeRAgent, CatalogueSync, CopyDone, LusNode,
-                            RAgentNode)
+                            AssumeRAgent, CatalogueSync, CopyDone, CRead,
+                            LusNode, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import parse_scenario
@@ -790,3 +790,21 @@ def test_split_lists_a_new_holder_only_once_its_copy_is_acknowledged():
                     assert acked and delivered, (oid, h)
                 holders[oid] = hl
     assert sorted(len(hl) for hl in holders.values()) == [2] * 5
+
+
+def test_client_ops_sent_to_a_promoted_agent_complete():
+    res = build(SPLIT_ACROSS + "4000 search c1 a2 exact sensor\n"
+                               "4100 update c1 a2 obj1 beef\n")
+    sim = res.sim
+    promoted = ragent(res, "a2")
+    recs = completions(res)
+    assert recs["q0006"]["outcome"] == "ok"
+    assert {o.id for o in recs["q0006"]["objects"]} == \
+           {o.id for o in res.labels.values() if o.type_tag == "sensor"}
+    assert recs["q0007"]["outcome"] == "ok" and recs["q0007"]["version"] == 1
+    assert res.issues == []
+    # a super-peer holds no replicas, so a read sent to it is not held
+    sim.send(NodeId("c1"), promoted.node_id,
+             CRead(request_id="x1", oid=res.labels["obj3"].id))
+    sim.run_until(sim.clock + 100 * MS)
+    assert completions(res)["x1"]["outcome"] == "not_held"
