@@ -1,6 +1,7 @@
-"""Golden outputs: the sha256 of the bytes ``disthash --metrics`` writes
-for the example scenarios and for a fixed generated corpus. A change
-that alters simulated behaviour must re-pin these and say why."""
+"""Golden outputs: the sha256 of the bytes ``disthash --metrics`` and
+``disthash --trace`` write for the example scenarios, and of the metrics
+and traces of a fixed generated corpus. A change that alters simulated
+behaviour must re-pin these and say why."""
 import hashlib
 from pathlib import Path
 
@@ -16,16 +17,32 @@ GOLDEN = {
     "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
     "failover.txt": "2009734635c4ec230e0f5dea15550215d2de90d27af92f1a23e4144d03c3f338",
 }
+GOLDEN_TRACE = {
+    "basic.txt": "162a2bd0fd8b11c12d4c0b7a221676042ea2c5c9470e0c258f5b5a6c63ddb682",
+    "failover.txt": "e294fd57d8e8b2694398a4023b865ecfb39d24fce04aeb8df28af26abacb362b",
+}
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
+GOLDEN_CORPUS_TRACE = "c93a27207031905afec16a306f2deaff67ca94a56a53a4e50f9485e9654bca39"
 
 
-def metrics_bytes(lines: list[str]) -> bytes:
+def lines_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+@pytest.fixture(scope="module")
+def corpus_digests():
+    metrics, trace = hashlib.sha256(), hashlib.sha256()
+    for seed in range(20):
+        res = run_scenario(random_scenario(seed))
+        metrics.update(lines_bytes(format_metrics(res)))
+        trace.update(lines_bytes(res.sim.trace_lines()))
+    return metrics.hexdigest(), trace.hexdigest()
+
+
 def test_every_example_scenario_is_pinned():
-    assert sorted(p.name for p in SCENARIOS.glob("*.txt")) == sorted(GOLDEN)
+    names = sorted(p.name for p in SCENARIOS.glob("*.txt"))
+    assert names == sorted(GOLDEN) == sorted(GOLDEN_TRACE)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -35,8 +52,17 @@ def test_scenario_metrics_are_pinned(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
 
 
-def test_generated_corpus_metrics_are_pinned():
-    h = hashlib.sha256()
-    for seed in range(20):
-        h.update(metrics_bytes(format_metrics(run_scenario(random_scenario(seed)))))
-    assert h.hexdigest() == GOLDEN_CORPUS
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE))
+def test_scenario_trace_is_pinned(name, tmp_path):
+    out = tmp_path / "trace.txt"
+    assert main(["--scenario", str(SCENARIOS / name),
+                 "--metrics", str(tmp_path / "metrics.txt"), "--trace", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TRACE[name]
+
+
+def test_generated_corpus_metrics_are_pinned(corpus_digests):
+    assert corpus_digests[0] == GOLDEN_CORPUS
+
+
+def test_generated_corpus_trace_is_pinned(corpus_digests):
+    assert corpus_digests[1] == GOLDEN_CORPUS_TRACE
