@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 ID_BYTES = 20  # 160-bit object identifiers
@@ -39,16 +39,14 @@ class ObjectId:
         return f"ObjectId({self.value.hex()[:12]})"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Unique node identifier. Ordering is by the string value only; the
-    role tag rides along for readability but never affects comparison."""
+class NodeId(str):
+    """Unique node identifier: the node's name. Equality, hash and order
+    are the string's; the role belongs to the node, not to its id."""
 
-    value: str
-    role: Role = field(default=Role.AGENT, compare=False)
+    __slots__ = ()
 
     def __repr__(self):
-        return f"NodeId({self.value})"
+        return f"NodeId({self})"
 
 
 @dataclass(frozen=True)

@@ -460,29 +460,34 @@ class MigrateAck:
 
 
 class BaseNode:
+    role: Role  # each concrete class sets it; a role change swaps the object
+
+    def __init_subclass__(cls, **kwargs):
+        """Build the class's handler tables: message type name ->
+        ``_on_<name>``, timer tag -> ``_tick_<tag>``."""
+        super().__init_subclass__(**kwargs)
+        cls._on = {n[4:]: getattr(cls, n) for n in dir(cls) if n.startswith("_on_")}
+        cls._tick = {n[6:]: getattr(cls, n) for n in dir(cls) if n.startswith("_tick_")}
+
     def __init__(self, node_id: NodeId, locality: LocalityDescriptor):
         self.node_id = node_id
         self.locality = locality
         self.epoch = 0
 
-    @property
-    def role(self) -> Role:
-        return self.node_id.role
-
     def on_message(self, sim: Simulator, msg, src: NodeId) -> bool:
         """Run the handler for ``msg``'s type. A type the node's current
         role has no handler for (stale traffic after a role change) is
         ignored, and False tells the engine so."""
-        handler = getattr(self, f"_on_{type(msg).__name__}", None)
+        handler = self._on.get(type(msg).__name__)
         if handler is None:
             return False
-        handler(sim, msg, src)
+        handler(self, sim, msg, src)
         return True
 
     def on_timer(self, sim: Simulator, tag: str, payload) -> None:
-        handler = getattr(self, f"_tick_{tag}", None)
+        handler = self._tick.get(tag)
         if handler is not None:
-            handler(sim, payload)
+            handler(self, sim, payload)
 
     def on_crash(self, sim: Simulator) -> None:
         pass
@@ -519,6 +524,8 @@ class BaseNode:
 class LusNode(BaseNode):
     """One replicated lookup-service instance. Mutations are pushed
     eagerly to the sibling instances; instances never crash."""
+
+    role = Role.LUS
 
     def __init__(self, node_id, locality, siblings=()):
         super().__init__(node_id, locality)
@@ -560,6 +567,8 @@ class AgentNode(BaseNode):
     relays client operations, and (when designated secondary backup)
     keeps a live copy of the cluster catalogue, promoting itself if the
     super-peer dies."""
+
+    role = Role.AGENT
 
     def __init__(self, node_id, locality, config: ClusterConfig):
         super().__init__(node_id, locality)
@@ -723,9 +732,8 @@ class AgentNode(BaseNode):
         using the synced catalogue copy."""
         old = self.ragent
         sim.record_member_event("promote", self.node_id, self.node_id,
-                                f"replacing={old.value if old else '-'}")
-        ragent = RAgentNode(NodeId(self.node_id.value, Role.RAGENT),
-                            self.locality, self.config)
+                                f"replacing={old or '-'}")
+        ragent = RAgentNode(self.node_id, self.locality, self.config)
         ragent.catalogue = self.sync_catalogue or MetaCatalogue()
         members = set(self.sync_members) - {self.node_id}
         if old is not None:
@@ -918,6 +926,8 @@ class RAgentNode(BaseNode):
     catalogue, runs the data protocols and the failure handlers, and
     keeps its secondary backup in sync."""
 
+    role = Role.RAGENT
+
     def __init__(self, node_id, locality, config: ClusterConfig):
         super().__init__(node_id, locality)
         self.config = config
@@ -959,10 +969,6 @@ class RAgentNode(BaseNode):
     def thresholds(self) -> Thresholds:
         return self.config.thresholds
 
-    @property
-    def cluster_tag(self) -> str:
-        return self.node_id.value
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, sim: Simulator) -> None:
@@ -1000,8 +1006,7 @@ class RAgentNode(BaseNode):
 
     def on_rejoin(self, sim):
         # a crashed super-peer re-enters the system as a fresh agent
-        agent = AgentNode(NodeId(self.node_id.value, Role.AGENT),
-                          self.locality, self.config)
+        agent = AgentNode(self.node_id, self.locality, self.config)
         agent.epoch = self.epoch + 1
         sim.nodes[self.node_id] = agent
         agent.on_rejoin(sim)
@@ -1187,7 +1192,7 @@ class RAgentNode(BaseNode):
             return  # transiently under-replicated; too few agents left
         new_holder = extra[0]
         self._copyseq += 1
-        copy_id = f"{self.node_id.value}.cp{self._copyseq}"
+        copy_id = f"{self.node_id}.cp{self._copyseq}"
         self.pending_copies[copy_id] = (oid, new_holder, survivors[0])
         sim.send(self.node_id, survivors[0],
                  CopyReplica(oid=oid, dest=new_holder, copy_id=copy_id))
@@ -1256,13 +1261,12 @@ class RAgentNode(BaseNode):
         self._rehome_across(sim, keep_cat, keep_set)
         self._rehome_across(sim, move_cat, move_set)
         move_loads = {a: self.loads.counts[a] for a in move_list}
-        new_id = NodeId(new_r.value, Role.RAGENT)
         sim.send(self.node_id, new_r, AssumeRAgent(
             catalogue=move_cat, loads=move_loads, members=tuple(move_list),
             peers=tuple(sorted((self.peers | {self.node_id}) - {new_r})),
             config=self.config))
         for m in move_list:
-            sim.send(self.node_id, m, ReassignCluster(ragent=new_id))
+            sim.send(self.node_id, m, ReassignCluster(ragent=new_r))
         # shrink self to the keep side
         self.catalogue = keep_cat
         self.members = keep_set
@@ -1283,14 +1287,14 @@ class RAgentNode(BaseNode):
         else:
             self._sync_secondary(sim)
         for p in sorted(self.peers):
-            sim.send(self.node_id, p, PeerUpdate(add=(new_id,)))
-        self.peers.add(new_id)
-        self.peer_last_seen[new_id] = sim.clock
-        self.peer_sizes[new_id] = len(move_cat)
-        self.peer_members[new_id] = len(move_list)
+            sim.send(self.node_id, p, PeerUpdate(add=(new_r,)))
+        self.peers.add(new_r)
+        self.peer_last_seen[new_r] = sim.clock
+        self.peer_sizes[new_r] = len(move_cat)
+        self.peer_members[new_r] = len(move_list)
         self._update_lus_count(sim)
         sim.record_member_event(
-            "split", self.node_id, new_id,
+            "split", self.node_id, new_r,
             f"entries={entries_before}->{len(keep_cat)}+{len(move_cat)} "
             f"keep={len(keep_set)} move={len(move_set)}")
 
@@ -1327,8 +1331,7 @@ class RAgentNode(BaseNode):
         entries_in = len(msg.catalogue)
         entries_own = len(self.catalogue)
         self.catalogue.merge(msg.catalogue)
-        demoted = NodeId(msg.from_ragent.value, Role.AGENT)
-        for a in list(msg.members) + [demoted]:
+        for a in list(msg.members) + [msg.from_ragent]:
             if a not in self.members:
                 self.members.add(a)
                 self.loads.counts[a] = msg.loads.get(a, 0)
@@ -1349,15 +1352,14 @@ class RAgentNode(BaseNode):
     def _on_MergeAck(self, sim, msg: MergeAck, src):
         # demote: this node becomes a plain agent of the target cluster
         sim.record_member_event("demote", self.node_id, self.node_id,
-                                f"merged_into={msg.target.value}")
+                                f"merged_into={msg.target}")
         if self.config.lus_ids:
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=self.node_id))
         for p in sorted(self.peers):
             if p != msg.target:
                 sim.send(self.node_id, p, PeerUpdate(remove=(self.node_id,)))
-        agent = AgentNode(NodeId(self.node_id.value, Role.AGENT),
-                          self.locality, self.config)
+        agent = AgentNode(self.node_id, self.locality, self.config)
         agent.epoch = self.epoch + 1
         agent.joined = True
         agent.ragent = msg.target
@@ -1395,7 +1397,7 @@ class RAgentNode(BaseNode):
 
     def _lookup_counted(self, sim, request_id: str, criterion: PatternKey):
         matches, key_steps = self.catalogue.lookup(criterion)
-        sim.steps.on_lookup(request_id, self.cluster_tag,
+        sim.steps.on_lookup(request_id, self.node_id,
                             self.catalogue.key_count, key_steps, len(matches))
         return matches
 
@@ -1407,7 +1409,7 @@ class RAgentNode(BaseNode):
             by_owner.setdefault(owner, []).append(oid)
         for owner in sorted(by_owner):
             ids = tuple(sorted(by_owner[owner]))
-            sim.steps.on_fetch_request(request_id, self.cluster_tag, owner, len(ids))
+            sim.steps.on_fetch_request(request_id, self.node_id, owner, len(ids))
             st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
             sim.send(self.node_id, owner, FetchObjects(
                 request_id=request_id, ids=ids, hop=hop))
@@ -1450,7 +1452,7 @@ class RAgentNode(BaseNode):
         if st is None:
             return  # request already answered
         if msg.objects:
-            sim.steps.on_probe(msg.request_id, self.cluster_tag,
+            sim.steps.on_probe(msg.request_id, self.node_id,
                                msg.store_size, len(msg.objects))
         st.results.extend(msg.objects)
         st.max_hop = max(st.max_hop, msg.hop)
@@ -1741,7 +1743,7 @@ class RAgentNode(BaseNode):
 
     def _start_migration(self, sim, oid: ObjectId, target: NodeId):
         self._migseq += 1
-        mid = f"{self.node_id.value}.mig{self._migseq}"
+        mid = f"{self.node_id}.mig{self._migseq}"
         self.in_migrations[mid] = {"oid": oid, "attempts": 1}
         sim.send(self.node_id, target, MigrateRequest(request_id=mid, oid=oid))
 
@@ -1937,8 +1939,7 @@ class RAgentNode(BaseNode):
 
 def assume_ragent(sim: Simulator, agent: AgentNode, msg: AssumeRAgent) -> RAgentNode:
     """Turn an agent into the super-peer of a freshly split-off cluster."""
-    ragent = RAgentNode(NodeId(agent.node_id.value, Role.RAGENT),
-                        agent.locality, msg.config)
+    ragent = RAgentNode(agent.node_id, agent.locality, msg.config)
     ragent.catalogue = msg.catalogue
     ragent.members = set(msg.members)
     loads = AgentLoadTable()
@@ -1974,6 +1975,8 @@ class ClientNode(BaseNode):
     """Drives scheduled operations through an agent and records their
     completions for the metrics stream."""
 
+    role = Role.CLIENT
+
     def __init__(self, node_id, locality):
         super().__init__(node_id, locality)
         self.completions: list[dict] = []
@@ -1981,7 +1984,7 @@ class ClientNode(BaseNode):
         self.known_holders: dict[ObjectId, NodeId] = {}
         self._pending: dict[str, dict] = {}
 
-    def run_op(self, sim: Simulator, op: dict) -> None:
+    def _tick_op(self, sim: Simulator, op: dict) -> None:
         """Execute one scheduled operation; ``op`` carries request_id,
         kind, target agent and the kind-specific fields."""
         rid = op["request_id"]
@@ -2005,9 +2008,9 @@ class ClientNode(BaseNode):
         else:
             raise ValueError(f"unknown op kind {kind}")
 
-    def on_timer(self, sim, tag, payload):
-        if tag == "op":
-            self.run_op(sim, payload)
+    # its own attribute, so that wrapping BaseNode.on_timer from outside
+    # the class does not wrap client timers twice
+    on_timer = BaseNode.on_timer
 
     def _record(self, sim, rid, op, outcome, hop, objects=(), version=None):
         try:

@@ -52,8 +52,7 @@ def build_simulation(sc: Scenario) -> RunResult:
     bootstrap is message-free so the first scripted event sees a steady
     system."""
     c = sc.config
-    sim = Simulator(NetworkModel(c.latency_base_ms * MS, c.latency_tier_ms * MS),
-                    seed=c.seed)
+    sim = Simulator(NetworkModel(c.latency_base_ms * MS, c.latency_tier_ms * MS))
 
     decls = list(sc.nodes)
     declared = {d.name for d in decls}
@@ -69,12 +68,12 @@ def build_simulation(sc: Scenario) -> RunResult:
             made += 1
 
     lus_decls = [d for d in decls if d.role is Role.LUS]
-    lus_ids = tuple(sorted(NodeId(d.name, Role.LUS) for d in lus_decls))
+    lus_ids = tuple(sorted(NodeId(d.name) for d in lus_decls))
     cfg = _mkcfg(sc, lus_ids)
 
     lus_nodes = []
     for d in lus_decls:
-        nid = NodeId(d.name, Role.LUS)
+        nid = NodeId(d.name)
         node = LusNode(nid, d.locality,
                        siblings=tuple(x for x in lus_ids if x != nid))
         sim.add_node(node)
@@ -83,7 +82,7 @@ def build_simulation(sc: Scenario) -> RunResult:
     ragents: list[RAgentNode] = []
     for d in decls:
         if d.role is Role.RAGENT:
-            r = RAgentNode(NodeId(d.name, Role.RAGENT), d.locality, cfg)
+            r = RAgentNode(NodeId(d.name), d.locality, cfg)
             sim.add_node(r)
             ragents.append(r)
     for r in ragents:
@@ -93,11 +92,11 @@ def build_simulation(sc: Scenario) -> RunResult:
     agents: list[AgentNode] = []
     for d in decls:
         if d.role is Role.AGENT:
-            a = AgentNode(NodeId(d.name, Role.AGENT), d.locality, cfg)
+            a = AgentNode(NodeId(d.name), d.locality, cfg)
             sim.add_node(a)
             agents.append(a)
         elif d.role is Role.CLIENT:
-            cl = ClientNode(NodeId(d.name, Role.CLIENT), d.locality)
+            cl = ClientNode(NodeId(d.name), d.locality)
             sim.add_node(cl)
             clients[d.name] = cl
 
@@ -137,7 +136,7 @@ def build_simulation(sc: Scenario) -> RunResult:
 def schedule_events(result: RunResult) -> None:
     sim, sc = result.sim, result.scenario
     cfg = _mkcfg(sc, ())  # thresholds/hb only; lus ids resolved below
-    lus_ids = tuple(sorted(n for n in sim.nodes if n.role is Role.LUS))
+    lus_ids = tuple(sorted(n for n, node in sim.nodes.items() if node.role is Role.LUS))
     seq = 0
     for ev in sc.events:
         t = ev.time_ms * MS
@@ -148,7 +147,7 @@ def schedule_events(result: RunResult) -> None:
             sim.inject_rejoin(NodeId(ev.node), t)
             continue
         if isinstance(ev, JoinEvent):
-            node = AgentNode(NodeId(ev.name, Role.AGENT), ev.locality,
+            node = AgentNode(NodeId(ev.name), ev.locality,
                              ClusterConfig(cfg.thresholds, cfg.hb, lus_ids,
                                            cfg.delegation_factor,
                                            cfg.migration_threshold))
@@ -212,11 +211,11 @@ def check_invariants(result: RunResult) -> list[str]:
     lost = sim._lost_clusters
 
     for r in ragents:
-        tag = r.node_id.value
+        tag = r.node_id
         # membership sanity
         for m in sorted(r.members):
             if not sim.is_alive(m):
-                issues.append(f"{tag}: member {m.value} is dead")
+                issues.append(f"{tag}: member {m} is dead")
         # catalogue: owner-first holder lists over live members, fully
         # replicated whenever enough members exist
         want = 2 if len(r.members) >= 2 else 1
@@ -229,22 +228,22 @@ def check_invariants(result: RunResult) -> list[str]:
                 issues.append(f"{tag}: {oid.hex[:12]} has {len(hl)} holders, want {want}")
             for h in hl:
                 if h not in r.members:
-                    issues.append(f"{tag}: holder {h.value} of {oid.hex[:12]} not a member")
+                    issues.append(f"{tag}: holder {h} of {oid.hex[:12]} not a member")
                     continue
                 truth[h] += 1
                 holder_node = sim.nodes[h]
                 if oid not in holder_node.store:
-                    issues.append(f"{tag}: {h.value} listed for {oid.hex[:12]} but does not store it")
+                    issues.append(f"{tag}: {h} listed for {oid.hex[:12]} but does not store it")
         # load table matches ground truth
         for m in sorted(r.members):
             if r.loads.counts.get(m) != truth[m]:
                 issues.append(f"{tag}: load table says {r.loads.counts.get(m)} "
-                              f"for {m.value}, catalogue says {truth[m]}")
+                              f"for {m}, catalogue says {truth[m]}")
         # secondary backup freshness
         if r.secondary is not None:
             sec = sim.nodes[r.secondary]
             if not isinstance(sec, AgentNode) or not sim.is_alive(r.secondary):
-                issues.append(f"{tag}: secondary {r.secondary.value} unavailable")
+                issues.append(f"{tag}: secondary {r.secondary} unavailable")
             elif sec.sync_catalogue != r.catalogue:
                 issues.append(f"{tag}: secondary catalogue copy is stale")
         elif r.members:
@@ -252,8 +251,8 @@ def check_invariants(result: RunResult) -> list[str]:
         # complete peer graph
         expect_peers = live_rids - {r.node_id}
         if r.peers != expect_peers:
-            missing = sorted(p.value for p in expect_peers - r.peers)
-            extra = sorted(p.value for p in r.peers - expect_peers)
+            missing = sorted(str(p) for p in expect_peers - r.peers)
+            extra = sorted(str(p) for p in r.peers - expect_peers)
             issues.append(f"{tag}: peer set wrong (missing={missing} extra={extra})")
         # size thresholds (a lone cluster has no merge partner)
         if len(r.members) > sc.config.max_cluster:
@@ -267,15 +266,15 @@ def check_invariants(result: RunResult) -> list[str]:
             continue
         registered = set(node.registry.entries)
         if registered != live_rids:
-            missing = sorted(p.value for p in live_rids - registered)
-            extra = sorted(p.value for p in registered - live_rids)
-            issues.append(f"{node.node_id.value}: registry wrong "
+            missing = sorted(str(p) for p in live_rids - registered)
+            extra = sorted(str(p) for p in registered - live_rids)
+            issues.append(f"{node.node_id}: registry wrong "
                           f"(missing={missing} extra={extra})")
         else:
             by_id = {r.node_id: r for r in ragents}
             for rid in sorted(registered):
                 if node.registry.entries[rid].connected_count != len(by_id[rid].members):
-                    issues.append(f"{node.node_id.value}: stale count for {rid.value}")
+                    issues.append(f"{node.node_id}: stale count for {rid}")
 
     # agents must belong somewhere unless their whole cluster was lost
     for node in sorted(sim.nodes.values(), key=lambda n: n.node_id):
@@ -287,7 +286,7 @@ def check_invariants(result: RunResult) -> list[str]:
         if home is None:
             if node.ragent in lost:
                 continue  # reported unrecoverable cluster; members stay orphaned
-            issues.append(f"{node.node_id.value}: live agent in no cluster")
+            issues.append(f"{node.node_id}: live agent in no cluster")
 
     if sim.loss_records and not sc.config.expect_loss:
         for _, oid, detail in sim.loss_records:
@@ -327,7 +326,7 @@ def format_metrics(result: RunResult) -> list[str]:
             version=rec["version"], progress=rec["progress"]))
     for time, event, cluster, node, detail in sim.member_events:
         lines.append("member " + _kv(
-            time_us=time, event=event, cluster=cluster.value, node=node.value,
+            time_us=time, event=event, cluster=cluster, node=node,
             detail=detail.replace(" ", ";") if detail else None))
     for time, oid, detail in sim.loss_records:
         lines.append("loss " + _kv(time_us=time, object=oid.hex,

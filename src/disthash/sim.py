@@ -177,14 +177,14 @@ def ideal_search_steps(total_objects: int, total_agents: int, clusters: int = 1)
 # Event queue
 
 
-@dataclass
+@dataclass(slots=True)
 class _Deliver:
     src: NodeId
     dst: NodeId
     msg: object
 
 
-@dataclass
+@dataclass(slots=True)
 class _Timer:
     node: NodeId
     tag: str
@@ -201,7 +201,7 @@ class _Rejoin:
     node: NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     time: int
     seq: int
@@ -218,9 +218,9 @@ class Simulator:
     """Single-threaded engine. Nodes are registered state machines; all
     interaction between them goes through ``send``/``set_timer``."""
 
-    def __init__(self, network: NetworkModel | None = None, seed: int = 0):
+    def __init__(self, network: NetworkModel | None = None):
         self.network = network or NetworkModel()
-        self.seed = seed
+        self._latencies: dict[tuple[NodeId, NodeId], int] = {}
         self.clock = 0
         self._seq = 0
         self._heap: list[tuple[int, int, object]] = []
@@ -254,10 +254,18 @@ class Simulator:
     def send(self, src: NodeId, dst: NodeId, msg) -> None:
         if src in self.crashed:
             return
-        if dst not in self.nodes:
-            raise UnknownNode(dst)
-        lat = self.network.latency(self.nodes[src].locality, self.nodes[dst].locality)
-        self._push(self.clock + lat, _Deliver(src, dst, msg))
+        self._push(self.clock + self._latency(src, dst), _Deliver(src, dst, msg))
+
+    def _latency(self, src: NodeId, dst: NodeId) -> int:
+        """Link latency, memoized per (src, dst) pair. A node id keeps its
+        locality for life: a role change passes it on to the new node."""
+        lat = self._latencies.get((src, dst))
+        if lat is None:
+            if dst not in self.nodes:
+                raise UnknownNode(dst)
+            lat = self._latencies[src, dst] = self.network.latency(
+                self.nodes[src].locality, self.nodes[dst].locality)
+        return lat
 
     def set_timer(self, node: NodeId, tag: str, delay: int, payload=None) -> None:
         self._push(self.clock + delay, _Timer(node, tag, payload))
@@ -303,10 +311,11 @@ class Simulator:
         self.clock = t
 
     def _trace(self, seq: int, node: NodeId, kind: str, detail: str) -> None:
-        self.trace.append(TraceRecord(self.clock, seq, node.value, kind, detail))
+        self.trace.append(TraceRecord(self.clock, seq, node, kind, detail))
 
     def _dispatch(self, seq: int, ev) -> None:
-        if isinstance(ev, _Deliver):
+        kind = type(ev)
+        if kind is _Deliver:
             name = type(ev.msg).__name__
             rid = getattr(ev.msg, "request_id", None)
             if ev.dst in self.crashed:
@@ -314,9 +323,7 @@ class Simulator:
                 # bounce a failure notice to a live, non-engine sender;
                 # pushed directly because the nominal source is dead
                 if ev.src not in self.crashed and not isinstance(ev.msg, SendFailed):
-                    lat = self.network.latency(
-                        self.nodes[ev.dst].locality, self.nodes[ev.src].locality)
-                    self._push(self.clock + lat, _Deliver(
+                    self._push(self.clock + self._latency(ev.dst, ev.src), _Deliver(
                         ev.dst, ev.src, SendFailed(
                             original=ev.msg, dead=ev.dst, request_id=rid,
                             hop=getattr(ev.msg, "hop", 0))))
@@ -324,23 +331,23 @@ class Simulator:
             self.deliver_count += 1
             if rid is not None:
                 self.steps.on_message(rid)
-            detail = f"{name}:{rid or ''}:{ev.src.value}"
+            detail = f"{name}:{rid or ''}:{ev.src}"
             self._trace(seq, ev.dst, "deliver", detail)
             # a node whose role has no handler for the type returns False
             if self.nodes[ev.dst].on_message(self, ev.msg, ev.src) is False:
                 self._trace(seq, ev.dst, "ignored", detail)
-        elif isinstance(ev, _Timer):
+        elif kind is _Timer:
             if ev.node in self.crashed:
                 return
             self._trace(seq, ev.node, "timer", ev.tag)
             self.nodes[ev.node].on_timer(self, ev.tag, ev.payload)
-        elif isinstance(ev, _Crash):
+        elif kind is _Crash:
             if ev.node in self.crashed:
                 return
             self.crashed.add(ev.node)
             self._trace(seq, ev.node, "crash", "")
             self.nodes[ev.node].on_crash(self)
-        elif isinstance(ev, _Rejoin):
+        elif kind is _Rejoin:
             if ev.node not in self.crashed:
                 raise NotCrashed(ev.node)
             self.crashed.discard(ev.node)

@@ -242,7 +242,7 @@ class TestAcceptance:
     def test_07_single_crash_self_healing(self):
         base = self._healing_base()
         agents = sorted(n.node_id for n in base.sim.nodes.values()
-                        if n.node_id.role is Role.AGENT
+                        if n.role is Role.AGENT
                         and not isinstance(n, RAgentNode))
         ok = True
         for victim in agents:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from disthash.core import (ID_BYTES, DistObject, KeyKind, LocalityDescriptor,
-                           NodeId, ObjectId, PatternKey, Role,
+                           NodeId, ObjectId, PatternKey,
                            canonical_encode, derive_object_id, make_object,
                            proximity_rank)
 
@@ -101,10 +101,21 @@ def test_with_payload_keeps_identity():
 # -- node ids ----------------------------------------------------------
 
 
-def test_node_id_orders_by_value_ignoring_role():
-    assert NodeId("a1", Role.RAGENT) == NodeId("a1", Role.AGENT)
-    assert NodeId("a1") < NodeId("a2", Role.RAGENT)
-    assert len({NodeId("x", Role.AGENT), NodeId("x", Role.RAGENT)}) == 1
+def test_node_id_is_its_name():
+    a1 = NodeId("a1")
+    assert isinstance(a1, str) and a1 == "a1" and str(a1) == "a1"
+    assert repr(a1) == "NodeId(a1)"
+    assert not hasattr(a1, "role") and not hasattr(a1, "__dict__")
+
+
+@given(short_text, short_text)
+def test_node_id_equality_hash_and_order_are_the_strings(x, y):
+    a, b = NodeId(x), NodeId(y)
+    assert (a == b) == (x == y) and (a == y) == (x == y)
+    assert (a < b) == (x < y) and (a <= b) == (x <= y)
+    assert hash(a) == hash(x)
+    assert sorted([a, b]) == sorted([x, y])
+    assert len({a, b, x, y}) == len({x, y})
 
 
 # -- locality ----------------------------------------------------------

@@ -2,14 +2,17 @@
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
 import copy
+from pathlib import Path
+
+import pytest
 
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
 from disthash.nodes import (AgentHeartbeat, AgentNode, AgentSearch,
                             AssumeRAgent, CatalogueSync, CopyDone, CRead,
-                            LusNode, RAgentNode)
+                            ClientNode, LusNode, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
-from disthash.scenario import parse_scenario
+from disthash.scenario import JoinEvent, parse_scenario
 from disthash.sim import MS
 
 
@@ -437,8 +440,7 @@ c1 client net1 as1 ro eu
     assert NodeId("a2") in r1.members
 
 
-def test_split_and_merge_conserve_entries():
-    res = build("""
+SPLIT_MERGE = """
 [config]
 min_cluster = 2
 max_cluster = 4
@@ -460,7 +462,11 @@ c1 client net1 as1 ro eu
 2100 join a7 net1 as1 ro eu
 20000 crash a6
 24000 crash a7
-""")
+"""
+
+
+def test_split_and_merge_conserve_entries():
+    res = build(SPLIT_MERGE)
     assert res.issues == []
     splits = [e for e in res.sim.member_events if e[1] == "split"]
     merges = [e for e in res.sim.member_events if e[1] == "merge"]
@@ -691,8 +697,8 @@ c1 client net1 as1 ro eu
     promotions = [e for e in res.sim.member_events if e[1] == "promote"]
     assert len(splits) == 1 and len(promotions) == 1
     split_off, promoted = splits[0][3], promotions[0][3]
-    assert promoted.value.startswith("b")
-    assert split_off in ragent(res, promoted.value).peers
+    assert promoted.startswith("b")
+    assert split_off in ragent(res, promoted).peers
     assert res.issues == []
 
 
@@ -785,8 +791,8 @@ def test_split_lists_a_new_holder_only_once_its_copy_is_acknowledged():
                     acked = [m for s, d, m, _ in log if isinstance(m, CopyDone)
                              and m.oid == oid and s == h and d == ragent_id]
                     delivered = [r for r in sim.trace if r.kind == "deliver"
-                                 and prev < r.time <= t and r.node == ragent_id.value
-                                 and r.detail == f"CopyDone::{h.value}"]
+                                 and prev < r.time <= t and r.node == ragent_id
+                                 and r.detail == f"CopyDone::{h}"]
                     assert acked and delivered, (oid, h)
                 holders[oid] = hl
     assert sorted(len(hl) for hl in holders.values()) == [2] * 5
@@ -808,3 +814,44 @@ def test_client_ops_sent_to_a_promoted_agent_complete():
              CRead(request_id="x1", oid=res.labels["obj3"].id))
     sim.run_until(sim.clock + 100 * MS)
     assert completions(res)["x1"]["outcome"] == "not_held"
+
+
+# -- roles and link latency across role changes ----------------------------
+
+FAILOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "failover.txt").read_text()
+
+
+def test_role_comes_from_the_node_class():
+    for cls, role in ((AgentNode, Role.AGENT), (RAgentNode, Role.RAGENT),
+                      (LusNode, Role.LUS), (ClientNode, Role.CLIENT)):
+        assert cls.role is role
+    res = build(FAILOVER)
+    # the secondary a1 took over from r1, which later rejoined as an agent
+    a1, r1 = res.sim.nodes[NodeId("a1")], res.sim.nodes[NodeId("r1")]
+    assert isinstance(a1, RAgentNode) and a1.role is Role.RAGENT
+    assert isinstance(r1, AgentNode) and r1.role is Role.AGENT
+    assert "role" not in vars(a1) and "role" not in vars(r1)
+    # a2 is promoted by the split at 2015 ms and demoted by the merge
+    res = staged(SPLIT_MERGE)
+    res.sim.run_until(3000 * MS)
+    assert res.sim.nodes[NodeId("a2")].role is Role.RAGENT
+    finish(res)
+    assert [e[1] for e in res.sim.member_events if e[3] == "a2"][-1] == "demote"
+    assert res.sim.nodes[NodeId("a2")].role is Role.AGENT
+
+
+@pytest.mark.parametrize("text", [FAILOVER, SPLIT_MERGE], ids=["failover", "split_merge"])
+def test_role_changes_keep_locality_and_memoized_latency_matches_the_model(text):
+    res = build(text)
+    sim, sc = res.sim, res.scenario
+    declared = {d.name: d.locality for d in sc.nodes}
+    declared.update((ev.name, ev.locality) for ev in sc.events if isinstance(ev, JoinEvent))
+    for nid, node in sim.nodes.items():
+        if nid in declared:
+            assert node.locality == declared[nid], nid
+        else:
+            assert isinstance(node, LusNode)
+    changed = {e[3] for e in sim.member_events if e[1] in ("promote", "assume_ragent")}
+    assert changed and any(changed & set(pair) for pair in sim._latencies)
+    for (src, dst), lat in sim._latencies.items():
+        assert lat == sim.network.latency(sim.nodes[src].locality, sim.nodes[dst].locality)
