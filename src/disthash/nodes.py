@@ -1200,6 +1200,13 @@ class RAgentNode(BaseNode):
     def _on_CopyDone(self, sim, msg: CopyDone, src):
         entry = self.pending_copies.pop(msg.copy_id, None)
         if entry is None:
+            # a copy given up while in flight (a split drops those aimed
+            # across it): unless src is, or is about to be, a listed
+            # holder, no catalogue will ever list the replica it stored
+            listed = msg.oid in self.catalogue and src in self.catalogue.holders_of(msg.oid)
+            pending = any(p[:2] == (msg.oid, src) for p in self.pending_copies.values())
+            if not listed and not pending:
+                sim.send(self.node_id, src, DropReplica(ids=(msg.oid,)))
             return
         oid, dest, _source = entry
         if oid not in self.catalogue or dest not in self.members:

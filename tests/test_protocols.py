@@ -816,6 +816,27 @@ def test_client_ops_sent_to_a_promoted_agent_complete():
     assert completions(res)["x1"]["outcome"] == "not_held"
 
 
+def unlisted_replicas(res):
+    """(agent, label) for every replica a live agent stores that its
+    super-peer's catalogue does not list it as holding."""
+    sim = res.sim
+    label = {obj.id: name for name, obj in res.labels.items()}
+    out = []
+    for node in sorted(sim.nodes.values(), key=lambda n: n.node_id):
+        if not isinstance(node, AgentNode) or not sim.is_alive(node.node_id):
+            continue
+        cat = sim.nodes[node.ragent].catalogue
+        out += [(node.node_id, label[oid]) for oid in sorted(node.store, key=label.get)
+                if oid not in cat or node.node_id not in cat.holders_of(oid)]
+    return out
+
+
+def test_split_leaves_no_replica_that_no_catalogue_lists():
+    res = build(SPLIT_ACROSS)
+    assert res.issues == []
+    assert unlisted_replicas(res) == []
+
+
 # -- roles and link latency across role changes ----------------------------
 
 FAILOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "failover.txt").read_text()
