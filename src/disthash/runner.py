@@ -278,9 +278,7 @@ def check_invariants(result: RunResult) -> list[str]:
 
     # agents must belong somewhere unless their whole cluster was lost
     for node in sorted(sim.nodes.values(), key=lambda n: n.node_id):
-        if not isinstance(node, AgentNode) or isinstance(node, RAgentNode):
-            continue
-        if not sim.is_alive(node.node_id):
+        if node.role is not Role.AGENT or not sim.is_alive(node.node_id):
             continue
         home = next((r for r in ragents if node.node_id in r.members), None)
         if home is None:
