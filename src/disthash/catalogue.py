@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import KeyKind, NodeId, ObjectId, PatternKey
+from .core import DistObject, KeyKind, NodeId, ObjectId, PatternKey
 
 
 class CatalogueError(Exception):
@@ -46,10 +46,7 @@ class ObjectMeta:
     type_tag: str
     index_keys: tuple[str, ...]
 
-    def pattern_keys(self) -> list[PatternKey]:
-        keys = [PatternKey(KeyKind.EXACT_TYPE, self.type_tag)]
-        keys.extend(PatternKey(KeyKind.PATTERN, k) for k in self.index_keys)
-        return keys
+    pattern_keys = DistObject.pattern_keys
 
 
 class MetaCatalogue:

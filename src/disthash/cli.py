@@ -18,8 +18,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="disthash",
         description="Run a cluster-protocol scenario in the deterministic simulator.")
     parser.add_argument("--scenario", required=True, help="scenario text file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's seed")
     parser.add_argument("--metrics", help="write metrics lines here instead of stdout")
     parser.add_argument("--trace", help="write the event trace to this file")
     parser.add_argument("--check", action="store_true",
@@ -37,8 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        sc.config.seed = args.seed
 
     result = run_scenario(sc)
     lines = format_metrics(result)

@@ -14,11 +14,8 @@ from .core import DistObject, NodeId, ObjectId
 
 REPLICATION_FACTOR = 2
 
-# Scenario-overridable defaults: delegate an insert when the local
-# catalogue is at least this factor times the mean size across all
-# super-peers; migrate an object after this many remotely-resolved
-# first-match searches.
-DEFAULT_DELEGATION_FACTOR = 2.0
+# Scenario-overridable default: migrate an object after this many
+# remotely-resolved first-match searches.
 DEFAULT_MIGRATION_THRESHOLD = 3
 
 

@@ -24,10 +24,6 @@ class EmptyElectorate(MembershipError):
     pass
 
 
-class BelowThreshold(MembershipError):
-    pass
-
-
 class NoMergeTarget(MembershipError):
     pass
 

@@ -48,7 +48,6 @@ class ClusterConfig:
 
 @dataclass(kw_only=True)
 class LusQuery:
-    requester: NodeId
     role: Role
     hop: int = 0
 
@@ -137,7 +136,6 @@ class AssumeRAgent:
     loads: dict
     members: tuple
     peers: tuple
-    config: ClusterConfig
 
 
 @dataclass(kw_only=True)
@@ -606,7 +604,7 @@ class AgentNode(BaseNode):
         if not self.config.lus_ids:
             return
         sim.send(self.node_id, self.config.lus_ids[0],
-                 LusQuery(requester=self.node_id, role=Role.AGENT))
+                 LusQuery(role=Role.AGENT))
 
     def _on_LusQueryReply(self, sim, msg: LusQueryReply, src):
         if self.joined:
@@ -636,20 +634,54 @@ class AgentNode(BaseNode):
         if not self.joined:
             sim.set_timer(self.node_id, "retry_join", self.hb.period_us, self.epoch)
 
+    # -- role changes: the only two places a node object is replaced ----
+
+    def _become_agent(self, sim) -> AgentNode:
+        """Install a fresh agent under this node's id, one epoch on."""
+        agent = AgentNode(self.node_id, self.locality, self.config)
+        agent.epoch = self.epoch + 1
+        sim.nodes[self.node_id] = agent
+        return agent
+
     def on_rejoin(self, sim):
-        # stale replicas are discarded; the node re-enters as a fresh agent
-        self.epoch += 1
-        self.store.clear()
-        self.history.clear()
-        self.joined = False
-        self.ragent = None
-        self.secondary_id = None
-        self.sync_catalogue = None
-        self.sync_source = None
-        self.sync_stale = False
-        self.sync_loads = None
-        self._suspected_ragent = None
-        self._begin_join(sim)
+        # replicas and secondary state are stale: re-enter as a fresh agent
+        self._become_agent(sim)._begin_join(sim)
+
+    def _become_ragent(self, sim, catalogue: MetaCatalogue, loads: dict,
+                       members, peers, replacing: NodeId | None = None) -> None:
+        """Install a super-peer under this node's id, one epoch on, over
+        the given cluster state: the synced copy when the secondary takes
+        over the dead ``replacing``, a split's hand-off otherwise. Then
+        vacate own replicas, replace the registry entry, announce itself
+        to the peers, elect a secondary and tell the members."""
+        gone = {self.node_id, replacing}
+        ragent = RAgentNode(self.node_id, self.locality, self.config)
+        ragent.catalogue = catalogue
+        ragent.members = set(members) - gone
+        for a in sorted(ragent.members):
+            ragent.loads.counts[a] = loads.get(a, 0)
+        ragent.peers = set(peers) - gone
+        ragent.epoch = self.epoch + 1
+        sim.nodes[self.node_id] = ragent
+        if replacing is None:
+            sim.record_member_event("assume_ragent", self.node_id, self.node_id,
+                                    f"members={len(ragent.members)}")
+        else:
+            sim.record_member_event("promote", self.node_id, self.node_id,
+                                    f"replacing={replacing}")
+        ragent._vacate_holder(sim, self.node_id)
+        if replacing is not None and self.config.lus_ids:
+            sim.send(self.node_id, self.config.lus_ids[0],
+                     LusDeregister(ragent=replacing))
+        ragent._update_lus_count(sim)
+        for p in sorted(ragent.peers):
+            sim.send(self.node_id, p, PeerUpdate(
+                add=(self.node_id,), remove=(replacing,) if replacing else ()))
+        ragent._elect_secondary(sim)
+        for m in sorted(ragent.members):
+            sim.send(self.node_id, m, ConfigUpdate(
+                ragent=self.node_id, secondary=ragent.secondary))
+        ragent.start(sim)
 
     # -- heartbeats and failover ------------------------------------------
 
@@ -730,25 +762,9 @@ class AgentNode(BaseNode):
     def _promote(self, sim):
         """Secondary backup takes over the crashed super-peer's role,
         using the synced catalogue copy."""
-        old = self.ragent
-        sim.record_member_event("promote", self.node_id, self.node_id,
-                                f"replacing={old or '-'}")
-        ragent = RAgentNode(self.node_id, self.locality, self.config)
-        ragent.catalogue = self.sync_catalogue or MetaCatalogue()
-        members = set(self.sync_members) - {self.node_id}
-        if old is not None:
-            members.discard(old)
-        ragent.members = members
-        loads = AgentLoadTable()
-        for a in sorted(members):
-            loads.counts[a] = (self.sync_loads or {}).get(a, 0)
-        ragent.loads = loads
-        ragent.peers = set(self.sync_peers) - ({old} if old else set()) - {self.node_id}
-        ragent.member_last_seen = {a: sim.clock for a in sorted(members)}
-        ragent.peer_last_seen = {p: sim.clock for p in sorted(ragent.peers)}
-        ragent.epoch = self.epoch + 1
-        sim.nodes[self.node_id] = ragent
-        ragent.take_over(sim, old_ragent=old)
+        self._become_ragent(sim, self.sync_catalogue or MetaCatalogue(),
+                            self.sync_loads or {}, self.sync_members,
+                            self.sync_peers, replacing=self.ragent)
 
     # -- replica store -----------------------------------------------------
 
@@ -767,6 +783,11 @@ class AgentNode(BaseNode):
     def _on_DropReplica(self, sim, msg: DropReplica, src):
         for oid in msg.ids:
             self.store.pop(oid, None)
+
+    def _on_CopyDone(self, sim, msg: CopyDone, src):
+        # only a former super-peer gets one: a copy it started before a
+        # merge or a crash, which no catalogue lists
+        sim.send(self.node_id, src, DropReplica(ids=(msg.oid,)))
 
     def _on_CopyReplica(self, sim, msg: CopyReplica, src):
         obj = self.store.get(msg.oid)
@@ -864,7 +885,7 @@ class AgentNode(BaseNode):
             request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
 
     def _on_AssumeRAgent(self, sim, msg: AssumeRAgent, src):
-        assume_ragent(sim, self, msg)
+        self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         orig = msg.original
@@ -979,37 +1000,12 @@ class RAgentNode(BaseNode):
             self.peer_last_seen.setdefault(p, now)
         sim.set_timer(self.node_id, "sweep", self.hb.period_us, self.epoch)
 
-    def take_over(self, sim: Simulator, old_ragent: NodeId | None) -> None:
-        """Finish a secondary-backup promotion: vacate own replicas,
-        replace the registry entry, reconnect the peer graph, and install
-        a fresh secondary."""
-        self._vacate_holder(sim, self.node_id)
-        if self.config.lus_ids:
-            home = self.config.lus_ids[0]
-            if old_ragent is not None:
-                sim.send(self.node_id, home, LusDeregister(ragent=old_ragent))
-            sim.send(self.node_id, home, LusRegister(
-                ragent=self.node_id, locality=self.locality,
-                count=len(self.members)))
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, PeerUpdate(
-                add=(self.node_id,),
-                remove=(old_ragent,) if old_ragent else ()))
-        self._elect_secondary(sim)
-        for m in sorted(self.members):
-            sim.send(self.node_id, m, ConfigUpdate(
-                ragent=self.node_id, secondary=self.secondary))
-        self.start(sim)
-
     def on_crash(self, sim):
         self._forget_sync()
 
-    def on_rejoin(self, sim):
-        # a crashed super-peer re-enters the system as a fresh agent
-        agent = AgentNode(self.node_id, self.locality, self.config)
-        agent.epoch = self.epoch + 1
-        sim.nodes[self.node_id] = agent
-        agent.on_rejoin(sim)
+    # the transition back to agent, shared with AgentNode
+    _become_agent = AgentNode._become_agent
+    on_rejoin = AgentNode.on_rejoin
 
     # -- secondary sync --------------------------------------------------
 
@@ -1270,8 +1266,7 @@ class RAgentNode(BaseNode):
         move_loads = {a: self.loads.counts[a] for a in move_list}
         sim.send(self.node_id, new_r, AssumeRAgent(
             catalogue=move_cat, loads=move_loads, members=tuple(move_list),
-            peers=tuple(sorted((self.peers | {self.node_id}) - {new_r})),
-            config=self.config))
+            peers=tuple(sorted((self.peers | {self.node_id}) - {new_r}))))
         for m in move_list:
             sim.send(self.node_id, m, ReassignCluster(ragent=new_r))
         # shrink self to the keep side
@@ -1366,11 +1361,9 @@ class RAgentNode(BaseNode):
         for p in sorted(self.peers):
             if p != msg.target:
                 sim.send(self.node_id, p, PeerUpdate(remove=(self.node_id,)))
-        agent = AgentNode(self.node_id, self.locality, self.config)
-        agent.epoch = self.epoch + 1
+        agent = self._become_agent(sim)
         agent.joined = True
         agent.ragent = msg.target
-        sim.nodes[self.node_id] = agent
         agent.start(sim)
         # anything deferred during the merge window belongs to the target
         for m in self.deferred:
@@ -1942,36 +1935,6 @@ class RAgentNode(BaseNode):
         pending, self.deferred = self.deferred, []
         for m in pending:
             self.on_message(sim, m, self.node_id)
-
-
-def assume_ragent(sim: Simulator, agent: AgentNode, msg: AssumeRAgent) -> RAgentNode:
-    """Turn an agent into the super-peer of a freshly split-off cluster."""
-    ragent = RAgentNode(agent.node_id, agent.locality, msg.config)
-    ragent.catalogue = msg.catalogue
-    ragent.members = set(msg.members)
-    loads = AgentLoadTable()
-    for a in sorted(ragent.members):
-        loads.counts[a] = msg.loads.get(a, 0)
-    ragent.loads = loads
-    ragent.peers = set(msg.peers)
-    ragent.epoch = agent.epoch + 1
-    sim.nodes[agent.node_id] = ragent
-    agent.store.clear()
-    if msg.config.lus_ids:
-        sim.send(ragent.node_id, msg.config.lus_ids[0], LusRegister(
-            ragent=ragent.node_id, locality=ragent.locality,
-            count=len(ragent.members)))
-    ragent._elect_secondary(sim)
-    for m in sorted(ragent.members):
-        sim.send(ragent.node_id, m, ConfigUpdate(
-            ragent=ragent.node_id, secondary=ragent.secondary))
-    for p in sorted(ragent.peers):
-        sim.send(ragent.node_id, p, PeerHeartbeat(
-            cat_size=len(ragent.catalogue), member_count=len(ragent.members)))
-    sim.record_member_event("assume_ragent", ragent.node_id, ragent.node_id,
-                            f"members={len(ragent.members)}")
-    ragent.start(sim)
-    return ragent
 
 
 # ---------------------------------------------------------------------

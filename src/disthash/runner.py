@@ -26,12 +26,6 @@ class RunResult:
     def ops(self) -> list[dict]:
         return self.sim.op_records
 
-    def op(self, request_id: str) -> dict:
-        for rec in self.sim.op_records:
-            if rec["id"] == request_id:
-                return rec
-        raise KeyError(request_id)
-
     def metrics_lines(self) -> list[str]:
         return format_metrics(self)
 
@@ -276,15 +270,20 @@ def check_invariants(result: RunResult) -> list[str]:
                 if node.registry.entries[rid].connected_count != len(by_id[rid].members):
                     issues.append(f"{node.node_id}: stale count for {rid}")
 
-    # agents must belong somewhere unless their whole cluster was lost
+    # agents must belong somewhere, and every replica they store must be
+    # listed, unless their whole cluster was lost
     for node in sorted(sim.nodes.values(), key=lambda n: n.node_id):
         if node.role is not Role.AGENT or not sim.is_alive(node.node_id):
             continue
-        home = next((r for r in ragents if node.node_id in r.members), None)
-        if home is None:
-            if node.ragent in lost:
-                continue  # reported unrecoverable cluster; members stay orphaned
-            issues.append(f"{node.node_id}: live agent in no cluster")
+        if node.ragent in lost:
+            continue  # reported unrecoverable cluster; members stay orphaned
+        nid = node.node_id
+        if not any(nid in r.members for r in ragents):
+            issues.append(f"{nid}: live agent in no cluster")
+        for oid in sorted(node.store):
+            if not any(oid in r.catalogue and nid in r.catalogue.holders_of(oid)
+                       for r in ragents):
+                issues.append(f"{nid}: stores {oid.hex[:12]} that no super-peer lists")
 
     if sim.loss_records and not sc.config.expect_loss:
         for _, oid, detail in sim.loss_records:
@@ -310,7 +309,7 @@ def _kv(**kw) -> str:
 
 def format_metrics(result: RunResult) -> list[str]:
     """One line per observation: ``kind key=value ...``. Deterministic
-    for a given scenario and seed."""
+    for a given scenario."""
     sim = result.sim
     lines = []
     for rec in sim.op_records:

@@ -54,7 +54,6 @@ class ScenarioConfig:
     delegation_factor: float = 2.0
     migration_threshold: int = 3
     lus_count: int = 2
-    seed: int = 0
     drain_ms: int = 10_000
     expect_loss: bool = False
 

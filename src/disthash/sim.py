@@ -3,7 +3,7 @@ delivery with locality-sensitive latency, crash/rejoin fault injection,
 and the per-request step accounting that makes the search cost model
 checkable.
 
-Determinism contract: identical scenario + seed produce byte-identical
+Determinism contract: an identical scenario produces byte-identical
 traces and metrics. Events are processed in (time, seq) order; latency
 is a pure function of the endpoint localities; nothing in the engine
 draws randomness. Set iteration is always sorted so output does not

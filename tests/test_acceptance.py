@@ -70,7 +70,7 @@ def random_scenario(seed):
         mode = "all" if rng.random() < 0.6 else "first"
         events.append(SearchEvent(t, "c0", rng.choice(agents), kind, key, mode))
         t += 5
-    return Scenario(config=quiet_config(seed=seed), nodes=nodes, events=events)
+    return Scenario(config=quiet_config(), nodes=nodes, events=events)
 
 
 def brute_force(labels, kind, key):
@@ -400,7 +400,6 @@ c1 client net1 as1 ro eu
 [config]
 min_cluster = 2
 max_cluster = 6
-seed = 42
 drain_ms = 15000
 
 [nodes]
@@ -430,7 +429,7 @@ c1 client net1 as1 ro eu
         t1 = "\n".join(r1.sim.trace_lines()).encode()
         t2 = "\n".join(r2.sim.trace_lines()).encode()
         ok = m1 == m2 and t1 == t2
-        assert report(12, "identical seed gives byte-identical metrics and trace", ok)
+        assert report(12, "identical scenario gives byte-identical metrics and trace", ok)
 
 
 def check_replication(result, dead=(), ignore=()):

@@ -876,3 +876,80 @@ def test_role_changes_keep_locality_and_memoized_latency_matches_the_model(text)
     assert changed and any(changed & set(pair) for pair in sim._latencies)
     for (src, dst), lat in sim._latencies.items():
         assert lat == sim.network.latency(sim.nodes[src].locality, sim.nodes[dst].locality)
+
+
+# -- the two role transitions -----------------------------------------------
+
+SECONDARY_REJOIN = """
+[config]
+min_cluster = 2
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a2 obj1 sensor k1 01
+200 insert c1 a3 obj2 camera k2 02
+1000 crash a1
+6000 rejoin a1
+"""
+
+
+def test_rejoined_secondary_starts_without_its_old_secondary_state():
+    res = staged(SECONDARY_REJOIN)
+    res.sim.run_until(900 * MS)
+    old = res.sim.nodes[NodeId("a1")]
+    assert ragent(res, "r1").secondary == old.node_id
+    assert old.sync_members and old.sync_peers and old.sync_seq > 0
+    finish(res)
+    assert res.issues == []
+    new = res.sim.nodes[NodeId("a1")]
+    assert new is not old and isinstance(new, AgentNode) and new.joined
+    assert ragent(res, "r1").secondary != new.node_id
+    assert new.sync_catalogue is None and new.sync_loads is None
+    assert new.sync_members == () and new.sync_peers == () and new.sync_seq == 0
+
+
+def handoffs(res):
+    """Run ``res`` to the end. For each event that turned an agent into a
+    super-peer, the state right after it: (old node, new super-peer, its
+    members, peers, load-table keys, the super-peer it replaced or None)."""
+    sim = res.sim
+    out = []
+    dispatch = sim._dispatch
+
+    def spy(seq, ev):
+        before, events = dict(sim.nodes), len(sim.member_events)
+        dispatch(seq, ev)
+        for nid, node in sim.nodes.items():
+            if node is not before.get(nid, node) and isinstance(node, RAgentNode):
+                detail = next(e[4] for e in sim.member_events[events:]
+                              if e[3] == nid and e[1] in ("promote", "assume_ragent"))
+                replaced = detail.split("=", 1)[1] if detail.startswith("replacing=") else None
+                out.append((before[nid], node, set(node.members), set(node.peers),
+                            set(node.loads.counts), replaced))
+
+    sim._dispatch = spy
+    finish(res)
+    return out
+
+
+@pytest.mark.parametrize("text,kind", [(FAILOVER, "promote"), (SPLIT_MERGE, "split")],
+                         ids=["failover", "split_merge"])
+def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind):
+    res = staged(text)
+    seen = handoffs(res)
+    assert seen and res.issues == []
+    for old, new, members, peers, loaded, replaced in seen:
+        assert isinstance(old, AgentNode)
+        assert (replaced is not None) == (kind == "promote")
+        gone = {new.node_id, replaced}
+        assert not gone & members and not gone & peers
+        assert loaded == members
+        assert new.epoch == old.epoch + 1

@@ -21,7 +21,6 @@ FULL = """
 [config]
 min_cluster = 2
 max_cluster = 6
-seed = 3
 
 [nodes]
 r1 ragent net1 as1 ro eu
@@ -50,7 +49,7 @@ def test_parse_minimal():
 
 def test_parse_full_scenario():
     sc = parse_scenario(FULL)
-    assert sc.config.max_cluster == 6 and sc.config.seed == 3
+    assert sc.config.max_cluster == 6
     ins = sc.events[0]
     assert isinstance(ins, InsertEvent)
     assert ins.keys == ("k1", "k2")  # sorted, deduplicated
@@ -74,7 +73,7 @@ def test_round_trip():
     ("x = 1", "before any section"),
     ("[bogus]", "unknown section"),
     ("[config]\nnope = 1\n" + MINIMAL, "unknown config key"),
-    ("[config]\nseed = abc\n" + MINIMAL, "bad value"),
+    ("[config]\nmin_cluster = abc\n" + MINIMAL, "bad value"),
     ("[config]\nmin_cluster = 9\nmax_cluster = 9\n" + MINIMAL, "min_cluster"),
     ("[config]\nfailure_timeout_ms = 10\n" + MINIMAL, "twice the heartbeat"),
     ("[nodes]\nr1 ragent net as ro", "node lines"),
