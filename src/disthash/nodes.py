@@ -8,6 +8,12 @@ Conventions used throughout:
    regardless of the interpreter's hash seed;
  - messages carry ``request_id`` (for per-request accounting) and
    ``hop`` (path length from the originating client);
+ - a client operation carries its reply path as one ``route`` tuple,
+   nearest hop first and the client last: a node that relays the
+   request onward prepends itself, and the reply (``OpReply``,
+   ``ProgressNote``) is sent to ``route[0]`` with the rest in tow;
+ - a timer belongs to the node object that set it: the engine runs no
+   timer of an object that a role change or a rejoin has replaced;
  - catalogues and load tables are copied when sent, never shared.
 """
 from __future__ import annotations
@@ -90,11 +96,6 @@ class JoinRequest:
 class JoinAccept:
     ragent: NodeId
     secondary: NodeId | None
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class JoinRedirect:
     hop: int = 0
 
 
@@ -248,8 +249,8 @@ class ReadReply:
     hop: int = 0
 
 
-# agent -> ragent (origin agent and client carried explicitly so the
-# message survives being forwarded after a merge demotion)
+# agent -> ragent (the reply path rides in the message, so it survives
+# being forwarded after a merge demotion)
 
 
 @dataclass(kw_only=True)
@@ -257,8 +258,7 @@ class AgentSearch:
     request_id: str
     criterion: PatternKey
     mode: str
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -266,8 +266,7 @@ class AgentSearch:
 class AgentInsert:
     request_id: str
     obj: DistObject
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -276,8 +275,7 @@ class AgentUpdate:
     request_id: str
     oid: ObjectId
     payload: bytes
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -322,9 +320,7 @@ class FetchReply:
 class DelegateInsert:
     request_id: str
     obj: DistObject
-    origin_ragent: NodeId
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -350,9 +346,7 @@ class ForwardUpdate:
     request_id: str
     oid: ObjectId
     payload: bytes
-    origin_ragent: NodeId
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -361,8 +355,7 @@ class UpdateRetry:
     request_id: str
     oid: ObjectId
     payload: bytes
-    agent: NodeId
-    client: NodeId
+    route: tuple
     hop: int = 0
 
 
@@ -470,7 +463,6 @@ class BaseNode:
     def __init__(self, node_id: NodeId, locality: LocalityDescriptor):
         self.node_id = node_id
         self.locality = locality
-        self.epoch = 0
 
     def on_message(self, sim: Simulator, msg, src: NodeId) -> bool:
         """Run the handler for ``msg``'s type. A type the node's current
@@ -493,20 +485,22 @@ class BaseNode:
     def on_rejoin(self, sim: Simulator) -> None:
         pass
 
-    # routed replies pass through intermediate nodes transparently
-    def _on_OpReply(self, sim, msg: OpReply, src):
-        if msg.route:
-            sim.send(self.node_id, msg.route[0],
-                     replace(msg, route=msg.route[1:], hop=msg.hop + 1))
-        else:
-            self._complete_op(sim, msg)
+    def _reply(self, sim, route: tuple, **fields) -> None:
+        """Answer a client operation along its reply ``route``."""
+        sim.send(self.node_id, route[0], OpReply(route=route[1:], **fields))
 
-    def _on_ProgressNote(self, sim, msg: ProgressNote, src):
+    def _relay(self, sim, msg: OpReply | ProgressNote, src):
+        """Pass a routed reply on to its next hop; at the end of the
+        route, take it."""
         if msg.route:
             sim.send(self.node_id, msg.route[0],
                      replace(msg, route=msg.route[1:], hop=msg.hop + 1))
+        elif type(msg) is OpReply:
+            self._complete_op(sim, msg)
         else:
             self._note_progress(sim, msg)
+
+    _on_OpReply = _on_ProgressNote = _relay
 
     def _complete_op(self, sim, msg: OpReply) -> None:
         pass
@@ -596,7 +590,7 @@ class AgentNode(BaseNode):
     def start(self, sim: Simulator) -> None:
         if self.joined:
             self.last_ragent_seen = sim.clock
-            sim.set_timer(self.node_id, "hb", self.hb.period_us, self.epoch)
+            sim.set_timer(self.node_id, "hb", self.hb.period_us)
         else:
             self._begin_join(sim)
 
@@ -610,14 +604,14 @@ class AgentNode(BaseNode):
         if self.joined:
             return
         if msg.denied or not msg.entries:
-            sim.set_timer(self.node_id, "retry_join", self.hb.period_us, self.epoch)
+            sim.set_timer(self.node_id, "retry_join", self.hb.period_us)
             return
         choice = join_select_ragent(list(msg.entries), self.locality)
         sim.send(self.node_id, choice,
                  JoinRequest(joiner=self.node_id, locality=self.locality))
 
     def _tick_retry_join(self, sim, payload):
-        if payload == self.epoch and not self.joined:
+        if not self.joined:
             self._begin_join(sim)
 
     def _on_JoinAccept(self, sim, msg: JoinAccept, src):
@@ -628,18 +622,13 @@ class AgentNode(BaseNode):
         self.secondary_id = msg.secondary
         self.last_ragent_seen = sim.clock
         self._suspected_ragent = None
-        sim.set_timer(self.node_id, "hb", self.hb.period_us, self.epoch)
-
-    def _on_JoinRedirect(self, sim, msg, src):
-        if not self.joined:
-            sim.set_timer(self.node_id, "retry_join", self.hb.period_us, self.epoch)
+        sim.set_timer(self.node_id, "hb", self.hb.period_us)
 
     # -- role changes: the only two places a node object is replaced ----
 
     def _become_agent(self, sim) -> AgentNode:
-        """Install a fresh agent under this node's id, one epoch on."""
+        """Install a fresh agent under this node's id."""
         agent = AgentNode(self.node_id, self.locality, self.config)
-        agent.epoch = self.epoch + 1
         sim.nodes[self.node_id] = agent
         return agent
 
@@ -649,8 +638,8 @@ class AgentNode(BaseNode):
 
     def _become_ragent(self, sim, catalogue: MetaCatalogue, loads: dict,
                        members, peers, replacing: NodeId | None = None) -> None:
-        """Install a super-peer under this node's id, one epoch on, over
-        the given cluster state: the synced copy when the secondary takes
+        """Install a super-peer under this node's id over the given
+        cluster state: the synced copy when the secondary takes
         over the dead ``replacing``, a split's hand-off otherwise. Then
         vacate own replicas, replace the registry entry, announce itself
         to the peers, elect a secondary and tell the members."""
@@ -661,7 +650,6 @@ class AgentNode(BaseNode):
         for a in sorted(ragent.members):
             ragent.loads.counts[a] = loads.get(a, 0)
         ragent.peers = set(peers) - gone
-        ragent.epoch = self.epoch + 1
         sim.nodes[self.node_id] = ragent
         if replacing is None:
             sim.record_member_event("assume_ragent", self.node_id, self.node_id,
@@ -686,8 +674,6 @@ class AgentNode(BaseNode):
     # -- heartbeats and failover ------------------------------------------
 
     def _tick_hb(self, sim, payload):
-        if payload != self.epoch:
-            return
         if self.joined and self.ragent is not None:
             # the plain message is the hot path: heartbeats dominate traffic
             hb = AgentHeartbeat(resync=True) if self.sync_stale else AgentHeartbeat()
@@ -695,7 +681,9 @@ class AgentNode(BaseNode):
             silent = sim.clock - self.last_ragent_seen
             if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
-        sim.set_timer(self.node_id, "hb", self.hb.period_us, self.epoch)
+        # after a promotion this re-arm belongs to the new super-peer,
+        # which has no "hb" handler: traced, and nothing more
+        sim.set_timer(self.node_id, "hb", self.hb.period_us)
 
     def _suspect_ragent(self, sim):
         self._suspected_ragent = self.ragent
@@ -705,14 +693,11 @@ class AgentNode(BaseNode):
         if self.secondary_id is not None:
             sim.send(self.node_id, self.secondary_id, RAgentDown(ragent=self.ragent))
             sim.set_timer(self.node_id, "lost_check",
-                          self.hb.failure_timeout_us, (self.epoch, self.ragent))
+                          self.hb.failure_timeout_us, self.ragent)
         else:
             sim.record_cluster_lost(self.ragent, self.node_id)
 
-    def _tick_lost_check(self, sim, payload):
-        epoch, suspected = payload
-        if epoch != self.epoch:
-            return
+    def _tick_lost_check(self, sim, suspected):
         # still pointing at the dead super-peer and nobody announced a
         # replacement: the cluster state is gone
         if self.ragent == suspected and sim.clock - self.last_ragent_seen > self.hb.failure_timeout_us:
@@ -840,34 +825,32 @@ class AgentNode(BaseNode):
 
     # -- client relays -------------------------------------------------------
 
-    def _relay_fail(self, sim, request_id, op, client):
-        sim.send(self.node_id, client, OpReply(
-            request_id=request_id, op=op, outcome="no_ragent", route=()))
-
     def _on_CSearch(self, sim, msg: CSearch, src):
         if not self.joined or self.ragent is None:
-            self._relay_fail(sim, msg.request_id,
-                             "search" if msg.mode == "all" else "search_first", src)
+            self._reply(sim, (src,), request_id=msg.request_id, outcome="no_ragent",
+                        op="search" if msg.mode == "all" else "search_first")
             return
         sim.send(self.node_id, self.ragent, AgentSearch(
             request_id=msg.request_id, criterion=msg.criterion, mode=msg.mode,
-            agent=self.node_id, client=src, hop=msg.hop + 1))
+            route=(self.node_id, src), hop=msg.hop + 1))
 
     def _on_CInsert(self, sim, msg: CInsert, src):
         if not self.joined or self.ragent is None:
-            self._relay_fail(sim, msg.request_id, "insert", src)
+            self._reply(sim, (src,), request_id=msg.request_id, op="insert",
+                        outcome="no_ragent")
             return
         sim.send(self.node_id, self.ragent, AgentInsert(
             request_id=msg.request_id, obj=msg.obj,
-            agent=self.node_id, client=src, hop=msg.hop + 1))
+            route=(self.node_id, src), hop=msg.hop + 1))
 
     def _on_CUpdate(self, sim, msg: CUpdate, src):
         if not self.joined or self.ragent is None:
-            self._relay_fail(sim, msg.request_id, "update", src)
+            self._reply(sim, (src,), request_id=msg.request_id, op="update",
+                        outcome="no_ragent")
             return
         sim.send(self.node_id, self.ragent, AgentUpdate(
             request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
-            agent=self.node_id, client=src, hop=msg.hop + 1))
+            route=(self.node_id, src), hop=msg.hop + 1))
 
     # a peer that still lists this node as a super-peer is told "not
     # here", so it neither waits for an answer nor leaks request state
@@ -890,7 +873,7 @@ class AgentNode(BaseNode):
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         orig = msg.original
         if isinstance(orig, JoinRequest):
-            sim.set_timer(self.node_id, "retry_join", self.hb.period_us, self.epoch)
+            sim.set_timer(self.node_id, "retry_join", self.hb.period_us)
         elif isinstance(orig, RAgentDown):
             # the secondary is dead too: the cluster state is unrecoverable
             sim.record_cluster_lost(orig.ragent, self.node_id)
@@ -899,9 +882,9 @@ class AgentNode(BaseNode):
                   "AgentUpdate": "update"}[type(orig).__name__]
             if isinstance(orig, AgentSearch) and orig.mode == "first":
                 op = "search_first"
-            sim.send(self.node_id, orig.client, OpReply(
-                request_id=orig.request_id, op=op, outcome="ragent_down",
-                route=(), hop=orig.hop + 1))
+            # straight to the client, the last hop of the route
+            self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=op,
+                        outcome="ragent_down", hop=orig.hop + 1)
         # bounced heartbeats need no reaction; detection is timeout-driven
 
 
@@ -927,8 +910,7 @@ class SearchState:
 class ResolveState:
     oid: ObjectId
     payload: bytes
-    agent: NodeId
-    client: NodeId
+    route: tuple
     awaiting: set
     forwarded: bool = False
     hop: int = 0
@@ -998,7 +980,7 @@ class RAgentNode(BaseNode):
             self.member_last_seen.setdefault(a, now)
         for p in sorted(self.peers):
             self.peer_last_seen.setdefault(p, now)
-        sim.set_timer(self.node_id, "sweep", self.hb.period_us, self.epoch)
+        sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def on_crash(self, sim):
         self._forget_sync()
@@ -1058,8 +1040,6 @@ class RAgentNode(BaseNode):
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
     def _tick_sweep(self, sim, payload):
-        if payload != self.epoch:
-            return
         for m in sorted(self.members):
             sim.send(self.node_id, m, RAgentHeartbeat(secondary=self.secondary))
         for p in sorted(self.peers):
@@ -1079,7 +1059,7 @@ class RAgentNode(BaseNode):
                 holders = self.catalogue.holders_of(oid)
                 if len(holders) < REPLICATION_FACTOR:
                     self._restore_redundancy(sim, oid, holders)
-        sim.set_timer(self.node_id, "sweep", self.hb.period_us, self.epoch)
+        sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def _check_thresholds(self, sim):
         if self.reconfiguring:
@@ -1090,8 +1070,7 @@ class RAgentNode(BaseNode):
             self._initiate_merge(sim)
 
     def _tick_reconfig_check(self, sim, payload):
-        if payload == self.epoch:
-            self._check_thresholds(sim)
+        self._check_thresholds(sim)
 
     def _on_AgentHeartbeat(self, sim, msg: AgentHeartbeat, src):
         if src in self.members:
@@ -1164,7 +1143,7 @@ class RAgentNode(BaseNode):
         self._update_lus_count(sim)
         self._sync_secondary(sim)
         if len(self.members) > self.thresholds.max_cluster:
-            sim.set_timer(self.node_id, "reconfig_check", 0, self.epoch)
+            sim.set_timer(self.node_id, "reconfig_check", 0)
 
     def _vacate_holder(self, sim, node: NodeId):
         """Remove ``node`` from every holder list, promoting survivors to
@@ -1240,7 +1219,7 @@ class RAgentNode(BaseNode):
             self._sync_secondary(sim)
         self._update_lus_count(sim)
         if len(self.members) < self.thresholds.min_cluster:
-            sim.set_timer(self.node_id, "reconfig_check", 0, self.epoch)
+            sim.set_timer(self.node_id, "reconfig_check", 0)
 
     # -- split -----------------------------------------------------------
 
@@ -1349,7 +1328,7 @@ class RAgentNode(BaseNode):
             f"entries={entries_own}+{entries_in}={len(self.catalogue)} "
             f"members={len(self.members)}")
         if len(self.members) > self.thresholds.max_cluster:
-            sim.set_timer(self.node_id, "reconfig_check", 0, self.epoch)
+            sim.set_timer(self.node_id, "reconfig_check", 0)
 
     def _on_MergeAck(self, sim, msg: MergeAck, src):
         # demote: this node becomes a plain agent of the target cluster
@@ -1375,17 +1354,17 @@ class RAgentNode(BaseNode):
     def _on_CSearch(self, sim, msg: CSearch, src):
         self._on_AgentSearch(sim, AgentSearch(
             request_id=msg.request_id, criterion=msg.criterion, mode=msg.mode,
-            agent=self.node_id, client=src, hop=msg.hop), src)
+            route=(self.node_id, src), hop=msg.hop), src)
 
     def _on_CInsert(self, sim, msg: CInsert, src):
         self._on_AgentInsert(sim, AgentInsert(
             request_id=msg.request_id, obj=msg.obj,
-            agent=self.node_id, client=src, hop=msg.hop), src)
+            route=(self.node_id, src), hop=msg.hop), src)
 
     def _on_CUpdate(self, sim, msg: CUpdate, src):
         self._on_AgentUpdate(sim, AgentUpdate(
             request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
-            agent=self.node_id, client=src, hop=msg.hop), src)
+            route=(self.node_id, src), hop=msg.hop), src)
 
     def _on_CRead(self, sim, msg: CRead, src):
         # a super-peer stores no replicas
@@ -1417,7 +1396,7 @@ class RAgentNode(BaseNode):
     def _on_AgentSearch(self, sim, msg: AgentSearch, src):
         self._search(sim, msg.request_id, SearchState(
             mode=msg.mode, criterion=msg.criterion,
-            route=(msg.agent, msg.client), max_hop=msg.hop), fan_out=True)
+            route=msg.route, max_hop=msg.hop), fan_out=True)
 
     def _on_RemoteSearch(self, sim, msg: RemoteSearch, src):
         self._search(sim, msg.request_id, SearchState(
@@ -1463,7 +1442,7 @@ class RAgentNode(BaseNode):
         if msg.missing and st.retries < FETCH_RETRY_LIMIT:
             st.retries += 1
             sim.set_timer(self.node_id, "fetch_retry", self.hb.period_us,
-                          (self.epoch, msg.request_id, msg.missing))
+                          (msg.request_id, msg.missing))
             return
         self._maybe_finish_search(sim, msg.request_id)
 
@@ -1473,8 +1452,8 @@ class RAgentNode(BaseNode):
         self._fetch_groups(sim, rid, matches, st, st.max_hop + 1)
 
     def _tick_fetch_retry(self, sim, payload):
-        epoch, rid, missing = payload
-        if epoch != self.epoch or rid not in self.searches:
+        rid, missing = payload
+        if rid not in self.searches:
             return
         st = self.searches[rid]
         self._refetch(sim, rid, st, missing)
@@ -1518,11 +1497,10 @@ class RAgentNode(BaseNode):
                 request_id=rid, objects=tuple(results), holder=st.holder,
                 hop=st.max_hop + 1))
             return
-        sim.send(self.node_id, st.route[0], OpReply(
-            request_id=rid,
-            op="search" if st.mode == "all" else "search_first",
-            outcome="ok", route=st.route[1:], objects=tuple(results),
-            holder=st.holder, hop=st.max_hop + 1))
+        self._reply(sim, st.route, request_id=rid,
+                    op="search" if st.mode == "all" else "search_first",
+                    outcome="ok", objects=tuple(results), holder=st.holder,
+                    hop=st.max_hop + 1)
 
     # -- insert ------------------------------------------------------------
 
@@ -1547,24 +1525,20 @@ class RAgentNode(BaseNode):
         if target is not None and msg.obj.id not in self.catalogue:
             sim.send(self.node_id, target, DelegateInsert(
                 request_id=msg.request_id, obj=msg.obj,
-                origin_ragent=self.node_id, agent=msg.agent,
-                client=msg.client, hop=msg.hop + 1))
+                route=(self.node_id, *msg.route), hop=msg.hop + 1))
             return
-        self._place_insert(sim, msg.request_id, msg.obj,
-                           (msg.agent, msg.client), msg.hop)
+        self._place_insert(sim, msg.request_id, msg.obj, msg.route, msg.hop)
 
     def _on_DelegateInsert(self, sim, msg: DelegateInsert, src):
         if self.reconfiguring:
             self.deferred.append(msg)
             return
-        self._place_insert(sim, msg.request_id, msg.obj,
-                           (msg.origin_ragent, msg.agent, msg.client), msg.hop)
+        self._place_insert(sim, msg.request_id, msg.obj, msg.route, msg.hop)
 
     def _place_insert(self, sim, rid: str, obj: DistObject, route, hop: int):
         def reply(outcome):
-            sim.send(self.node_id, route[0], OpReply(
-                request_id=rid, op="insert", outcome=outcome,
-                route=route[1:], hop=hop + 1))
+            self._reply(sim, route, request_id=rid, op="insert",
+                        outcome=outcome, hop=hop + 1)
 
         if obj.id in self.catalogue:
             reply("duplicate")
@@ -1590,21 +1564,20 @@ class RAgentNode(BaseNode):
             self.deferred.append(msg)
             return
         self._resolve_update(sim, msg.request_id, msg.oid, msg.payload,
-                             msg.agent, msg.client, msg.hop)
+                             msg.route, msg.hop)
 
-    def _resolve_update(self, sim, rid, oid, payload, agent, client, hop):
+    def _resolve_update(self, sim, rid, oid, payload, route, hop):
         if oid in self.catalogue:
             pu = PendingUpdate(request_id=rid, payload=payload,
-                               route=(agent, client), hop=hop)
+                               route=route, hop=hop)
             self._enqueue_update(sim, oid, pu)
             return
         if not self.peers:
-            sim.send(self.node_id, agent, OpReply(
-                request_id=rid, op="update", outcome="unknown_object",
-                route=(client,), hop=hop + 1))
+            self._reply(sim, route, request_id=rid, op="update",
+                        outcome="unknown_object", hop=hop + 1)
             return
         self.resolutions[rid] = ResolveState(
-            oid=oid, payload=payload, agent=agent, client=client,
+            oid=oid, payload=payload, route=route,
             awaiting=set(self.peers), hop=hop)
         for p in sorted(self.peers):
             sim.send(self.node_id, p, OwnerQuery(
@@ -1628,8 +1601,7 @@ class RAgentNode(BaseNode):
             rs.forwarded = True
             sim.send(self.node_id, src, ForwardUpdate(
                 request_id=msg.request_id, oid=rs.oid, payload=rs.payload,
-                origin_ragent=self.node_id, agent=rs.agent, client=rs.client,
-                hop=msg.hop + 1))
+                route=(self.node_id, *rs.route), hop=msg.hop + 1))
         self._maybe_finish_resolution(sim, msg.request_id)
 
     def _maybe_finish_resolution(self, sim, rid: str):
@@ -1638,19 +1610,17 @@ class RAgentNode(BaseNode):
             return
         del self.resolutions[rid]
         if not rs.forwarded:
-            sim.send(self.node_id, rs.agent, OpReply(
-                request_id=rid, op="update", outcome="unknown_object",
-                route=(rs.client,), hop=rs.hop + 1))
+            self._reply(sim, rs.route, request_id=rid, op="update",
+                        outcome="unknown_object", hop=rs.hop + 1)
 
     def _on_ForwardUpdate(self, sim, msg: ForwardUpdate, src):
         pu = PendingUpdate(request_id=msg.request_id, payload=msg.payload,
-                           route=(msg.origin_ragent, msg.agent, msg.client),
-                           hop=msg.hop, origin_ragent=msg.origin_ragent)
+                           route=msg.route, hop=msg.hop, origin_ragent=msg.route[0])
         self._enqueue_update(sim, msg.oid, pu)
 
     def _on_UpdateRetry(self, sim, msg: UpdateRetry, src):
         self._resolve_update(sim, msg.request_id, msg.oid, msg.payload,
-                             msg.agent, msg.client, msg.hop)
+                             msg.route, msg.hop)
 
     def _enqueue_update(self, sim, oid: ObjectId, pu: PendingUpdate):
         if self.locks.acquire(oid, pu):
@@ -1666,10 +1636,10 @@ class RAgentNode(BaseNode):
             if pu.origin_ragent is not None:
                 sim.send(self.node_id, pu.origin_ragent, UpdateRetry(
                     request_id=pu.request_id, oid=oid, payload=pu.payload,
-                    agent=pu.route[-2], client=pu.route[-1], hop=pu.hop))
+                    route=pu.route[1:], hop=pu.hop))
             else:
                 self._resolve_update(sim, pu.request_id, oid, pu.payload,
-                                     pu.route[-2], pu.route[-1], pu.hop)
+                                     pu.route, pu.hop)
             return
         self.updates[pu.request_id] = UpdateExec(pu=pu, oid=oid)
         sim.send(self.node_id, pu.route[0], ProgressNote(
@@ -1713,21 +1683,17 @@ class RAgentNode(BaseNode):
         if ue is None:
             return
         pu = ue.pu
-        sim.send(self.node_id, pu.route[0], OpReply(
-            request_id=rid, op="update", outcome=outcome,
-            route=pu.route[1:], version=ue.version, hop=pu.hop + 2))
+        self._reply(sim, pu.route, request_id=rid, op="update", outcome=outcome,
+                    version=ue.version, hop=pu.hop + 2)
         self._release_lock(sim, ue.oid)
 
     def _on_ApplyMissing(self, sim, msg: ApplyMissing, src):
         # the owner's replica was still in flight; retry after a period
         if msg.request_id in self.updates:
             sim.set_timer(self.node_id, "apply_retry", self.hb.period_us,
-                          (self.epoch, msg.request_id))
+                          msg.request_id)
 
-    def _tick_apply_retry(self, sim, payload):
-        epoch, rid = payload
-        if epoch != self.epoch:
-            return
+    def _tick_apply_retry(self, sim, rid):
         ue = self.updates.get(rid)
         if ue is None:
             return
@@ -1774,14 +1740,13 @@ class RAgentNode(BaseNode):
         oid, requester = entry
         if not msg.objects:
             sim.set_timer(self.node_id, "migrate_fetch_retry",
-                          self.hb.period_us, (self.epoch, msg.request_id))
+                          self.hb.period_us, msg.request_id)
             return
         sim.send(self.node_id, requester, MigrateTransfer(
             request_id=msg.request_id, obj=msg.objects[0]))
 
-    def _tick_migrate_fetch_retry(self, sim, payload):
-        epoch, mid = payload
-        if epoch != self.epoch or mid not in self.out_migrations:
+    def _tick_migrate_fetch_retry(self, sim, mid):
+        if mid not in self.out_migrations:
             return
         oid, requester = self.out_migrations[mid]
         if oid not in self.catalogue:
@@ -1856,12 +1821,10 @@ class RAgentNode(BaseNode):
 
     def _on_CopyFailed(self, sim, msg: CopyFailed, src):
         sim.set_timer(self.node_id, "copy_retry", self.hb.period_us,
-                      (self.epoch, msg.oid, msg.copy_id))
+                      (msg.oid, msg.copy_id))
 
     def _tick_copy_retry(self, sim, payload):
-        epoch, oid, copy_id = payload
-        if epoch != self.epoch:
-            return
+        oid, copy_id = payload
         # drop the stale attempt and run a fresh one against the current
         # holder list
         if self.pending_copies.pop(copy_id, None) is not None and oid in self.catalogue:
@@ -1877,8 +1840,7 @@ class RAgentNode(BaseNode):
             self._fetch_bounced(sim, orig)
         elif isinstance(orig, ApplyUpdate):
             if orig.request_id in self.updates:
-                sim.set_timer(self.node_id, "apply_retry", 0,
-                              (self.epoch, orig.request_id))
+                sim.set_timer(self.node_id, "apply_retry", 0, orig.request_id)
         elif isinstance(orig, ReplicaUpdate):
             ue = self.updates.get(orig.request_id)
             if ue is not None:

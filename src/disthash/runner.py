@@ -122,15 +122,15 @@ def build_simulation(sc: Scenario) -> RunResult:
         node.start(sim)
     for r in ragents:
         if len(r.members) > cfg.thresholds.max_cluster:
-            sim.set_timer(r.node_id, "reconfig_check", 0, r.epoch)
+            sim.set_timer(r.node_id, "reconfig_check", 0)
 
     return RunResult(sim=sim, scenario=sc, clients=clients, labels={})
 
 
 def schedule_events(result: RunResult) -> None:
     sim, sc = result.sim, result.scenario
-    cfg = _mkcfg(sc, ())  # thresholds/hb only; lus ids resolved below
-    lus_ids = tuple(sorted(n for n, node in sim.nodes.items() if node.role is Role.LUS))
+    lus_ids = sorted(n for n, node in sim.nodes.items() if node.role is Role.LUS)
+    cfg = _mkcfg(sc, lus_ids)
     seq = 0
     for ev in sc.events:
         t = ev.time_ms * MS
@@ -141,12 +141,9 @@ def schedule_events(result: RunResult) -> None:
             sim.inject_rejoin(NodeId(ev.node), t)
             continue
         if isinstance(ev, JoinEvent):
-            node = AgentNode(NodeId(ev.name), ev.locality,
-                             ClusterConfig(cfg.thresholds, cfg.hb, lus_ids,
-                                           cfg.delegation_factor,
-                                           cfg.migration_threshold))
+            node = AgentNode(NodeId(ev.name), ev.locality, cfg)
             sim.add_node(node)
-            sim.set_timer(node.node_id, "retry_join", t, node.epoch)
+            sim.set_timer(node.node_id, "retry_join", t)
             continue
         # client operations
         seq += 1

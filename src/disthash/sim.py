@@ -187,6 +187,7 @@ class _Deliver:
 @dataclass(slots=True)
 class _Timer:
     node: NodeId
+    owner: object  # the node object installed when the timer was set
     tag: str
     payload: object = None
 
@@ -268,7 +269,14 @@ class Simulator:
         return lat
 
     def set_timer(self, node: NodeId, tag: str, delay: int, payload=None) -> None:
-        self._push(self.clock + delay, _Timer(node, tag, payload))
+        """Fire ``tag`` at ``node`` after ``delay``. The timer belongs to
+        the object now installed under ``node``: if a role change or a
+        rejoin replaces that object first, the timer is traced but runs
+        no handler."""
+        owner = self.nodes.get(node)
+        if owner is None:
+            raise UnknownNode(node)
+        self._push(self.clock + delay, _Timer(node, owner, tag, payload))
 
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
@@ -340,7 +348,8 @@ class Simulator:
             if ev.node in self.crashed:
                 return
             self._trace(seq, ev.node, "timer", ev.tag)
-            self.nodes[ev.node].on_timer(self, ev.tag, ev.payload)
+            if self.nodes[ev.node] is ev.owner:
+                ev.owner.on_timer(self, ev.tag, ev.payload)
         elif kind is _Crash:
             if ev.node in self.crashed:
                 return

@@ -328,6 +328,21 @@ def test_hot_object_migrates_after_threshold():
     assert deliveries(res, "RemoteSearch", "q0005") == []
 
 
+def test_update_forwarded_into_a_migration_is_retried_where_the_object_went():
+    # the update reaches r1 while the migration to r2 holds obj1's lock;
+    # once the object has left, r1 hands it back to r2, the cluster the
+    # update came from, which now owns the object
+    res = build(MIGRATION.replace("8000 search_first",
+                                  "3050 update c1 a3 obj1 cafe\n8000 search_first"))
+    assert res.issues == []
+    assert [r.node for r in deliveries(res, "UpdateRetry", "q0005")] == ["r2"]
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], rec["version"], rec["progress"], rec["hops"]) == ("ok", 1, 1, 8)
+    oid = res.labels["obj1"].id
+    holders = ragent(res, "r2").catalogue.holders_of(oid)
+    assert [res.sim.nodes[h].store[oid].payload for h in holders] == [b"\xca\xfe"] * 2
+
+
 def test_below_threshold_no_migration():
     sc = parse_scenario(MIGRATION)
     sc.events = sc.events[:3]  # only two remote first-matches
@@ -337,28 +352,7 @@ def test_below_threshold_no_migration():
     assert res.labels["obj1"].id in ragent(res, "r1").catalogue
 
 
-FAILOVER = """
-[config]
-min_cluster = 2
-drain_ms = 5000
-
-[nodes]
-r1 ragent net1 as1 ro eu
-r2 ragent net2 as2 us na
-a1 agent net1 as1 ro eu
-a2 agent net1 as1 ro eu
-a3 agent net1 as1 ro eu
-a4 agent net2 as2 us na
-a5 agent net2 as2 us na
-c1 client net1 as1 ro eu
-
-[events]
-100 insert c1 a1 obj1 sensor k1 01
-200 insert c1 a2 obj2 sensor k2 02
-1000 search c1 a4 exact sensor
-5000 crash r1
-12000 search c1 a4 exact sensor
-"""
+FAILOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "failover.txt").read_text()
 
 
 def test_ragent_failover_preserves_search_results():
@@ -718,7 +712,7 @@ def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
     sim.set_timer = lambda node, *rest: (timers.append(node), set_timer(node, *rest))
     sim.send(NodeId("c1"), a2.node_id, AgentSearch(
         request_id="x1", criterion=PatternKey(KeyKind.PATTERN, "k1"), mode="all",
-        agent=a2.node_id, client=NodeId("c1")))
+        route=(a2.node_id, NodeId("c1"))))
     sim.run_until(80 * MS)
     assert [s for s, *_ in log if s == a2.node_id] == []
     assert a2.node_id not in timers
@@ -839,8 +833,6 @@ def test_split_leaves_no_replica_that_no_catalogue_lists():
 
 # -- roles and link latency across role changes ----------------------------
 
-FAILOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "failover.txt").read_text()
-
 
 def test_role_comes_from_the_node_class():
     for cls, role in ((AgentNode, Role.AGENT), (RAgentNode, Role.RAGENT),
@@ -952,4 +944,14 @@ def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind):
         gone = {new.node_id, replaced}
         assert not gone & members and not gone & peers
         assert loaded == members
-        assert new.epoch == old.epoch + 1
+
+
+def test_a_rejoined_agent_beats_on_its_own_timer_only():
+    # the crash falls between two beats, so the old object's next "hb"
+    # timer fires after the rejoin and must not start a second chain
+    res = staged(ONE_CLUSTER + "1200 crash a3\n1300 rejoin a3\n")
+    res.sim.run_until(3000 * MS)
+    beats = [r.time for r in deliveries(res, "AgentHeartbeat")
+             if r.detail.endswith(":a3") and r.time > 1300 * MS]
+    assert len(beats) >= 3
+    assert {b - a for a, b in zip(beats, beats[1:])} == {500 * MS}

@@ -184,3 +184,17 @@ def test_ideal_closed_form():
     assert ideal_search_steps(1024, 64) == 9216
     with pytest.raises(ValueError):
         ideal_search_steps(10, 4, clusters=3)
+
+
+def test_timer_of_a_replaced_node_object_is_traced_but_not_run():
+    sim, a, _ = two_nodes()
+    sim.set_timer(a.node_id, "old", 5 * MS)
+    successor = Recorder(a.node_id, a.locality)
+    sim.nodes[a.node_id] = successor
+    sim.set_timer(a.node_id, "new", 5 * MS)
+    sim.run_until(10 * MS)
+    assert [r.detail for r in sim.trace if r.kind == "timer"] == ["old", "new"]
+    assert a.log == []
+    assert successor.log == [(5 * MS, "timer", "new", None)]
+    with pytest.raises(UnknownNode):
+        sim.set_timer(NodeId("ghost"), "x", 1 * MS)
