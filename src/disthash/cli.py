@@ -11,6 +11,7 @@ import sys
 
 from .runner import format_metrics, run_scenario
 from .scenario import ScenarioError, parse_scenario
+from .sim import TRACE_FORMATS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -19,7 +20,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Run a cluster-protocol scenario in the deterministic simulator.")
     parser.add_argument("--scenario", required=True, help="scenario text file")
     parser.add_argument("--metrics", help="write metrics lines here instead of stdout")
-    parser.add_argument("--trace", help="write the event trace to this file")
+    parser.add_argument("--trace", help="record the event trace and write it to this file")
+    parser.add_argument("--trace-format", choices=sorted(TRACE_FORMATS), default="digest",
+                        help="one digest line (default) or one JSON object per event")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if post-run invariants are violated")
     args = parser.parse_args(argv)
@@ -36,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
 
-    result = run_scenario(sc)
+    result = run_scenario(sc, trace=bool(args.trace))
     lines = format_metrics(result)
     if args.metrics:
         with open(args.metrics, "w") as fh:
@@ -46,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write("\n".join(result.sim.trace_lines()) + "\n")
+            fh.write("\n".join(result.sim.trace_lines(args.trace_format)) + "\n")
 
     if args.check and result.issues:
         for issue in result.issues:

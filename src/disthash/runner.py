@@ -40,13 +40,14 @@ def _mkcfg(sc: Scenario, lus_ids) -> ClusterConfig:
         migration_threshold=c.migration_threshold)
 
 
-def build_simulation(sc: Scenario) -> RunResult:
+def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
     """Wire the declared topology at time zero: clusters formed, the
     lookup service pre-filled, secondaries elected and synced. The
     bootstrap is message-free so the first scripted event sees a steady
-    system."""
+    system. ``trace`` turns on the engine's event trace."""
     c = sc.config
-    sim = Simulator(NetworkModel(c.latency_base_ms * MS, c.latency_tier_ms * MS))
+    sim = Simulator(NetworkModel(c.latency_base_ms * MS, c.latency_tier_ms * MS),
+                    trace=trace)
 
     decls = list(sc.nodes)
     declared = {d.name for d in decls}
@@ -172,8 +173,8 @@ def schedule_events(result: RunResult) -> None:
         sim.set_timer(client.node_id, "op", t, op)
 
 
-def run_scenario(sc: Scenario) -> RunResult:
-    result = build_simulation(sc)
+def run_scenario(sc: Scenario, trace: bool = False) -> RunResult:
+    result = build_simulation(sc, trace)
     schedule_events(result)
     last = max((ev.time_ms for ev in sc.events), default=0)
     result.sim.run_until((last + sc.config.drain_ms) * MS)

@@ -8,12 +8,19 @@ traces and metrics. Events are processed in (time, seq) order; latency
 is a pure function of the endpoint localities; nothing in the engine
 draws randomness. Set iteration is always sorted so output does not
 depend on the interpreter's hash seed.
+
+The trace is opt-in: ``Simulator(trace=True)`` records one
+``TraceRecord`` per event; without it the engine builds no record and
+``trace_lines()`` raises ``SimError``. Tracing never changes what is
+simulated: event order, delivery counts and step accounting are the same
+either way, and so are the metrics.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 
 from .catalogue import clog2
 from .core import LocalityDescriptor, NodeId, proximity_rank
@@ -204,23 +211,51 @@ class _Rejoin:
 
 @dataclass(slots=True)
 class TraceRecord:
+    """One engine event. ``deliver``, ``ignored`` and ``drop`` records
+    name the message; a ``timer`` record names its tag; ``crash`` and
+    ``rejoin`` name only the node."""
+
     time: int
     seq: int
-    node: str
     kind: str
-    detail: str
+    node: str
+    src: str | None = None
+    msg_type: str | None = None
+    request_id: str | None = None
+    hop: int | None = None
+    tag: str | None = None
+
+    @property
+    def detail(self) -> str:
+        """The text the digest line hashes."""
+        if self.kind in ("deliver", "ignored"):
+            return f"{self.msg_type}:{self.request_id or ''}:{self.src}"
+        if self.kind == "drop":
+            return f"{self.msg_type}:{self.request_id or ''}"
+        if self.kind == "timer":
+            return self.tag
+        return ""
 
     def line(self) -> str:
         digest = hashlib.blake2b(self.detail.encode(), digest_size=6).hexdigest()
         return f"{self.time} {self.seq} {self.node} {self.kind} {digest}"
+
+    def json_line(self) -> str:
+        return json.dumps({f: getattr(self, f) for f in self.__slots__})
+
+
+# ``trace_lines`` formats: the digest line is compact and pinned by the
+# golden tests; the JSON object is readable
+TRACE_FORMATS = {"digest": TraceRecord.line, "jsonl": TraceRecord.json_line}
 
 
 class Simulator:
     """Single-threaded engine. Nodes are registered state machines; all
     interaction between them goes through ``send``/``set_timer``."""
 
-    def __init__(self, network: NetworkModel | None = None):
+    def __init__(self, network: NetworkModel | None = None, trace: bool = False):
         self.network = network or NetworkModel()
+        self.tracing = trace
         self._latencies: dict[tuple[NodeId, NodeId], int] = {}
         self.clock = 0
         self._seq = 0
@@ -318,52 +353,58 @@ class Simulator:
             self._dispatch(seq, ev)
         self.clock = t
 
-    def _trace(self, seq: int, node: NodeId, kind: str, detail: str) -> None:
-        self.trace.append(TraceRecord(self.clock, seq, node, kind, detail))
-
     def _dispatch(self, seq: int, ev) -> None:
         kind = type(ev)
         if kind is _Deliver:
-            name = type(ev.msg).__name__
-            rid = getattr(ev.msg, "request_id", None)
-            if ev.dst in self.crashed:
-                self._trace(seq, ev.dst, "drop", f"{name}:{rid or ''}")
+            msg = ev.msg
+            rid = getattr(msg, "request_id", None)
+            dead = ev.dst in self.crashed
+            if self.tracing:
+                rec = TraceRecord(self.clock, seq, "drop" if dead else "deliver", ev.dst,
+                                  ev.src, type(msg).__name__, rid, getattr(msg, "hop", None))
+                self.trace.append(rec)
+            if dead:
                 # bounce a failure notice to a live, non-engine sender;
                 # pushed directly because the nominal source is dead
-                if ev.src not in self.crashed and not isinstance(ev.msg, SendFailed):
+                if ev.src not in self.crashed and not isinstance(msg, SendFailed):
                     self._push(self.clock + self._latency(ev.dst, ev.src), _Deliver(
                         ev.dst, ev.src, SendFailed(
-                            original=ev.msg, dead=ev.dst, request_id=rid,
-                            hop=getattr(ev.msg, "hop", 0))))
+                            original=msg, dead=ev.dst, request_id=rid,
+                            hop=getattr(msg, "hop", 0))))
                 return
             self.deliver_count += 1
             if rid is not None:
                 self.steps.on_message(rid)
-            detail = f"{name}:{rid or ''}:{ev.src}"
-            self._trace(seq, ev.dst, "deliver", detail)
             # a node whose role has no handler for the type returns False
-            if self.nodes[ev.dst].on_message(self, ev.msg, ev.src) is False:
-                self._trace(seq, ev.dst, "ignored", detail)
+            if self.nodes[ev.dst].on_message(self, msg, ev.src) is False and self.tracing:
+                self.trace.append(replace(rec, kind="ignored"))
         elif kind is _Timer:
             if ev.node in self.crashed:
                 return
-            self._trace(seq, ev.node, "timer", ev.tag)
+            if self.tracing:
+                self.trace.append(TraceRecord(self.clock, seq, "timer", ev.node, tag=ev.tag))
             if self.nodes[ev.node] is ev.owner:
                 ev.owner.on_timer(self, ev.tag, ev.payload)
         elif kind is _Crash:
             if ev.node in self.crashed:
                 return
             self.crashed.add(ev.node)
-            self._trace(seq, ev.node, "crash", "")
+            if self.tracing:
+                self.trace.append(TraceRecord(self.clock, seq, "crash", ev.node))
             self.nodes[ev.node].on_crash(self)
         elif kind is _Rejoin:
             if ev.node not in self.crashed:
                 raise NotCrashed(ev.node)
             self.crashed.discard(ev.node)
-            self._trace(seq, ev.node, "rejoin", "")
+            if self.tracing:
+                self.trace.append(TraceRecord(self.clock, seq, "rejoin", ev.node))
             self.nodes[ev.node].on_rejoin(self)
         else:  # pragma: no cover
             raise SimError(f"unknown event {ev}")
 
-    def trace_lines(self) -> list[str]:
-        return [r.line() for r in self.trace]
+    def trace_lines(self, fmt: str = "digest") -> list[str]:
+        """The trace, one line per record, in a ``TRACE_FORMATS`` format."""
+        if not self.tracing:
+            raise SimError("no trace recorded: build the simulator with trace=True")
+        render = TRACE_FORMATS[fmt]
+        return [render(r) for r in self.trace]

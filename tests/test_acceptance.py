@@ -381,15 +381,16 @@ c1 client net1 as1 ro eu
 3000 search_first c1 a3 exact sensor
 8000 search_first c1 a3 exact sensor
 """
-        res = run_scenario(parse_scenario(text))
+        res = run_scenario(parse_scenario(text), trace=True)
+        assert res.sim.tracing, "an absent message proves nothing in an untraced run"
         ragents = {"r1", "r2"}
-        inter = [r for r in res.sim.trace
-                 if r.kind == "deliver" and r.node in ragents
-                 and ":q0005:" in f":{r.detail}:"
-                 and r.detail.rsplit(":", 1)[1] in ragents]
+        at_ragents = [r for r in res.sim.trace
+                      if r.kind == "deliver" and r.node in ragents
+                      and ":q0005:" in f":{r.detail}:"]
+        inter = [r for r in at_ragents if r.detail.rsplit(":", 1)[1] in ragents]
         oid = res.labels["obj1"].id
         r2 = res.sim.nodes[NodeId("r2")]
-        ok = (res.issues == [] and oid in r2.catalogue and inter == []
+        ok = (res.issues == [] and oid in r2.catalogue and at_ragents != [] and inter == []
               and len([e for e in res.sim.member_events if e[1] == "migrate_in"]) == 1)
         rec = [r for r in res.clients["c1"].completions if r["id"] == "q0005"][0]
         ok = ok and rec["clusters"] == 1 and len(rec["objects"]) == 1
@@ -422,13 +423,13 @@ c1 client net1 as1 ro eu
 13000 rejoin r1
 14000 join a9 net1 as1 ro eu
 """
-        r1 = run_scenario(parse_scenario(text))
-        r2 = run_scenario(parse_scenario(text))
+        r1 = run_scenario(parse_scenario(text), trace=True)
+        r2 = run_scenario(parse_scenario(text), trace=True)
         m1 = "\n".join(r1.metrics_lines()).encode()
         m2 = "\n".join(r2.metrics_lines()).encode()
         t1 = "\n".join(r1.sim.trace_lines()).encode()
         t2 = "\n".join(r2.sim.trace_lines()).encode()
-        ok = m1 == m2 and t1 == t2
+        ok = m1 == m2 and t1 != b"" and t1 == t2
         assert report(12, "identical scenario gives byte-identical metrics and trace", ok)
 
 

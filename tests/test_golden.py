@@ -1,14 +1,19 @@
 """Golden outputs: the sha256 of the bytes ``disthash --metrics`` and
 ``disthash --trace`` write for the example scenarios, and of the metrics
 and traces of a fixed generated corpus. A change that alters simulated
-behaviour must re-pin these and say why."""
+behaviour must re-pin these and say why. Also: turning the trace off
+changes nothing that is simulated, and the JSONL trace says what the
+digest trace hashes."""
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from disthash.cli import main
 from disthash.runner import format_metrics, run_scenario
+from disthash.scenario import parse_scenario
+from disthash.sim import SimError, TraceRecord
 from test_acceptance import random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -34,7 +39,7 @@ def lines_bytes(lines: list[str]) -> bytes:
 def corpus_digests():
     metrics, trace = hashlib.sha256(), hashlib.sha256()
     for seed in range(20):
-        res = run_scenario(random_scenario(seed))
+        res = run_scenario(random_scenario(seed), trace=True)
         metrics.update(lines_bytes(format_metrics(res)))
         trace.update(lines_bytes(res.sim.trace_lines()))
     return metrics.hexdigest(), trace.hexdigest()
@@ -66,3 +71,34 @@ def test_generated_corpus_metrics_are_pinned(corpus_digests):
 
 def test_generated_corpus_trace_is_pinned(corpus_digests):
     assert corpus_digests[1] == GOLDEN_CORPUS_TRACE
+
+
+@pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(5)])
+def test_untraced_run_simulates_the_same(source):
+    def load():
+        if isinstance(source, int):
+            return random_scenario(source)
+        return parse_scenario((SCENARIOS / source).read_text())
+
+    plain, traced = run_scenario(load()), run_scenario(load(), trace=True)
+    assert format_metrics(plain) == format_metrics(traced)
+    assert plain.sim.deliver_count == traced.sim.deliver_count > 0
+    assert plain.sim.trace == [] and len(traced.sim.trace) > traced.sim.deliver_count
+    with pytest.raises(SimError):
+        plain.sim.trace_lines()
+
+
+def test_jsonl_trace_has_one_record_per_digest_line(tmp_path):
+    scenario = str(SCENARIOS / "failover.txt")
+    digest, jsonl = tmp_path / "trace.txt", tmp_path / "trace.jsonl"
+    for out, fmt in ((digest, "digest"), (jsonl, "jsonl")):
+        assert main(["--scenario", scenario, "--metrics", str(tmp_path / "metrics.txt"),
+                     "--trace", str(out), "--trace-format", fmt]) == 0
+    lines = digest.read_text().splitlines()
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(records) == len(lines) > 0
+    for rec, line in zip(records, lines):
+        time, seq, node, kind, _ = line.split()
+        assert (rec["time"], rec["seq"], rec["kind"], rec["node"]) == (int(time), int(seq), kind, node)
+        # the record holds everything its digest line hashes
+        assert TraceRecord(**rec).line() == line

@@ -16,8 +16,8 @@ from disthash.scenario import JoinEvent, parse_scenario
 from disthash.sim import MS
 
 
-def build(text):
-    return run_scenario(parse_scenario(text))
+def build(text, trace=False):
+    return run_scenario(parse_scenario(text), trace)
 
 
 def ragent(res, name):
@@ -35,6 +35,7 @@ def completions(res):
 
 
 def deliveries(res, msg_name, rid=None):
+    assert res.sim.tracing, "an untraced run has no deliveries to look at"
     hits = []
     for r in res.sim.trace:
         if r.kind != "deliver" or not r.detail.startswith(msg_name + ":"):
@@ -76,7 +77,7 @@ def test_insert_places_two_replicas_owner_first():
 
 
 def test_search_read_roundtrip():
-    res = build(ONE_CLUSTER)
+    res = build(ONE_CLUSTER, trace=True)
     recs = completions(res)
     oid = res.labels["obj1"].id
     assert [o.id for o in recs["q0002"]["objects"]] == [oid]
@@ -87,7 +88,7 @@ def test_search_read_roundtrip():
     assert read["messages"] == 2
     touched = {r.node for r in res.sim.trace
                if r.kind == "deliver" and ":q0004:" in r.detail + ":"}
-    assert "r1" not in touched
+    assert "c1" in touched and "r1" not in touched
 
 
 def test_read_without_known_holder():
@@ -178,9 +179,10 @@ def test_search_all_matches_brute_force_scan():
 def test_local_match_sends_no_peer_traffic():
     text = TWO_CLUSTERS.replace("1800 search_first c1 a2 exact camera",
                                 "1800 search_first c1 a1 exact sensor")
-    res = build(text)
+    res = build(text, trace=True)
     rec = completions(res)["q0008"]
     assert len(rec["objects"]) == 1 and rec["clusters"] == 1
+    assert [r.node for r in deliveries(res, "AgentSearch", "q0008")] == ["r1"]
     assert deliveries(res, "RemoteSearch", "q0008") == []
 
 
@@ -311,7 +313,7 @@ c1 client net1 as1 ro eu
 
 
 def test_hot_object_migrates_after_threshold():
-    res = build(MIGRATION)
+    res = build(MIGRATION, trace=True)
     assert res.issues == []
     oid = res.labels["obj1"].id
     events = [e for e in res.sim.member_events if e[1] in ("migrate_in", "migrate_out")]
@@ -325,6 +327,7 @@ def test_hot_object_migrates_after_threshold():
     # the post-migration search resolves without leaving the cluster
     rec = completions(res)["q0005"]
     assert rec["clusters"] == 1
+    assert [r.node for r in deliveries(res, "AgentSearch", "q0005")] == ["r2"]
     assert deliveries(res, "RemoteSearch", "q0005") == []
 
 
@@ -333,7 +336,8 @@ def test_update_forwarded_into_a_migration_is_retried_where_the_object_went():
     # once the object has left, r1 hands it back to r2, the cluster the
     # update came from, which now owns the object
     res = build(MIGRATION.replace("8000 search_first",
-                                  "3050 update c1 a3 obj1 cafe\n8000 search_first"))
+                                  "3050 update c1 a3 obj1 cafe\n8000 search_first"),
+                trace=True)
     assert res.issues == []
     assert [r.node for r in deliveries(res, "UpdateRetry", "q0005")] == ["r2"]
     rec = completions(res)["q0005"]
@@ -514,10 +518,11 @@ c1 client net1 as1 ro eu
 
 def test_run_twice_identical_output():
     sc_text = TWO_CLUSTERS + "2000 crash a3\n"
-    r1 = build(sc_text)
-    r2 = build(sc_text)
+    r1 = build(sc_text, trace=True)
+    r2 = build(sc_text, trace=True)
     assert r1.metrics_lines() == r2.metrics_lines()
-    assert r1.sim.trace_lines() == r2.sim.trace_lines()
+    trace = r1.sim.trace_lines()
+    assert trace and trace == r2.sim.trace_lines()
 
 
 # -- secondary log shipping ------------------------------------------------
@@ -548,8 +553,8 @@ def burst(*faults):
     return BURST_NODES + "\n".join(lines) + "\n"
 
 
-def staged(text):
-    res = build_simulation(parse_scenario(text))
+def staged(text, trace=False):
+    res = build_simulation(parse_scenario(text), trace)
     schedule_events(res)
     return res
 
@@ -700,7 +705,7 @@ c1 client net1 as1 ro eu
 
 
 def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
-    res = staged(ONE_CLUSTER)
+    res = staged(ONE_CLUSTER, trace=True)
     sim = res.sim
     sim.run_until(50 * MS)
     a2 = sim.nodes[NodeId("a2")]
@@ -750,7 +755,7 @@ c1 client net1 as1 ro eu
 
 
 def test_split_lists_a_new_holder_only_once_its_copy_is_acknowledged():
-    res = staged(SPLIT_ACROSS)
+    res = staged(SPLIT_ACROSS, trace=True)
     sim = res.sim
     r1 = ragent(res, "r1")
     log = spy_sends(sim)
@@ -949,7 +954,7 @@ def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind):
 def test_a_rejoined_agent_beats_on_its_own_timer_only():
     # the crash falls between two beats, so the old object's next "hb"
     # timer fires after the rejoin and must not start a second chain
-    res = staged(ONE_CLUSTER + "1200 crash a3\n1300 rejoin a3\n")
+    res = staged(ONE_CLUSTER + "1200 crash a3\n1300 rejoin a3\n", trace=True)
     res.sim.run_until(3000 * MS)
     beats = [r.time for r in deliveries(res, "AgentHeartbeat")
              if r.detail.endswith(":a3") and r.time > 1300 * MS]

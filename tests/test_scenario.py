@@ -130,7 +130,7 @@ def test_cli_happy_path_and_determinism(tmp_path):
     r2 = run_cli("--scenario", str(f), "--check", "--trace", str(t2))
     assert r1.returncode == 0, r1.stderr
     assert r1.stdout == r2.stdout and r1.stdout.startswith("op ")
-    assert t1.read_bytes() == t2.read_bytes()
+    assert t1.read_text().strip() and t1.read_bytes() == t2.read_bytes()
     assert "summary " in r1.stdout
 
 

@@ -1,10 +1,13 @@
 """The discrete-event engine: ordering, latency, fault injection and the
 search step accounting with its closed-form bound."""
+import json
+from dataclasses import dataclass
+
 import pytest
 
 from disthash.core import LocalityDescriptor, NodeId
 from disthash.sim import (MS, NetworkModel, NotCrashed, SendFailed,
-                          Simulator, StepCounter, UnknownNode,
+                          SimError, Simulator, StepCounter, UnknownNode,
                           UnknownRequest, formula_bound, ideal_search_steps)
 
 
@@ -33,8 +36,8 @@ class Recorder:
         self.log.append((sim.clock, "rejoin", None, None))
 
 
-def two_nodes(net_b="n1"):
-    sim = Simulator(NetworkModel(5 * MS, 10 * MS))
+def two_nodes(net_b="n1", trace=True):
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=trace)
     a = Recorder(NodeId("a"), loc())
     b = Recorder(NodeId("b"), loc(net=net_b))
     sim.add_node(a)
@@ -126,7 +129,59 @@ def test_determinism_identical_traces():
         sim.run_until(200 * MS)
         return sim.trace_lines()
 
-    assert run() == run()
+    first = run()
+    assert first and first == run()
+
+
+@dataclass
+class Ping:
+    request_id: str
+    hop: int = 0
+
+
+def crash_and_rejoin_b(sim, a, b):
+    sim.send(a.node_id, b.node_id, Ping("q1", hop=2))
+    sim.set_timer(a.node_id, "tick", 1 * MS)
+    sim.inject_crash(b.node_id, 10 * MS)
+    sim.run_until(12 * MS)
+    sim.send(a.node_id, b.node_id, Ping("q2"))
+    sim.inject_rejoin(b.node_id, 40 * MS)
+    sim.run_until(60 * MS)
+
+
+def test_trace_records_carry_their_fields():
+    sim, a, b = two_nodes()
+    crash_and_rejoin_b(sim, a, b)
+    got = [(r.kind, r.node, r.src, r.msg_type, r.request_id, r.hop, r.tag, r.detail)
+           for r in sim.trace]
+    assert got == [
+        ("timer", "a", None, None, None, None, "tick", "tick"),
+        ("deliver", "b", "a", "Ping", "q1", 2, None, "Ping:q1:a"),
+        ("crash", "b", None, None, None, None, None, ""),
+        ("drop", "b", "a", "Ping", "q2", 0, None, "Ping:q2"),
+        ("deliver", "a", "b", "SendFailed", "q2", 0, None, "SendFailed:q2:b"),
+        ("rejoin", "b", None, None, None, None, None, ""),
+    ]
+    assert [r.time for r in sim.trace] == [1 * MS, 5 * MS, 10 * MS, 17 * MS, 22 * MS, 40 * MS]
+    records = [json.loads(line) for line in sim.trace_lines("jsonl")]
+    assert records[1] == {"time": 5 * MS, "seq": 0, "kind": "deliver", "node": "b",
+                          "src": "a", "msg_type": "Ping", "request_id": "q1",
+                          "hop": 2, "tag": None}
+    assert len(sim.trace_lines()) == len(records) == 6
+
+
+def test_untraced_engine_records_nothing_and_simulates_the_same():
+    runs = []
+    for trace in (True, False):
+        sim, a, b = two_nodes(trace=trace)
+        crash_and_rejoin_b(sim, a, b)
+        runs.append((sim, a.log, b.log))
+    (traced, *logs), (plain, *plain_logs) = runs
+    assert plain_logs == logs and plain.deliver_count == traced.deliver_count == 2
+    assert plain.steps.messages == traced.steps.messages == {"q1": 1, "q2": 1}
+    assert plain.trace == [] and not plain.tracing
+    with pytest.raises(SimError):
+        plain.trace_lines()
 
 
 # -- step accounting -----------------------------------------------------
