@@ -681,9 +681,10 @@ class AgentNode(BaseNode):
             silent = sim.clock - self.last_ragent_seen
             if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
-        # after a promotion this re-arm belongs to the new super-peer,
-        # which has no "hb" handler: traced, and nothing more
-        sim.set_timer(self.node_id, "hb", self.hb.period_us)
+        # a promotion has replaced this node; the new super-peer beats on
+        # its own timers
+        if sim.nodes[self.node_id] is self:
+            sim.set_timer(self.node_id, "hb", self.hb.period_us)
 
     def _suspect_ragent(self, sim):
         self._suspected_ragent = self.ragent

@@ -24,7 +24,7 @@ GOLDEN = {
 }
 GOLDEN_TRACE = {
     "basic.txt": "162a2bd0fd8b11c12d4c0b7a221676042ea2c5c9470e0c258f5b5a6c63ddb682",
-    "failover.txt": "e294fd57d8e8b2694398a4023b865ecfb39d24fce04aeb8df28af26abacb362b",
+    "failover.txt": "c2cc4b816c1bec1b2002f9b288b872905e3171468f1545e4b84655c9bc2edf14",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"

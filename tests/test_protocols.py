@@ -960,3 +960,15 @@ def test_a_rejoined_agent_beats_on_its_own_timer_only():
              if r.detail.endswith(":a3") and r.time > 1300 * MS]
     assert len(beats) >= 3
     assert {b - a for a, b in zip(beats, beats[1:])} == {500 * MS}
+
+
+def test_a_promoted_agent_leaves_no_heartbeat_timer_behind():
+    res = build(FAILOVER, trace=True)
+    promoted = [(t, node) for t, event, _, node, _ in res.sim.member_events
+                if event == "promote"]
+    assert promoted
+    for t, node in promoted:
+        assert isinstance(res.sim.nodes[node], RAgentNode)
+        beats = [r.time for r in res.sim.trace
+                 if r.kind == "timer" and r.tag == "hb" and r.node == node]
+        assert beats and max(beats) == t
