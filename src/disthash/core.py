@@ -21,22 +21,22 @@ class Role(str, Enum):
     CLIENT = "client"
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
-    """Fixed-width opaque identifier derived from an object's content."""
+class ObjectId(bytes):
+    """Fixed-width opaque identifier derived from an object's content.
+    Equality, hash and order are the 20 bytes'; ``oid.hex()`` is its
+    text form."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.value) != ID_BYTES:
-            raise ValueError(f"ObjectId must be {ID_BYTES} bytes, got {len(self.value)}")
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
+    def __new__(cls, value: bytes):
+        if len(value) != ID_BYTES:
+            raise ValueError(f"ObjectId must be {ID_BYTES} bytes, got {len(value)}")
+        return super().__new__(cls, value)
 
     def __repr__(self):
-        return f"ObjectId({self.value.hex()[:12]})"
+        return f"ObjectId({self.hex()[:12]})"
+
+    __str__ = __repr__  # bytes.__str__ would print the raw bytes
 
 
 class NodeId(str):

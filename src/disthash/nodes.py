@@ -1056,10 +1056,10 @@ class RAgentNode(BaseNode):
         # re-replicate what a split left with one holder, and anything
         # that lost a copy attempt to a race the reactive handlers missed
         if not self.reconfiguring and len(self.members) >= REPLICATION_FACTOR:
-            for oid in sorted(self.catalogue.object_ids()):
-                holders = self.catalogue.holders_of(oid)
-                if len(holders) < REPLICATION_FACTOR:
-                    self._restore_redundancy(sim, oid, holders)
+            short = sorted(oid for oid, hl in self.catalogue.holders.items()
+                           if len(hl) < REPLICATION_FACTOR)
+            for oid in short:
+                self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
         sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def _check_thresholds(self, sim):
@@ -1779,7 +1779,7 @@ class RAgentNode(BaseNode):
         self._sync_secondary(sim)
         sim.send(self.node_id, src, MigrateAck(request_id=msg.request_id, oid=obj.id))
         sim.record_member_event("migrate_in", self.node_id, src,
-                                f"object={obj.id.hex[:12]} version={obj.version}")
+                                f"object={obj.id.hex()[:12]} version={obj.version}")
 
     def _on_MigrateAck(self, sim, msg: MigrateAck, src):
         entry = self.out_migrations.pop(msg.request_id, None)
@@ -1793,7 +1793,7 @@ class RAgentNode(BaseNode):
             self.catalogue.remove_object(oid)
             self._sync_secondary(sim)
         sim.record_member_event("migrate_out", self.node_id, src,
-                                f"object={oid.hex[:12]}")
+                                f"object={oid.hex()[:12]}")
         self._release_lock(sim, oid)
 
     def _on_MigrateDenied(self, sim, msg: MigrateDenied, src):

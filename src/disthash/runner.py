@@ -215,17 +215,17 @@ def check_invariants(result: RunResult) -> list[str]:
         for oid in sorted(r.catalogue.object_ids()):
             hl = r.catalogue.holders_of(oid)
             if len(hl) != len(set(hl)):
-                issues.append(f"{tag}: duplicate holders for {oid.hex[:12]}")
+                issues.append(f"{tag}: duplicate holders for {oid.hex()[:12]}")
             if len(hl) < want:
-                issues.append(f"{tag}: {oid.hex[:12]} has {len(hl)} holders, want {want}")
+                issues.append(f"{tag}: {oid.hex()[:12]} has {len(hl)} holders, want {want}")
             for h in hl:
                 if h not in r.members:
-                    issues.append(f"{tag}: holder {h} of {oid.hex[:12]} not a member")
+                    issues.append(f"{tag}: holder {h} of {oid.hex()[:12]} not a member")
                     continue
                 truth[h] += 1
                 holder_node = sim.nodes[h]
                 if oid not in holder_node.store:
-                    issues.append(f"{tag}: {h} listed for {oid.hex[:12]} but does not store it")
+                    issues.append(f"{tag}: {h} listed for {oid.hex()[:12]} but does not store it")
         # load table matches ground truth
         for m in sorted(r.members):
             if r.loads.counts.get(m) != truth[m]:
@@ -281,11 +281,11 @@ def check_invariants(result: RunResult) -> list[str]:
         for oid in sorted(node.store):
             if not any(oid in r.catalogue and nid in r.catalogue.holders_of(oid)
                        for r in ragents):
-                issues.append(f"{nid}: stores {oid.hex[:12]} that no super-peer lists")
+                issues.append(f"{nid}: stores {oid.hex()[:12]} that no super-peer lists")
 
     if sim.loss_records and not sc.config.expect_loss:
         for _, oid, detail in sim.loss_records:
-            issues.append(f"unexpected object loss {oid.hex[:12]} ({detail})")
+            issues.append(f"unexpected object loss {oid.hex()[:12]} ({detail})")
 
     return issues
 
@@ -324,7 +324,7 @@ def format_metrics(result: RunResult) -> list[str]:
             time_us=time, event=event, cluster=cluster, node=node,
             detail=detail.replace(" ", ";") if detail else None))
     for time, oid, detail in sim.loss_records:
-        lines.append("loss " + _kv(time_us=time, object=oid.hex,
+        lines.append("loss " + _kv(time_us=time, object=oid.hex(),
                                    detail=detail.replace(" ", ";")))
     for issue in result.issues:
         lines.append("issue " + _kv(text=issue.replace(" ", ";")))

@@ -107,7 +107,13 @@ class StepCounter:
         self.totals: dict[str, int] = {}
 
     def _cluster(self, request_id: str, cluster: str) -> ClusterTally:
-        return self.requests.setdefault(request_id, {}).setdefault(cluster, ClusterTally())
+        tallies = self.requests.get(request_id)
+        if tallies is None:
+            tallies = self.requests[request_id] = {}
+        t = tallies.get(cluster)
+        if t is None:
+            t = tallies[cluster] = ClusterTally()
+        return t
 
     def on_lookup(self, request_id: str, cluster: str, m_keys: int, key_steps: int, matches: int) -> None:
         t = self._cluster(request_id, cluster)

@@ -57,10 +57,10 @@ def test_encode_distinguishes_payloads(tag, keys, p1, p2):
 
 def test_id_width_and_determinism():
     a = derive_object_id(b"hello")
-    assert len(a.value) == ID_BYTES
+    assert len(a) == ID_BYTES
     assert a == derive_object_id(b"hello")
     big = derive_object_id(b"x" * 100_000)
-    assert len(big.value) == ID_BYTES
+    assert len(big) == ID_BYTES
 
 
 def test_id_collision_scan():
@@ -71,8 +71,29 @@ def test_id_collision_scan():
 def test_id_rejects_empty_and_bad_width():
     with pytest.raises(ValueError):
         derive_object_id(b"")
-    with pytest.raises(ValueError):
-        ObjectId(b"short")
+    for value in (b"short", b"", b"\x01" * (ID_BYTES - 1), b"\x01" * (ID_BYTES + 1)):
+        with pytest.raises(ValueError):
+            ObjectId(value)
+
+
+def test_id_orders_as_its_bytes():
+    ids = [derive_object_id(i.to_bytes(4, "big")) for i in range(1_000)]
+    assert sorted(ids) == sorted(ids, key=bytes)
+    assert all(isinstance(i, ObjectId) for i in sorted(ids))
+
+
+def test_id_rebuilt_from_its_bytes_is_the_same_key():
+    a = derive_object_id(b"hello")
+    again = ObjectId(bytes(a))
+    assert again == a and hash(again) == hash(a)
+    assert {a: "entry"}[again] == "entry"
+
+
+def test_id_repr_shows_first_twelve_hex():
+    a = derive_object_id(b"hello")
+    assert repr(a) == f"ObjectId({bytes(a).hex()[:12]})"
+    assert str(a) == f"{a}" == repr(a)
+    assert a.hex() == bytes(a).hex() and len(a.hex()) == 2 * ID_BYTES
 
 
 def test_make_object_sorts_and_dedupes_keys():

@@ -2,13 +2,15 @@
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
 import copy
+import re
 from pathlib import Path
 
 import pytest
 
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
 from disthash.nodes import (AgentHeartbeat, AgentNode, AgentSearch,
-                            AssumeRAgent, CatalogueSync, CopyDone, CRead,
+                            AssumeRAgent, CatalogueSync, CopyDone,
+                            CopyReplica, CRead,
                             ClientNode, LusNode, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
@@ -318,6 +320,8 @@ def test_hot_object_migrates_after_threshold():
     oid = res.labels["obj1"].id
     events = [e for e in res.sim.member_events if e[1] in ("migrate_in", "migrate_out")]
     assert {e[1] for e in events} == {"migrate_in", "migrate_out"}
+    for e in events:
+        assert re.match(rf"object={oid.hex()[:12]}( |$)", e[4])
     r2 = ragent(res, "r2")
     assert oid in r2.catalogue and oid not in ragent(res, "r1").catalogue
     # payload and version survive the move byte for byte
@@ -972,3 +976,23 @@ def test_a_promoted_agent_leaves_no_heartbeat_timer_behind():
         beats = [r.time for r in res.sim.trace
                  if r.kind == "timer" and r.tag == "hb" and r.node == node]
         assert beats and max(beats) == t
+
+
+def test_sweep_repairs_only_short_holder_lists_in_id_order():
+    res = staged(BURST_NODES + "100 insert c1 a1 x sensor k aa\n"
+                 "150 insert c1 a2 y sensor k bb\n"
+                 "200 insert c1 a3 z sensor k cc\n")
+    sim = res.sim
+    sim.run_until(1000 * MS)
+    cat = ragent(res, "r1").catalogue
+    listed = list(cat.holders)  # insertion order
+    assert len(listed) == 3 and all(len(cat.holders_of(o)) == 2 for o in listed)
+    # deplete a pair that the catalogue lists out of id order
+    first, second = next((a, b) for i, a in enumerate(listed)
+                         for b in listed[i + 1:] if a > b)
+    for oid in (first, second):
+        cat.remove_holder(oid, cat.holders_of(oid)[1])
+    log = spy_sends(sim)
+    sim.run_until(1500 * MS)  # one sweep period
+    copies = [m.oid for s, _, m, _ in log if s == "r1" and isinstance(m, CopyReplica)]
+    assert copies == sorted([first, second])

@@ -1,5 +1,6 @@
 """Scenario text parsing, validation and formatting, plus the command
 line wrapper's exit codes and deterministic output."""
+import re
 import subprocess
 import sys
 
@@ -176,6 +177,13 @@ c1 client net1 as1 ro eu
 def test_cli_check_flags_unexpected_loss(tmp_path):
     f = tmp_path / "lossy.txt"
     f.write_text(LOSSY)
-    r = run_cli("--scenario", str(f), "--check")
+    out = tmp_path / "metrics.txt"
+    r = run_cli("--scenario", str(f), "--check", "--metrics", str(out))
     assert r.returncode == 1
     assert "invariant" in r.stderr
+    # ids print as hex text, the full id in metrics and 12 digits in issues
+    loss = re.search(r"^loss time_us=1010000 object=([0-9a-f]{40}) "
+                     r"detail=all-holders-gone$", out.read_text(), re.M)
+    assert loss
+    short = re.search(r"unexpected object loss ([0-9a-f]{12}) ", r.stderr)
+    assert short and loss.group(1).startswith(short.group(1))

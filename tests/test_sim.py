@@ -202,6 +202,28 @@ def test_worked_example_measured_and_bound():
     assert acct.bound_applicable and acct.clusters == 1
 
 
+def test_repeated_calls_share_one_tally_per_request_and_cluster():
+    steps = StepCounter()
+    steps.on_lookup("q1", "c1", m_keys=3, key_steps=3, matches=1)
+    tally = steps.requests["q1"]["c1"]
+    steps.on_lookup("q1", "c1", m_keys=5, key_steps=5, matches=2)
+    for agent, n in (("a1", 2), ("a2", 1), ("a1", 1)):
+        steps.on_fetch_request("q1", "c1", NodeId(agent), n_objects=n)
+    steps.on_probe("q1", "c1", store_size=8, n_objects=2)
+    steps.on_probe("q1", "c1", store_size=4, n_objects=1)
+    steps.on_lookup("q2", "c1", m_keys=1, key_steps=1, matches=0)
+    assert list(steps.requests["q1"]) == ["c1"] and steps.requests["q1"]["c1"] is tally
+    assert steps.requests["q2"]["c1"] is not tally
+    assert (tally.m_keys, tally.key_steps, tally.p, tally.id_steps) == (5, 8, 3, 6)
+    assert (tally.fetch_requests, tally.fetch_steps, tally.agents_contacted) == (3, 8, {"a1", "a2"})
+    assert (tally.l_max, tally.probe_steps) == (8, 2 * 3 + 1 * 2)
+    acct = steps.account_search("q1")
+    # key 3+5, ids 2*(1+2), fetch 2*(2+1+1), probes 2*ceil(log2 8) + 1*ceil(log2 4)
+    assert acct.measured == acct.decomposed == 8 + 6 + 8 + 8
+    assert acct.bound == 1 * 5 * (4 * 3 + 3)
+    assert acct.bound_applicable and acct.clusters == 1
+
+
 def test_no_match_charges_key_scans_only():
     steps = StepCounter()
     steps.on_lookup("q", "c1", m_keys=4, key_steps=4, matches=0)
