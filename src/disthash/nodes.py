@@ -99,14 +99,20 @@ class JoinAccept:
     hop: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class AgentHeartbeat:
     resync: bool = False  # the secondary's catalogue copy missed a batch
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class RAgentHeartbeat:
     secondary: NodeId | None
+
+
+# heartbeats carry no per-recipient field, so one frozen instance serves
+# every recipient of a beat round
+AGENT_HEARTBEAT = AgentHeartbeat()
+AGENT_HEARTBEAT_RESYNC = AgentHeartbeat(resync=True)
 
 
 @dataclass(kw_only=True)
@@ -675,9 +681,8 @@ class AgentNode(BaseNode):
 
     def _tick_hb(self, sim, payload):
         if self.joined and self.ragent is not None:
-            # the plain message is the hot path: heartbeats dominate traffic
-            hb = AgentHeartbeat(resync=True) if self.sync_stale else AgentHeartbeat()
-            sim.send(self.node_id, self.ragent, hb)
+            sim.send(self.node_id, self.ragent,
+                     AGENT_HEARTBEAT_RESYNC if self.sync_stale else AGENT_HEARTBEAT)
             silent = sim.clock - self.last_ragent_seen
             if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
@@ -1041,8 +1046,9 @@ class RAgentNode(BaseNode):
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
     def _tick_sweep(self, sim, payload):
+        hb = RAgentHeartbeat(secondary=self.secondary)
         for m in sorted(self.members):
-            sim.send(self.node_id, m, RAgentHeartbeat(secondary=self.secondary))
+            sim.send(self.node_id, m, hb)
         for p in sorted(self.peers):
             sim.send(self.node_id, p, PeerHeartbeat(
                 cat_size=len(self.catalogue), member_count=len(self.members)))
@@ -1387,8 +1393,11 @@ class RAgentNode(BaseNode):
         by_owner: dict[NodeId, list[ObjectId]] = {}
         for oid, owner in matches:
             by_owner.setdefault(owner, []).append(oid)
+        # ``matches`` is in ascending id order (``MetaCatalogue.lookup``,
+        # or a ``FetchReply.missing`` that keeps the order of the ids it
+        # answers), so each owner's ids are too
         for owner in sorted(by_owner):
-            ids = tuple(sorted(by_owner[owner]))
+            ids = tuple(by_owner[owner])
             sim.steps.on_fetch_request(request_id, self.node_id, owner, len(ids))
             st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
             sim.send(self.node_id, owner, FetchObjects(

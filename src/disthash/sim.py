@@ -9,6 +9,16 @@ is a pure function of the endpoint localities; nothing in the engine
 draws randomness. Set iteration is always sorted so output does not
 depend on the interpreter's hash seed.
 
+The event queue is bucketed by simulated time, after Brown's calendar
+queue (CACM 1988): a heap of distinct times, and for each time a FIFO of
+``(seq, event)`` pairs. Heartbeat rounds put dozens of events on one
+instant, so an event costs a deque append and pop, and only an instant
+pays for the heap. ``seq`` only grows and no event may be scheduled
+before the clock, so every event pushed to a time lands behind all those
+already there: draining buckets in time order and each bucket front to
+back is exactly (time, seq) order. A zero-delay timer set while its
+bucket drains joins the end of that bucket.
+
 The trace is opt-in: ``Simulator(trace=True)`` records one
 ``TraceRecord`` per event; without it the engine builds no record and
 ``trace_lines()`` raises ``SimError``. Tracing never changes what is
@@ -20,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .catalogue import clog2
@@ -265,7 +276,8 @@ class Simulator:
         self._latencies: dict[tuple[NodeId, NodeId], int] = {}
         self.clock = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, object]] = []
+        self._heap: list[int] = []  # distinct times with queued events
+        self._buckets: dict[int, deque] = {}  # time -> (seq, event) FIFO
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
         self.trace: list[TraceRecord] = []
@@ -290,7 +302,13 @@ class Simulator:
     # -- scheduling ----------------------------------------------------
 
     def _push(self, time: int, ev) -> None:
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        if time < self.clock:
+            raise SimError(f"event at {time} is before the clock {self.clock}")
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heapq.heappush(self._heap, time)
+        bucket.append((self._seq, ev))
         self._seq += 1
 
     def send(self, src: NodeId, dst: NodeId, msg) -> None:
@@ -353,10 +371,19 @@ class Simulator:
     def run_until(self, t: int) -> None:
         if t < self.clock:
             raise ValueError("cannot run backwards")
-        while self._heap and self._heap[0][0] <= t:
-            time, seq, ev = heapq.heappop(self._heap)
+        heap, buckets, dispatch = self._heap, self._buckets, self._dispatch
+        while heap and heap[0] <= t:
+            # the time leaves the heap only once its bucket is empty, so
+            # an event a handler adds at this time is drained here, and a
+            # handler that raises leaves the rest of the bucket queued
+            time = heap[0]
+            bucket = buckets[time]
             self.clock = time
-            self._dispatch(seq, ev)
+            while bucket:
+                seq, ev = bucket.popleft()
+                dispatch(seq, ev)
+            heapq.heappop(heap)
+            del buckets[time]
         self.clock = t
 
     def _dispatch(self, seq: int, ev) -> None:

@@ -2,20 +2,25 @@
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
 import copy
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
-from disthash.nodes import (AgentHeartbeat, AgentNode, AgentSearch,
+from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
+                            AgentHeartbeat, AgentNode, AgentSearch,
                             AssumeRAgent, CatalogueSync, CopyDone,
-                            CopyReplica, CRead,
-                            ClientNode, LusNode, RAgentNode)
+                            CopyReplica, CRead, ClientNode, FetchObjects,
+                            LusNode, RAgentHeartbeat, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
 from disthash.sim import MS
+from test_acceptance import random_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def build(text, trace=False):
@@ -204,6 +209,29 @@ def test_fetch_requests_batched_per_holder():
             assert tally.fetch_requests <= max(1, len(tally.agents_contacted))
 
 
+@pytest.mark.parametrize("source",
+                         [pytest.param(p, id=p.name) for p in sorted(SCENARIOS.glob("*.txt"))]
+                         + [pytest.param(s, id=f"random_scenario({s})") for s in range(5)])
+def test_fetch_requests_list_their_ids_in_ascending_order(source):
+    # ``_fetch_groups`` relies on this instead of sorting each batch
+    sc = parse_scenario(source.read_text()) if isinstance(source, Path) else random_scenario(source)
+    res = build_simulation(sc)
+    schedule_events(res)
+    sent = []
+    send = res.sim.send
+
+    def spy(src, dst, msg):
+        if isinstance(msg, FetchObjects):
+            sent.append(msg.ids)
+        send(src, dst, msg)
+
+    res.sim.send = spy
+    finish(res)
+    assert sent
+    for ids in sent:
+        assert all(x < y for x, y in zip(ids, ids[1:])), ids
+
+
 def test_update_bumps_version_on_every_replica():
     text = ONE_CLUSTER + "900 update c1 a2 obj1 beef\n"
     res = build(text)
@@ -360,7 +388,7 @@ def test_below_threshold_no_migration():
     assert res.labels["obj1"].id in ragent(res, "r1").catalogue
 
 
-FAILOVER = (Path(__file__).resolve().parent.parent / "scenarios" / "failover.txt").read_text()
+FAILOVER = (SCENARIOS / "failover.txt").read_text()
 
 
 def test_ragent_failover_preserves_search_results():
@@ -976,6 +1004,30 @@ def test_a_promoted_agent_leaves_no_heartbeat_timer_behind():
         beats = [r.time for r in res.sim.trace
                  if r.kind == "timer" and r.tag == "hb" and r.node == node]
         assert beats and max(beats) == t
+
+
+def test_one_frozen_heartbeat_instance_serves_a_whole_beat_round():
+    res = staged(ONE_CLUSTER)
+    sim = res.sim
+    beats: dict[tuple, list] = {}
+    send = sim.send
+
+    def spy(src, dst, msg):
+        if isinstance(msg, (AgentHeartbeat, RAgentHeartbeat)):
+            beats.setdefault((sim.clock, src, type(msg)), []).append(msg)
+        send(src, dst, msg)
+
+    sim.send = spy
+    finish(res)
+    sweeps = [ms for (_, src, kind), ms in beats.items() if kind is RAgentHeartbeat]
+    assert sweeps and all(len(ms) == 3 and len({id(m) for m in ms}) == 1 for ms in sweeps)
+    agent_beats = {id(m) for (_, _, kind), ms in beats.items()
+                   if kind is AgentHeartbeat for m in ms}
+    assert agent_beats <= {id(AGENT_HEARTBEAT), id(AGENT_HEARTBEAT_RESYNC)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        AGENT_HEARTBEAT.resync = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sweeps[0][0].secondary = None
 
 
 def test_sweep_repairs_only_short_holder_lists_in_id_order():

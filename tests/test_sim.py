@@ -184,6 +184,108 @@ def test_untraced_engine_records_nothing_and_simulates_the_same():
         plain.trace_lines()
 
 
+# -- the bucketed event queue ----------------------------------------------
+
+
+class Scripted(Recorder):
+    """A recorder that runs ``react[item](sim)`` after logging a message
+    or timer ``item``."""
+
+    def __init__(self, node_id, locality, react):
+        super().__init__(node_id, locality)
+        self.react = react
+
+    def on_message(self, sim, msg, src):
+        super().on_message(sim, msg, src)
+        if msg in self.react:
+            self.react[msg](sim)
+
+    def on_timer(self, sim, tag, payload):
+        super().on_timer(sim, tag, payload)
+        if tag in self.react:
+            self.react[tag](sim)
+
+
+def scripted_pair(react_b):
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=True)
+    a = Recorder(NodeId("a"), loc())
+    b = Scripted(NodeId("b"), loc(), react_b)
+    sim.add_node(a)
+    sim.add_node(b)
+    return sim, a, b
+
+
+def seen(node):
+    return [(t, item) for t, _, item, _ in node.log]
+
+
+def test_events_added_at_a_draining_time_run_after_those_already_there():
+    sim, a, b = scripted_pair({
+        "m1": lambda s: (s.set_timer(b.node_id, "z1", 0),
+                         s.send(b.node_id, a.node_id, "reply")),
+        "z1": lambda s: s.set_timer(b.node_id, "z2", 0),
+    })
+    sim.send(a.node_id, b.node_id, "m1")
+    sim.send(a.node_id, b.node_id, "m2")
+    sim.set_timer(b.node_id, "t", 5 * MS)
+    sim.set_timer(a.node_id, "x", 10 * MS)
+    sim.run_until(20 * MS)
+    assert seen(b) == [(5 * MS, "m1"), (5 * MS, "m2"), (5 * MS, "t"),
+                       (5 * MS, "z1"), (5 * MS, "z2")]
+    # the reply joins the 10 ms bucket behind the timer set at time 0
+    assert seen(a) == [(10 * MS, "x"), (10 * MS, "reply")]
+    order = [(r.time, r.seq) for r in sim.trace]
+    assert order == sorted(order) and len({s for _, s in order}) == len(order)
+    assert sim._heap == [] and sim._buckets == {}
+
+
+def test_a_handler_that_raises_leaves_the_rest_of_its_bucket_queued():
+    def boom(s):
+        raise RuntimeError("boom")
+
+    sim, a, b = scripted_pair({"boom": boom})
+    for msg in ("m1", "boom", "m2"):
+        sim.send(a.node_id, b.node_id, msg)
+    sim.set_timer(b.node_id, "later", 7 * MS)
+    with pytest.raises(RuntimeError):
+        sim.run_until(20 * MS)
+    assert seen(b) == [(5 * MS, "m1"), (5 * MS, "boom")] and sim.clock == 5 * MS
+    del b.react["boom"]
+    sim.run_until(20 * MS)
+    assert seen(b)[2:] == [(5 * MS, "m2"), (7 * MS, "later")]
+    assert [r.seq for r in sim.trace] == [0, 1, 2, 3]
+
+
+def test_run_until_stops_between_two_buckets():
+    sim, a, b = two_nodes()
+    sim.set_timer(b.node_id, "early", 5 * MS)
+    sim.set_timer(b.node_id, "late", 9 * MS)
+    sim.run_until(7 * MS)
+    assert seen(b) == [(5 * MS, "early")] and sim.clock == 7 * MS
+    sim.set_timer(b.node_id, "now", 0)  # lands exactly on the stop time
+    sim.run_until(7 * MS)
+    sim.run_until(9 * MS)  # the stop time is inclusive
+    assert seen(b)[1:] == [(7 * MS, "now"), (9 * MS, "late")]
+    assert sim.clock == 9 * MS and sim._heap == []
+
+
+def test_an_event_before_the_clock_is_rejected():
+    sim, a, b = two_nodes()
+    sim.inject_crash(b.node_id, 5 * MS)
+    sim.run_until(10 * MS)
+    pending = sim._seq
+    with pytest.raises(SimError):
+        sim.inject_crash(a.node_id, 9 * MS)
+    with pytest.raises(SimError):
+        sim.inject_rejoin(b.node_id, 9 * MS)
+    with pytest.raises(SimError):
+        sim.set_timer(a.node_id, "past", -1)
+    assert sim._seq == pending and sim._heap == []
+    sim.inject_rejoin(b.node_id, 10 * MS)  # the current time is allowed
+    sim.run_until(10 * MS)
+    assert seen(b) == [(5 * MS, None), (10 * MS, None)]
+
+
 # -- step accounting -----------------------------------------------------
 
 
