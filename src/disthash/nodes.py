@@ -680,16 +680,17 @@ class AgentNode(BaseNode):
     # -- heartbeats and failover ------------------------------------------
 
     def _tick_hb(self, sim, payload):
+        hb = self.config.hb
         if self.joined and self.ragent is not None:
             sim.send(self.node_id, self.ragent,
                      AGENT_HEARTBEAT_RESYNC if self.sync_stale else AGENT_HEARTBEAT)
             silent = sim.clock - self.last_ragent_seen
-            if silent > self.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
+            if silent > hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
         # a promotion has replaced this node; the new super-peer beats on
         # its own timers
         if sim.nodes[self.node_id] is self:
-            sim.set_timer(self.node_id, "hb", self.hb.period_us)
+            sim.set_timer(self.node_id, "hb", hb.period_us)
 
     def _suspect_ragent(self, sim):
         self._suspected_ragent = self.ragent

@@ -11,13 +11,20 @@ depend on the interpreter's hash seed.
 
 The event queue is bucketed by simulated time, after Brown's calendar
 queue (CACM 1988): a heap of distinct times, and for each time a FIFO of
-``(seq, event)`` pairs. Heartbeat rounds put dozens of events on one
-instant, so an event costs a deque append and pop, and only an instant
-pays for the heap. ``seq`` only grows and no event may be scheduled
-before the clock, so every event pushed to a time lands behind all those
-already there: draining buckets in time order and each bucket front to
-back is exactly (time, seq) order. A zero-delay timer set while its
-bucket drains joins the end of that bucket.
+``(seq, event)`` pairs, so only a new instant pays for the heap. A
+delivery is the plain tuple ``(src, dst, msg)`` and a timer ``(node,
+owner, tag, payload)``, ``owner`` being the node object that set it;
+a crash or rejoin is ``(node, "crash")`` or ``(node, "rejoin")``.
+``send`` and ``set_timer`` append straight to their bucket; crash,
+rejoin and the ``SendFailed`` bounce go through ``_push``.
+
+No event is scheduled before the clock: ``_push`` checks the time,
+``set_timer`` rejects a negative delay, and ``_latency`` admits only a
+non-negative latency to the memo that ``send`` reads. As ``seq`` only
+grows, every event pushed to a time lands behind all those already
+there: draining buckets in time order and each bucket front to back is
+exactly (time, seq) order. A zero-delay timer set while its bucket
+drains joins the end of that bucket.
 
 The trace is opt-in: ``Simulator(trace=True)`` records one
 ``TraceRecord`` per event; without it the engine builds no record and
@@ -198,32 +205,7 @@ def ideal_search_steps(total_objects: int, total_agents: int, clusters: int = 1)
 
 
 # ---------------------------------------------------------------------
-# Event queue
-
-
-@dataclass(slots=True)
-class _Deliver:
-    src: NodeId
-    dst: NodeId
-    msg: object
-
-
-@dataclass(slots=True)
-class _Timer:
-    node: NodeId
-    owner: object  # the node object installed when the timer was set
-    tag: str
-    payload: object = None
-
-
-@dataclass
-class _Crash:
-    node: NodeId
-
-
-@dataclass
-class _Rejoin:
-    node: NodeId
+# Trace records and the engine
 
 
 @dataclass(slots=True)
@@ -306,25 +288,37 @@ class Simulator:
             raise SimError(f"event at {time} is before the clock {self.clock}")
         bucket = self._buckets.get(time)
         if bucket is None:
-            bucket = self._buckets[time] = deque()
-            heapq.heappush(self._heap, time)
+            bucket = self._open(time)
         bucket.append((self._seq, ev))
         self._seq += 1
+
+    def _open(self, time: int) -> deque:
+        bucket = self._buckets[time] = deque()
+        heapq.heappush(self._heap, time)
+        return bucket
 
     def send(self, src: NodeId, dst: NodeId, msg) -> None:
         if src in self.crashed:
             return
-        self._push(self.clock + self._latency(src, dst), _Deliver(src, dst, msg))
+        # a latency is never negative, so this is not before the clock
+        time = self.clock + (self._latencies.get((src, dst)) or self._latency(src, dst))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._open(time)
+        bucket.append((self._seq, (src, dst, msg)))
+        self._seq += 1
 
     def _latency(self, src: NodeId, dst: NodeId) -> int:
         """Link latency, memoized per (src, dst) pair. A node id keeps its
         locality for life: a role change passes it on to the new node."""
         lat = self._latencies.get((src, dst))
         if lat is None:
-            if dst not in self.nodes:
-                raise UnknownNode(dst)
-            lat = self._latencies[src, dst] = self.network.latency(
-                self.nodes[src].locality, self.nodes[dst].locality)
+            if src not in self.nodes or dst not in self.nodes:
+                raise UnknownNode(dst if src in self.nodes else src)
+            lat = self.network.latency(self.nodes[src].locality, self.nodes[dst].locality)
+            if lat < 0:
+                raise SimError(f"negative latency {lat} from {src} to {dst}")
+            self._latencies[src, dst] = lat
         return lat
 
     def set_timer(self, node: NodeId, tag: str, delay: int, payload=None) -> None:
@@ -335,17 +329,24 @@ class Simulator:
         owner = self.nodes.get(node)
         if owner is None:
             raise UnknownNode(node)
-        self._push(self.clock + delay, _Timer(node, owner, tag, payload))
+        if delay < 0:
+            raise SimError(f"timer {tag!r} at {node} has negative delay {delay}")
+        time = self.clock + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._open(time)
+        bucket.append((self._seq, (node, owner, tag, payload)))
+        self._seq += 1
 
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
             raise UnknownNode(node)
-        self._push(at, _Crash(node))
+        self._push(at, (node, "crash"))
 
     def inject_rejoin(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
             raise UnknownNode(node)
-        self._push(at, _Rejoin(node))
+        self._push(at, (node, "rejoin"))
 
     # -- event sinks ---------------------------------------------------
 
@@ -387,53 +388,53 @@ class Simulator:
         self.clock = t
 
     def _dispatch(self, seq: int, ev) -> None:
-        kind = type(ev)
-        if kind is _Deliver:
-            msg = ev.msg
+        n = len(ev)
+        if n == 3:
+            src, dst, msg = ev
             rid = getattr(msg, "request_id", None)
-            dead = ev.dst in self.crashed
+            dead = dst in self.crashed
             if self.tracing:
-                rec = TraceRecord(self.clock, seq, "drop" if dead else "deliver", ev.dst,
-                                  ev.src, type(msg).__name__, rid, getattr(msg, "hop", None))
+                rec = TraceRecord(self.clock, seq, "drop" if dead else "deliver", dst,
+                                  src, type(msg).__name__, rid, getattr(msg, "hop", None))
                 self.trace.append(rec)
             if dead:
                 # bounce a failure notice to a live, non-engine sender;
                 # pushed directly because the nominal source is dead
-                if ev.src not in self.crashed and not isinstance(msg, SendFailed):
-                    self._push(self.clock + self._latency(ev.dst, ev.src), _Deliver(
-                        ev.dst, ev.src, SendFailed(
-                            original=msg, dead=ev.dst, request_id=rid,
-                            hop=getattr(msg, "hop", 0))))
+                if src not in self.crashed and not isinstance(msg, SendFailed):
+                    self._push(self.clock + self._latency(dst, src), (
+                        dst, src, SendFailed(original=msg, dead=dst, request_id=rid,
+                                             hop=getattr(msg, "hop", 0))))
                 return
             self.deliver_count += 1
             if rid is not None:
                 self.steps.on_message(rid)
             # a node whose role has no handler for the type returns False
-            if self.nodes[ev.dst].on_message(self, msg, ev.src) is False and self.tracing:
+            if self.nodes[dst].on_message(self, msg, src) is False and self.tracing:
                 self.trace.append(replace(rec, kind="ignored"))
-        elif kind is _Timer:
-            if ev.node in self.crashed:
+        elif n == 4:
+            node, owner, tag, payload = ev
+            if node in self.crashed:
                 return
             if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "timer", ev.node, tag=ev.tag))
-            if self.nodes[ev.node] is ev.owner:
-                ev.owner.on_timer(self, ev.tag, ev.payload)
-        elif kind is _Crash:
-            if ev.node in self.crashed:
+                self.trace.append(TraceRecord(self.clock, seq, "timer", node, tag=tag))
+            if self.nodes[node] is owner:
+                owner.on_timer(self, tag, payload)
+        elif ev[1] == "crash":
+            node = ev[0]
+            if node in self.crashed:
                 return
-            self.crashed.add(ev.node)
+            self.crashed.add(node)
             if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "crash", ev.node))
-            self.nodes[ev.node].on_crash(self)
-        elif kind is _Rejoin:
-            if ev.node not in self.crashed:
-                raise NotCrashed(ev.node)
-            self.crashed.discard(ev.node)
+                self.trace.append(TraceRecord(self.clock, seq, "crash", node))
+            self.nodes[node].on_crash(self)
+        else:  # (node, "rejoin")
+            node = ev[0]
+            if node not in self.crashed:
+                raise NotCrashed(node)
+            self.crashed.discard(node)
             if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "rejoin", ev.node))
-            self.nodes[ev.node].on_rejoin(self)
-        else:  # pragma: no cover
-            raise SimError(f"unknown event {ev}")
+                self.trace.append(TraceRecord(self.clock, seq, "rejoin", node))
+            self.nodes[node].on_rejoin(self)
 
     def trace_lines(self, fmt: str = "digest") -> list[str]:
         """The trace, one line per record, in a ``TRACE_FORMATS`` format."""

@@ -4,20 +4,21 @@ and cluster reconfiguration."""
 import copy
 import dataclasses
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
 from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
-                            AgentHeartbeat, AgentNode, AgentSearch,
+                            AgentHeartbeat, AgentNode, AgentSearch, BaseNode,
                             AssumeRAgent, CatalogueSync, CopyDone,
                             CopyReplica, CRead, ClientNode, FetchObjects,
                             LusNode, RAgentHeartbeat, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
-from disthash.sim import MS
+from disthash.sim import MS, NetworkModel, Simulator
 from test_acceptance import random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -888,6 +889,34 @@ def test_role_comes_from_the_node_class():
     finish(res)
     assert [e[1] for e in res.sim.member_events if e[3] == "a2"][-1] == "demote"
     assert res.sim.nodes[NodeId("a2")].role is Role.AGENT
+
+
+def test_the_engine_calls_every_wrap_point_through_its_class(monkeypatch):
+    """Per-layer tracing wraps these methods on their classes. An engine
+    that called around a wrap would leave that layer reading zero."""
+    counts = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((Simulator, "send"), (Simulator, "set_timer"),
+                        (NetworkModel, "latency"), (BaseNode, "on_message"),
+                        (BaseNode, "on_timer")):
+        count(owner, name)
+    text = (SCENARIOS / "basic.txt").read_text()
+    seen = {}
+    for trace in (False, True):
+        counts.clear()
+        res = build(text, trace)
+        assert res.issues == [] and counts["on_message"] == res.sim.deliver_count
+        seen[trace] = dict(counts)
+    assert seen[False] == seen[True]
+    assert all(seen[False][name] > 0 for name in ("send", "set_timer", "latency", "on_timer"))
 
 
 @pytest.mark.parametrize("text", [FAILOVER, SPLIT_MERGE], ids=["failover", "split_merge"])

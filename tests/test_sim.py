@@ -74,6 +74,26 @@ def test_send_to_unregistered_node():
         sim.send(a.node_id, NodeId("ghost"), "x")
 
 
+def test_send_from_an_unregistered_node_names_the_sender():
+    sim, a, _ = two_nodes()
+    with pytest.raises(UnknownNode) as err:
+        sim.send(NodeId("ghost"), a.node_id, "x")
+    assert err.value.args == (NodeId("ghost"),)
+    assert sim._latencies == {} and sim._seq == 0
+
+
+def test_a_negative_latency_is_rejected_and_never_memoized():
+    sim = Simulator(NetworkModel(-20 * MS, MS))
+    a, b = Recorder(NodeId("a"), loc()), Recorder(NodeId("b"), loc())
+    sim.add_node(a)
+    sim.add_node(b)
+    for _ in range(2):  # the second send must not find the bad value memoized
+        with pytest.raises(SimError, match="negative latency"):
+            sim.send(a.node_id, b.node_id, "x")
+    assert sim._latencies == {} and sim._seq == 0
+    assert sim._heap == [] and sim._buckets == {}
+
+
 def test_crash_drops_and_bounces():
     sim, a, b = two_nodes()
     sim.inject_crash(b.node_id, 1 * MS)
@@ -267,6 +287,28 @@ def test_run_until_stops_between_two_buckets():
     sim.run_until(9 * MS)  # the stop time is inclusive
     assert seen(b)[1:] == [(7 * MS, "now"), (9 * MS, "late")]
     assert sim.clock == 9 * MS and sim._heap == []
+
+
+def test_a_bounce_a_delivery_and_a_timer_on_one_instant_run_in_seq_order():
+    # all links take 5 ms. At 5 ms the send to the crashed b is dropped,
+    # and its SendFailed bounce (queued by _push) lands at 10 ms between
+    # a timer set at 0 and a message c sends at 5 ms (queued by send)
+    sim, a, b = two_nodes()
+    c = Scripted(NodeId("c"), loc(), {"go": lambda s: s.send(c.node_id, a.node_id, "y")})
+    sim.add_node(c)
+    sim.inject_crash(b.node_id, 0)
+    sim.send(a.node_id, b.node_id, "x")
+    sim.set_timer(a.node_id, "t", 10 * MS)
+    sim.set_timer(c.node_id, "go", 5 * MS)
+    sim.run_until(20 * MS)
+    got = [(t, k, type(item).__name__ if k == "msg" else item) for t, k, item, _ in a.log]
+    assert got == [(10 * MS, "timer", "t"), (10 * MS, "msg", "SendFailed"),
+                   (10 * MS, "msg", "str")] and a.log[2][2] == "y"
+    at_10 = [(r.seq, r.kind, r.detail) for r in sim.trace if r.time == 10 * MS]
+    assert at_10 == [(2, "timer", "t"), (4, "deliver", "SendFailed::b"),
+                     (5, "deliver", "str::c")]
+    order = [(r.time, r.seq) for r in sim.trace]
+    assert order == sorted(set(order))  # strictly increasing (time, seq)
 
 
 def test_an_event_before_the_clock_is_rejected():
