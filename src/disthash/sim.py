@@ -300,7 +300,8 @@ class Simulator:
     def send(self, src: NodeId, dst: NodeId, msg) -> None:
         if src in self.crashed:
             return
-        # a latency is never negative, so this is not before the clock
+        # the memo holds no negative latency, so this is not before the
+        # clock; a memoized 0 is falsy and reaches _latency, which returns it
         time = self.clock + (self._latencies.get((src, dst)) or self._latency(src, dst))
         bucket = self._buckets.get(time)
         if bucket is None:
