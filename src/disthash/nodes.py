@@ -214,7 +214,9 @@ class StoreReplica:
     hop: int = 0
 
 
-# client -> agent
+# client -> agent -> super-peer: the same message all the way. The agent
+# adds the reply route; it rides in the message, so it survives being
+# forwarded after a merge demotion.
 
 
 @dataclass(kw_only=True)
@@ -222,21 +224,30 @@ class CSearch:
     request_id: str
     criterion: PatternKey
     mode: str  # all | first
+    route: tuple = ()
     hop: int = 1
+
+    @property
+    def op(self) -> str:
+        return "search" if self.mode == "all" else "search_first"
 
 
 @dataclass(kw_only=True)
 class CInsert:
+    op = "insert"
     request_id: str
     obj: DistObject
+    route: tuple = ()
     hop: int = 1
 
 
 @dataclass(kw_only=True)
 class CUpdate:
+    op = "update"
     request_id: str
     oid: ObjectId
     payload: bytes
+    route: tuple = ()
     hop: int = 1
 
 
@@ -245,44 +256,6 @@ class CRead:
     request_id: str
     oid: ObjectId
     hop: int = 1
-
-
-@dataclass(kw_only=True)
-class ReadReply:
-    request_id: str
-    obj: DistObject | None
-    outcome: str
-    hop: int = 0
-
-
-# agent -> ragent (the reply path rides in the message, so it survives
-# being forwarded after a merge demotion)
-
-
-@dataclass(kw_only=True)
-class AgentSearch:
-    request_id: str
-    criterion: PatternKey
-    mode: str
-    route: tuple
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class AgentInsert:
-    request_id: str
-    obj: DistObject
-    route: tuple
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class AgentUpdate:
-    request_id: str
-    oid: ObjectId
-    payload: bytes
-    route: tuple
-    hop: int = 0
 
 
 # super-peer to super-peer / to member agents
@@ -334,7 +307,6 @@ class DelegateInsert:
 class OwnerQuery:
     request_id: str
     oid: ObjectId
-    purpose: str = "update"  # update | migrate
     hop: int = 0
 
 
@@ -343,7 +315,6 @@ class OwnerQueryReply:
     request_id: str
     oid: ObjectId
     has: bool
-    purpose: str
     hop: int = 0
 
 
@@ -826,38 +797,26 @@ class AgentNode(BaseNode):
 
     def _on_CRead(self, sim, msg: CRead, src):
         obj = self.store.get(msg.oid)
-        outcome = "ok" if obj is not None else "not_held"
-        sim.send(self.node_id, src, ReadReply(
-            request_id=msg.request_id, obj=obj, outcome=outcome, hop=msg.hop + 1))
+        self._reply(sim, (src,), request_id=msg.request_id, op="read",
+                    outcome="ok" if obj is not None else "not_held",
+                    objects=(obj,) if obj is not None else (), hop=msg.hop + 1)
 
     # -- client relays -------------------------------------------------------
 
-    def _on_CSearch(self, sim, msg: CSearch, src):
+    def _relay_op(self, sim, msg: CSearch | CInsert | CUpdate, src):
+        """Hand a client op to the super-peer with this node and the
+        client as its reply route. An op that already has a route was
+        sent to this node while it was a super-peer; a merge has demoted
+        it since, so the op goes on, route intact, to the cluster it
+        merged into."""
         if not self.joined or self.ragent is None:
-            self._reply(sim, (src,), request_id=msg.request_id, outcome="no_ragent",
-                        op="search" if msg.mode == "all" else "search_first")
+            self._reply(sim, msg.route or (src,), request_id=msg.request_id,
+                        op=msg.op, outcome="no_ragent")
             return
-        sim.send(self.node_id, self.ragent, AgentSearch(
-            request_id=msg.request_id, criterion=msg.criterion, mode=msg.mode,
-            route=(self.node_id, src), hop=msg.hop + 1))
+        sim.send(self.node_id, self.ragent, replace(
+            msg, route=msg.route or (self.node_id, src), hop=msg.hop + 1))
 
-    def _on_CInsert(self, sim, msg: CInsert, src):
-        if not self.joined or self.ragent is None:
-            self._reply(sim, (src,), request_id=msg.request_id, op="insert",
-                        outcome="no_ragent")
-            return
-        sim.send(self.node_id, self.ragent, AgentInsert(
-            request_id=msg.request_id, obj=msg.obj,
-            route=(self.node_id, src), hop=msg.hop + 1))
-
-    def _on_CUpdate(self, sim, msg: CUpdate, src):
-        if not self.joined or self.ragent is None:
-            self._reply(sim, (src,), request_id=msg.request_id, op="update",
-                        outcome="no_ragent")
-            return
-        sim.send(self.node_id, self.ragent, AgentUpdate(
-            request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
-            route=(self.node_id, src), hop=msg.hop + 1))
+    _on_CSearch = _on_CInsert = _on_CUpdate = _relay_op
 
     # a peer that still lists this node as a super-peer is told "not
     # here", so it neither waits for an answer nor leaks request state
@@ -867,8 +826,7 @@ class AgentNode(BaseNode):
 
     def _on_OwnerQuery(self, sim, msg: OwnerQuery, src):
         sim.send(self.node_id, src, OwnerQueryReply(
-            request_id=msg.request_id, oid=msg.oid, has=False,
-            purpose=msg.purpose, hop=msg.hop + 1))
+            request_id=msg.request_id, oid=msg.oid, has=False, hop=msg.hop + 1))
 
     def _on_MigrateRequest(self, sim, msg: MigrateRequest, src):
         sim.send(self.node_id, src, MigrateDenied(
@@ -884,13 +842,9 @@ class AgentNode(BaseNode):
         elif isinstance(orig, RAgentDown):
             # the secondary is dead too: the cluster state is unrecoverable
             sim.record_cluster_lost(orig.ragent, self.node_id)
-        elif isinstance(orig, (AgentSearch, AgentInsert, AgentUpdate)):
-            op = {"AgentSearch": "search", "AgentInsert": "insert",
-                  "AgentUpdate": "update"}[type(orig).__name__]
-            if isinstance(orig, AgentSearch) and orig.mode == "first":
-                op = "search_first"
+        elif isinstance(orig, (CSearch, CInsert, CUpdate)):
             # straight to the client, the last hop of the route
-            self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=op,
+            self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=orig.op,
                         outcome="ragent_down", hop=orig.hop + 1)
         # bounced heartbeats need no reaction; detection is timeout-driven
 
@@ -956,7 +910,7 @@ class RAgentNode(BaseNode):
         self.resolutions: dict[str, ResolveState] = {}
         self.updates: dict[str, UpdateExec] = {}
         self.out_migrations: dict[str, tuple] = {}   # rid -> (oid, requester)
-        self.in_migrations: dict[str, dict] = {}
+        self.in_migrations: dict[str, ObjectId] = {}
         self._migseq = 0
         # in-flight re-replications: copy_id -> (oid, dest, source); the
         # dest only becomes a catalogue holder on CopyDone
@@ -1357,28 +1311,19 @@ class RAgentNode(BaseNode):
             sim.send(self.node_id, msg.target, m)
         self.deferred.clear()
 
-    # -- client ops addressed to this node while it was an agent ----------
+    # -- client ops --------------------------------------------------------
 
-    def _on_CSearch(self, sim, msg: CSearch, src):
-        self._on_AgentSearch(sim, AgentSearch(
-            request_id=msg.request_id, criterion=msg.criterion, mode=msg.mode,
-            route=(self.node_id, src), hop=msg.hop), src)
-
-    def _on_CInsert(self, sim, msg: CInsert, src):
-        self._on_AgentInsert(sim, AgentInsert(
-            request_id=msg.request_id, obj=msg.obj,
-            route=(self.node_id, src), hop=msg.hop), src)
-
-    def _on_CUpdate(self, sim, msg: CUpdate, src):
-        self._on_AgentUpdate(sim, AgentUpdate(
-            request_id=msg.request_id, oid=msg.oid, payload=msg.payload,
-            route=(self.node_id, src), hop=msg.hop), src)
+    def _routed(self, msg: CSearch | CInsert | CUpdate, src):
+        """``msg`` with its reply route. An op without one came straight
+        from a client that sent it here while this node was an agent; it
+        is answered through this node. Called before a merge window
+        defers the op, so a deferred op still carries its client."""
+        return msg if msg.route else replace(msg, route=(self.node_id, src))
 
     def _on_CRead(self, sim, msg: CRead, src):
         # a super-peer stores no replicas
-        sim.send(self.node_id, src, ReadReply(
-            request_id=msg.request_id, obj=None, outcome="not_held",
-            hop=msg.hop + 1))
+        self._reply(sim, (src,), request_id=msg.request_id, op="read",
+                    outcome="not_held", hop=msg.hop + 1)
 
     # -- search ------------------------------------------------------------
 
@@ -1404,7 +1349,8 @@ class RAgentNode(BaseNode):
             sim.send(self.node_id, owner, FetchObjects(
                 request_id=request_id, ids=ids, hop=hop))
 
-    def _on_AgentSearch(self, sim, msg: AgentSearch, src):
+    def _on_CSearch(self, sim, msg: CSearch, src):
+        msg = self._routed(msg, src)
         self._search(sim, msg.request_id, SearchState(
             mode=msg.mode, criterion=msg.criterion,
             route=msg.route, max_hop=msg.hop), fan_out=True)
@@ -1528,7 +1474,8 @@ class RAgentNode(BaseNode):
                 return target
         return None
 
-    def _on_AgentInsert(self, sim, msg: AgentInsert, src):
+    def _on_CInsert(self, sim, msg: CInsert, src):
+        msg = self._routed(msg, src)
         if self.reconfiguring:
             self.deferred.append(msg)
             return
@@ -1570,7 +1517,8 @@ class RAgentNode(BaseNode):
 
     # -- update -------------------------------------------------------------
 
-    def _on_AgentUpdate(self, sim, msg: AgentUpdate, src):
+    def _on_CUpdate(self, sim, msg: CUpdate, src):
+        msg = self._routed(msg, src)
         if self.reconfiguring:
             self.deferred.append(msg)
             return
@@ -1591,19 +1539,14 @@ class RAgentNode(BaseNode):
             oid=oid, payload=payload, route=route,
             awaiting=set(self.peers), hop=hop)
         for p in sorted(self.peers):
-            sim.send(self.node_id, p, OwnerQuery(
-                request_id=rid, oid=oid, purpose="update", hop=hop + 1))
+            sim.send(self.node_id, p, OwnerQuery(request_id=rid, oid=oid, hop=hop + 1))
 
     def _on_OwnerQuery(self, sim, msg: OwnerQuery, src):
         sim.send(self.node_id, src, OwnerQueryReply(
             request_id=msg.request_id, oid=msg.oid,
-            has=msg.oid in self.catalogue, purpose=msg.purpose,
-            hop=msg.hop + 1))
+            has=msg.oid in self.catalogue, hop=msg.hop + 1))
 
     def _on_OwnerQueryReply(self, sim, msg: OwnerQueryReply, src):
-        if msg.purpose == "migrate":
-            self._migrate_owner_reply(sim, msg, src)
-            return
         rs = self.resolutions.get(msg.request_id)
         if rs is None:
             return
@@ -1721,7 +1664,7 @@ class RAgentNode(BaseNode):
     def _start_migration(self, sim, oid: ObjectId, target: NodeId):
         self._migseq += 1
         mid = f"{self.node_id}.mig{self._migseq}"
-        self.in_migrations[mid] = {"oid": oid, "attempts": 1}
+        self.in_migrations[mid] = oid
         sim.send(self.node_id, target, MigrateRequest(request_id=mid, oid=oid))
 
     def _on_MigrateRequest(self, sim, msg: MigrateRequest, src):
@@ -1769,8 +1712,7 @@ class RAgentNode(BaseNode):
             request_id=mid, ids=(oid,), purpose="migrate"))
 
     def _on_MigrateTransfer(self, sim, msg: MigrateTransfer, src):
-        state = self.in_migrations.pop(msg.request_id, None)
-        if state is None:
+        if self.in_migrations.pop(msg.request_id, None) is None:
             return
         obj = msg.obj
         self.hot.reset(obj.id)
@@ -1778,9 +1720,11 @@ class RAgentNode(BaseNode):
             owner, second = select_replica_holders(self.loads)
             self.catalogue.insert(obj.id, obj.type_tag, obj.index_keys,
                                   [owner, second])
-        except (InsufficientAgents, DuplicateObject):
-            sim.send(self.node_id, src,
-                     MigrateAck(request_id=msg.request_id, oid=obj.id))
+        except (InsufficientAgents, DuplicateObject) as exc:
+            # refuse what cannot be placed, so the exporter keeps it; a
+            # duplicate is already here, so the exporter may drop its copy
+            answer = MigrateDenied if isinstance(exc, InsufficientAgents) else MigrateAck
+            sim.send(self.node_id, src, answer(request_id=msg.request_id, oid=obj.id))
             return
         self.loads.bump(owner)
         self.loads.bump(second)
@@ -1807,26 +1751,16 @@ class RAgentNode(BaseNode):
         self._release_lock(sim, oid)
 
     def _on_MigrateDenied(self, sim, msg: MigrateDenied, src):
-        state = self.in_migrations.get(msg.request_id)
-        if state is None:
+        # to the exporter: the requester could not place the object, so
+        # it stays here
+        entry = self.out_migrations.pop(msg.request_id, None)
+        if entry is not None:
+            self._release_lock(sim, entry[0])
             return
-        if state["attempts"] >= 2:
-            del self.in_migrations[msg.request_id]
-            self.hot.reset(state["oid"])
-            return
-        state["attempts"] += 1
-        # re-resolve the owning cluster, then retry exactly once
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, OwnerQuery(
-                request_id=msg.request_id, oid=state["oid"], purpose="migrate"))
-
-    def _migrate_owner_reply(self, sim, msg: OwnerQueryReply, src):
-        state = self.in_migrations.get(msg.request_id)
-        if state is None or not msg.has or state.get("retried"):
-            return
-        state["retried"] = True
-        sim.send(self.node_id, src, MigrateRequest(
-            request_id=msg.request_id, oid=state["oid"]))
+        # to the requester: forget the migration; the tally starts over
+        oid = self.in_migrations.pop(msg.request_id, None)
+        if oid is not None:
+            self.hot.reset(oid)
 
     # -- replica copy retries ------------------------------------------------
 
@@ -1862,9 +1796,9 @@ class RAgentNode(BaseNode):
             if orig.obj.id not in self.catalogue:
                 sim.record_loss(orig.obj.id, "insert-holders-crashed")
         elif isinstance(orig, MigrateRequest):
-            state = self.in_migrations.pop(orig.request_id, None)
-            if state is not None:
-                self.hot.reset(state["oid"])
+            oid = self.in_migrations.pop(orig.request_id, None)
+            if oid is not None:
+                self.hot.reset(oid)
             self._drop_peer(sim, dead)
         elif isinstance(orig, MergeRequest):
             if dead == self.merge_target:
@@ -1989,12 +1923,6 @@ class ClientNode(BaseNode):
 
     def _note_progress(self, sim, msg: ProgressNote):
         self.progress[msg.request_id] = self.progress.get(msg.request_id, 0) + 1
-
-    def _on_ReadReply(self, sim, msg: ReadReply, src):
-        self._pending.pop(msg.request_id, None)
-        objs = (msg.obj,) if msg.obj is not None else ()
-        self._record(sim, msg.request_id, "read", msg.outcome, msg.hop,
-                     objects=objs)
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         rid = getattr(msg.original, "request_id", None)

@@ -23,12 +23,12 @@ GOLDEN = {
     "failover.txt": "2009734635c4ec230e0f5dea15550215d2de90d27af92f1a23e4144d03c3f338",
 }
 GOLDEN_TRACE = {
-    "basic.txt": "162a2bd0fd8b11c12d4c0b7a221676042ea2c5c9470e0c258f5b5a6c63ddb682",
-    "failover.txt": "c2cc4b816c1bec1b2002f9b288b872905e3171468f1545e4b84655c9bc2edf14",
+    "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
+    "failover.txt": "dfd6bda5b6c29c542475ebf1b5b17b9373c45abeb3ac8b907a1ffb43ddffe1d6",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
-GOLDEN_CORPUS_TRACE = "c93a27207031905afec16a306f2deaff67ca94a56a53a4e50f9485e9654bca39"
+GOLDEN_CORPUS_TRACE = "a1ab38b20a98dbc78ca6d4fad6b1e8bfafe8673e26f25fa9bb96345988c38b9e"
 
 
 def lines_bytes(lines: list[str]) -> bytes:

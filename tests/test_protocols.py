@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from disthash import nodes
 from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
 from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
-                            AgentHeartbeat, AgentNode, AgentSearch, BaseNode,
-                            AssumeRAgent, CatalogueSync, CopyDone,
-                            CopyReplica, CRead, ClientNode, FetchObjects,
-                            LusNode, RAgentHeartbeat, RAgentNode)
+                            AgentHeartbeat, AgentNode, AssumeRAgent, BaseNode,
+                            CatalogueSync, CInsert, ClientNode, CopyDone,
+                            CopyReplica, CRead, CSearch, FetchObjects,
+                            JoinRequest, LusNode, RAgentHeartbeat, RAgentNode)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
@@ -116,6 +117,28 @@ def test_duplicate_insert_reported():
     assert completions(res)["q0002"]["outcome"] == "duplicate"
 
 
+def test_an_agent_answers_an_op_it_cannot_relay_with_its_kind():
+    # a9 has not joined yet; after r1 dies, a2 still relays to r1
+    text = ONE_CLUSTER[:ONE_CLUSTER.index("[events]")] + """[events]
+100 insert c1 a1 obj1 sensor k1,k2 deadbeef
+400 join a9 net1 as1 ro eu
+401 search_first c1 a9 exact sensor
+402 insert c1 a9 obj2 sensor k1 02
+403 update c1 a9 obj1 beef
+500 crash r1
+600 search_first c1 a2 exact sensor
+601 search c1 a2 exact sensor
+602 insert c1 a2 obj3 sensor k1 03
+603 update c1 a2 obj1 beef
+"""
+    recs = sorted(completions(build(text)).items())[1:]
+    assert [(r["op"], r["outcome"], r["hops"]) for _, r in recs] == [
+        ("search_first", "no_ragent", 0), ("insert", "no_ragent", 0),
+        ("update", "no_ragent", 0), ("search_first", "ragent_down", 3),
+        ("search", "ragent_down", 3), ("insert", "ragent_down", 3),
+        ("update", "ragent_down", 3)]
+
+
 def test_insert_needs_two_agents():
     text = """
 [config]
@@ -190,7 +213,7 @@ def test_local_match_sends_no_peer_traffic():
     res = build(text, trace=True)
     rec = completions(res)["q0008"]
     assert len(rec["objects"]) == 1 and rec["clusters"] == 1
-    assert [r.node for r in deliveries(res, "AgentSearch", "q0008")] == ["r1"]
+    assert [r.node for r in deliveries(res, "CSearch", "q0008")] == ["a1", "r1"]
     assert deliveries(res, "RemoteSearch", "q0008") == []
 
 
@@ -360,7 +383,7 @@ def test_hot_object_migrates_after_threshold():
     # the post-migration search resolves without leaving the cluster
     rec = completions(res)["q0005"]
     assert rec["clusters"] == 1
-    assert [r.node for r in deliveries(res, "AgentSearch", "q0005")] == ["r2"]
+    assert [r.node for r in deliveries(res, "CSearch", "q0005")] == ["a3", "r2"]
     assert deliveries(res, "RemoteSearch", "q0005") == []
 
 
@@ -387,6 +410,61 @@ def test_below_threshold_no_migration():
     assert all(e[1] not in ("migrate_in", "migrate_out")
                for e in res.sim.member_events)
     assert res.labels["obj1"].id in ragent(res, "r1").catalogue
+
+
+def test_a_migration_the_requester_cannot_place_leaves_the_object_home():
+    # r2 has one agent, too few for two replicas: it refuses the object,
+    # and r1 keeps it and unlocks it
+    res = build(MIGRATION.replace("min_cluster = 2", "min_cluster = 1")
+                .replace("a4 agent net2 as2 us na\n", "")
+                .replace("8000 search_first c1 a3", "8000 search c1 a1"))
+    assert res.issues == [] and res.sim.loss_records == []
+    oid = res.labels["obj1"].id
+    r1, r2 = ragent(res, "r1"), ragent(res, "r2")
+    assert oid in r1.catalogue and oid not in r2.catalogue
+    for h in r1.catalogue.holders_of(oid):
+        assert res.sim.nodes[h].store[oid].payload == b"\xde\xad\xbe\xef"
+    assert not r1.locks.is_locked(oid) and r1.out_migrations == {}
+    assert r2.in_migrations == {} and oid not in r2.hot.counts
+    assert all(e[1] not in ("migrate_in", "migrate_out") for e in res.sim.member_events)
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], [o.id for o in rec["objects"]]) == ("ok", [oid])
+
+
+def test_a_denied_migration_is_forgotten_and_its_tally_reset():
+    # the owner and its second holder die while r1 exports the hot object:
+    # r1 denies, and with no cluster left owning it r2 has nothing to retry
+    res = build("""
+[config]
+min_cluster = 1
+migration_threshold = 3
+drain_ms = 3000
+expect_loss = true
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a5 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 deadbeef
+1000 search_first c1 a3 exact sensor
+2000 search_first c1 a3 exact sensor
+2900 search_first c1 a3 exact sensor
+3005 crash a1
+3005 crash a2
+""", trace=True)
+    assert res.issues == []
+    oid = res.labels["obj1"].id
+    assert [(d[1], d[2]) for d in res.sim.loss_records] == [(oid, "all-holders-gone")]
+    assert [r.node for r in deliveries(res, "MigrateDenied")] == ["r2"]
+    r2 = ragent(res, "r2")
+    assert r2.in_migrations == {} and oid not in r2.hot.counts
 
 
 FAILOVER = (SCENARIOS / "failover.txt").read_text()
@@ -742,24 +820,60 @@ def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
     sim = res.sim
     sim.run_until(50 * MS)
     a2 = sim.nodes[NodeId("a2")]
-    assert isinstance(a2, AgentNode) and not hasattr(a2, "_on_AgentSearch")
+    assert isinstance(a2, AgentNode) and not hasattr(a2, "_on_JoinRequest")
     before = copy.deepcopy(vars(a2))
     log = spy_sends(sim)
     timers = []
     set_timer = sim.set_timer
     sim.set_timer = lambda node, *rest: (timers.append(node), set_timer(node, *rest))
-    sim.send(NodeId("c1"), a2.node_id, AgentSearch(
-        request_id="x1", criterion=PatternKey(KeyKind.PATTERN, "k1"), mode="all",
-        route=(a2.node_id, NodeId("c1"))))
+    sim.send(NodeId("c1"), a2.node_id, JoinRequest(joiner=NodeId("c1"), locality=a2.locality))
     sim.run_until(80 * MS)
     assert [s for s, *_ in log if s == a2.node_id] == []
     assert a2.node_id not in timers
     assert vars(a2) == before
     ignored = [r for r in sim.trace if r.kind == "ignored"]
-    assert [(r.node, r.detail) for r in ignored] == [("a2", "AgentSearch:x1:c1")]
+    assert [(r.node, r.detail) for r in ignored] == [("a2", "JoinRequest::c1")]
     deliver = [r for r in sim.trace if r.kind == "deliver"]
     assert sim.deliver_count == len(deliver)
     assert any(r.seq == ignored[0].seq for r in deliver)
+
+
+def test_every_message_has_a_handler_and_every_handler_a_message():
+    states = {nodes.ClusterConfig, nodes.SearchState, nodes.ResolveState, nodes.UpdateExec}
+    messages = {name for name, obj in vars(nodes).items()
+                if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                and obj.__module__ == nodes.__name__ and obj not in states}
+    handled = set().union(*(cls._on for cls in (LusNode, AgentNode, RAgentNode, ClientNode)))
+    assert handled == messages | {"SendFailed"}
+
+
+def test_client_ops_reach_the_merge_target_after_a_demotion():
+    # a2 heads the split-off cluster until it merges into r1 at 24 s
+    res = staged(SPLIT_MERGE, trace=True)
+    sim, a2, c1 = res.sim, NodeId("a2"), NodeId("c1")
+    t = 0
+    while not (isinstance(sim.nodes[a2], RAgentNode) and sim.nodes[a2].reconfiguring):
+        t += MS
+        sim.run_until(t)
+    member = next(m for m in sorted(sim.nodes[a2].members) if sim.is_alive(m))
+    # straight from the client, in the merge window: deferred, then
+    # handed to r1 with the route through a2
+    late = make_object("late", ("k9",), b"\x09")
+    sim.send(c1, a2, CInsert(request_id="x1", obj=late))
+    finish(res)
+    assert isinstance(sim.nodes[a2], AgentNode)
+    # relayed by an agent that still points at a2
+    sim.send(member, a2, CSearch(
+        request_id="x2", criterion=PatternKey(KeyKind.EXACT_TYPE, "sensor"),
+        mode="all", route=(member, c1), hop=2))
+    sim.run_until(sim.clock + 100 * MS)
+    recs = completions(res)
+    assert recs["x1"]["outcome"] == "ok" and late.id in ragent(res, "r1").catalogue
+    assert recs["x2"]["outcome"] == "ok"
+    assert [o.id for o in recs["x2"]["objects"]] == [res.labels["obj1"].id]
+    assert res.issues == []
+    for name, rid in (("CInsert", "x1"), ("CSearch", "x2")):
+        assert [r.node for r in deliveries(res, name, rid)] == [a2, "r1"]
 
 
 SPLIT_ACROSS = """
