@@ -1800,6 +1800,12 @@ class RAgentNode(BaseNode):
             if oid is not None:
                 self.hot.reset(oid)
             self._drop_peer(sim, dead)
+        elif isinstance(orig, MigrateTransfer):
+            # the requester died before it took the object: keep it here
+            entry = self.out_migrations.pop(orig.request_id, None)
+            if entry is not None:
+                self._release_lock(sim, entry[0])
+            self._drop_peer(sim, dead)
         elif isinstance(orig, MergeRequest):
             if dead == self.merge_target:
                 self.reconfiguring = False
@@ -1815,7 +1821,7 @@ class RAgentNode(BaseNode):
                     self._restore_redundancy(
                         sim, orig.oid, self.catalogue.holders_of(orig.oid))
         elif isinstance(orig, (RemoteSearch, OwnerQuery, PeerHeartbeat,
-                               PeerUpdate, MigrateTransfer, MigrateAck,
+                               PeerUpdate, MigrateAck,
                                MigrateDenied, RemoteSearchReply)):
             self._drop_peer(sim, dead)
 

@@ -431,6 +431,19 @@ def test_a_migration_the_requester_cannot_place_leaves_the_object_home():
     assert (rec["outcome"], [o.id for o in rec["objects"]]) == ("ok", [oid])
 
 
+def test_a_migration_whose_requester_dies_leaves_the_object_home_and_unlocked():
+    # r2 crashes while r1 exports obj1 to it: the MigrateTransfer bounces,
+    # and r1 must forget the export and free the lock so a later update runs
+    res = build(MIGRATION.replace("8000 search_first", "3220 crash r2\n8000 search_first")
+                + "9000 update c1 a1 obj1 beef\n")
+    assert res.issues == []
+    assert completions(res)["q0006"]["outcome"] == "ok"
+    oid = res.labels["obj1"].id
+    r1 = ragent(res, "r1")
+    assert r1.out_migrations == {} and not r1.locks.is_locked(oid)
+    assert oid in r1.catalogue and len(r1.catalogue.holders_of(oid)) == 2
+
+
 def test_a_denied_migration_is_forgotten_and_its_tally_reset():
     # the owner and its second holder die while r1 exports the hot object:
     # r1 denies, and with no cluster left owning it r2 has nothing to retry
