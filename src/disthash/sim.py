@@ -11,12 +11,14 @@ depend on the interpreter's hash seed.
 
 The event queue is bucketed by simulated time, after Brown's calendar
 queue (CACM 1988): a heap of distinct times, and for each time a FIFO of
-``(seq, event)`` pairs, so only a new instant pays for the heap. A
-delivery is the plain tuple ``(src, dst, msg)`` and a timer ``(node,
-owner, tag, payload)``, ``owner`` being the node object that set it;
-a crash or rejoin is ``(node, "crash")`` or ``(node, "rejoin")``.
+flat event tuples with the event's ``seq`` first, so only a new instant
+pays for the heap. A delivery is ``(seq, src, dst, msg)``, a timer
+``(seq, node, owner, tag, payload)``, ``owner`` being the node object
+that set it, and a crash or rejoin ``(seq, node, "crash"|"rejoin")``.
 ``send`` and ``set_timer`` append straight to their bucket; crash,
-rejoin and the ``SendFailed`` bounce go through ``_push``.
+rejoin and the ``SendFailed`` bounce go through ``_push``. ``run_until``
+drains each bucket in one local loop that handles deliveries and timers
+inline and hands the rare faults to ``_fault``.
 
 No event is scheduled before the clock: ``_push`` checks the time,
 ``set_timer`` rejects a negative delay, and ``_latency`` admits only a
@@ -283,13 +285,13 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def _push(self, time: int, ev) -> None:
+    def _push(self, time: int, *ev) -> None:
         if time < self.clock:
             raise SimError(f"event at {time} is before the clock {self.clock}")
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._open(time)
-        bucket.append((self._seq, ev))
+        bucket.append((self._seq, *ev))
         self._seq += 1
 
     def _open(self, time: int) -> deque:
@@ -306,7 +308,7 @@ class Simulator:
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._open(time)
-        bucket.append((self._seq, (src, dst, msg)))
+        bucket.append((self._seq, src, dst, msg))
         self._seq += 1
 
     def _latency(self, src: NodeId, dst: NodeId) -> int:
@@ -336,18 +338,18 @@ class Simulator:
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._open(time)
-        bucket.append((self._seq, (node, owner, tag, payload)))
+        bucket.append((self._seq, node, owner, tag, payload))
         self._seq += 1
 
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
             raise UnknownNode(node)
-        self._push(at, (node, "crash"))
+        self._push(at, node, "crash")
 
     def inject_rejoin(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
             raise UnknownNode(node)
-        self._push(at, (node, "rejoin"))
+        self._push(at, node, "rejoin")
 
     # -- event sinks ---------------------------------------------------
 
@@ -373,69 +375,67 @@ class Simulator:
     def run_until(self, t: int) -> None:
         if t < self.clock:
             raise ValueError("cannot run backwards")
-        heap, buckets, dispatch = self._heap, self._buckets, self._dispatch
+        heap, buckets, nodes, crashed = self._heap, self._buckets, self.nodes, self.crashed
+        tracing, trace, steps = self.tracing, self.trace, self.steps
         while heap and heap[0] <= t:
             # the time leaves the heap only once its bucket is empty, so
             # an event a handler adds at this time is drained here, and a
             # handler that raises leaves the rest of the bucket queued
             time = heap[0]
             bucket = buckets[time]
+            popleft = bucket.popleft
             self.clock = time
             while bucket:
-                seq, ev = bucket.popleft()
-                dispatch(seq, ev)
+                ev = popleft()
+                n = len(ev)
+                if n == 4:
+                    seq, src, dst, msg = ev
+                    rid = getattr(msg, "request_id", None)
+                    dead = dst in crashed
+                    if tracing:
+                        rec = TraceRecord(time, seq, "drop" if dead else "deliver", dst,
+                                          src, type(msg).__name__, rid, getattr(msg, "hop", None))
+                        trace.append(rec)
+                    if dead:
+                        # bounce a failure notice to a live, non-engine
+                        # sender; pushed directly as the nominal source is dead
+                        if src not in crashed and not isinstance(msg, SendFailed):
+                            self._push(time + self._latency(dst, src), dst, src, SendFailed(
+                                original=msg, dead=dst, request_id=rid, hop=getattr(msg, "hop", 0)))
+                        continue
+                    self.deliver_count += 1
+                    if rid is not None:
+                        steps.on_message(rid)
+                    # a node whose role has no handler for the type returns False
+                    if nodes[dst].on_message(self, msg, src) is False and tracing:
+                        trace.append(replace(rec, kind="ignored"))
+                elif n == 5:
+                    seq, node, owner, tag, payload = ev
+                    if node in crashed:
+                        continue
+                    if tracing:
+                        trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
+                    if nodes[node] is owner:
+                        owner.on_timer(self, tag, payload)
+                else:
+                    self._fault(*ev)
             heapq.heappop(heap)
             del buckets[time]
         self.clock = t
 
-    def _dispatch(self, seq: int, ev) -> None:
-        n = len(ev)
-        if n == 3:
-            src, dst, msg = ev
-            rid = getattr(msg, "request_id", None)
-            dead = dst in self.crashed
-            if self.tracing:
-                rec = TraceRecord(self.clock, seq, "drop" if dead else "deliver", dst,
-                                  src, type(msg).__name__, rid, getattr(msg, "hop", None))
-                self.trace.append(rec)
-            if dead:
-                # bounce a failure notice to a live, non-engine sender;
-                # pushed directly because the nominal source is dead
-                if src not in self.crashed and not isinstance(msg, SendFailed):
-                    self._push(self.clock + self._latency(dst, src), (
-                        dst, src, SendFailed(original=msg, dead=dst, request_id=rid,
-                                             hop=getattr(msg, "hop", 0))))
-                return
-            self.deliver_count += 1
-            if rid is not None:
-                self.steps.on_message(rid)
-            # a node whose role has no handler for the type returns False
-            if self.nodes[dst].on_message(self, msg, src) is False and self.tracing:
-                self.trace.append(replace(rec, kind="ignored"))
-        elif n == 4:
-            node, owner, tag, payload = ev
-            if node in self.crashed:
-                return
-            if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "timer", node, tag=tag))
-            if self.nodes[node] is owner:
-                owner.on_timer(self, tag, payload)
-        elif ev[1] == "crash":
-            node = ev[0]
+    def _fault(self, seq: int, node: NodeId, kind: str) -> None:
+        """Crash or rejoin ``node``; rare, so kept out of the drain loop."""
+        if kind == "crash":
             if node in self.crashed:
                 return
             self.crashed.add(node)
-            if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "crash", node))
-            self.nodes[node].on_crash(self)
-        else:  # (node, "rejoin")
-            node = ev[0]
-            if node not in self.crashed:
-                raise NotCrashed(node)
+        elif node in self.crashed:
             self.crashed.discard(node)
-            if self.tracing:
-                self.trace.append(TraceRecord(self.clock, seq, "rejoin", node))
-            self.nodes[node].on_rejoin(self)
+        else:
+            raise NotCrashed(node)
+        if self.tracing:
+            self.trace.append(TraceRecord(self.clock, seq, kind, node))
+        getattr(self.nodes[node], "on_" + kind)(self)  # on_crash / on_rejoin
 
     def trace_lines(self, fmt: str = "digest") -> list[str]:
         """The trace, one line per record, in a ``TRACE_FORMATS`` format."""

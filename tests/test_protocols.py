@@ -1101,35 +1101,44 @@ def test_rejoined_secondary_starts_without_its_old_secondary_state():
     assert new.sync_members == () and new.sync_peers == () and new.sync_seq == 0
 
 
-def handoffs(res):
+def handoffs(res, monkeypatch):
     """Run ``res`` to the end. For each event that turned an agent into a
     super-peer, the state right after it: (old node, new super-peer, its
-    members, peers, load-table keys, the super-peer it replaced or None)."""
+    members, peers, load-table keys, the super-peer it replaced or None).
+    The engine enters a node only through these four methods, so the spy
+    wraps each class's own copy of them."""
     sim = res.sim
     out = []
-    dispatch = sim._dispatch
 
-    def spy(seq, ev):
-        before, events = dict(sim.nodes), len(sim.member_events)
-        dispatch(seq, ev)
-        for nid, node in sim.nodes.items():
-            if node is not before.get(nid, node) and isinstance(node, RAgentNode):
-                detail = next(e[4] for e in sim.member_events[events:]
-                              if e[3] == nid and e[1] in ("promote", "assume_ragent"))
-                replaced = detail.split("=", 1)[1] if detail.startswith("replacing=") else None
-                out.append((before[nid], node, set(node.members), set(node.peers),
-                            set(node.loads.counts), replaced))
+    def spy(fn):
+        def entered(*args):
+            before, events = dict(sim.nodes), len(sim.member_events)
+            result = fn(*args)
+            for nid, node in sim.nodes.items():
+                if node is not before.get(nid, node) and isinstance(node, RAgentNode):
+                    detail = next(e[4] for e in sim.member_events[events:]
+                                  if e[3] == nid and e[1] in ("promote", "assume_ragent"))
+                    replaced = detail.split("=", 1)[1] if detail.startswith("replacing=") else None
+                    out.append((before[nid], node, set(node.members), set(node.peers),
+                                set(node.loads.counts), replaced))
+            return result
+        return entered
 
-    sim._dispatch = spy
+    for cls in (BaseNode, AgentNode, RAgentNode):
+        for name in ("on_message", "on_timer", "on_crash", "on_rejoin"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, spy(vars(cls)[name]))
     finish(res)
+    # one hand-off per new super-peer, so no entry point went unwatched
+    assert len(out) == sum(e[1] in ("promote", "assume_ragent") for e in sim.member_events)
     return out
 
 
 @pytest.mark.parametrize("text,kind", [(FAILOVER, "promote"), (SPLIT_MERGE, "split")],
                          ids=["failover", "split_merge"])
-def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind):
+def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind, monkeypatch):
     res = staged(text)
-    seen = handoffs(res)
+    seen = handoffs(res, monkeypatch)
     assert seen and res.issues == []
     for old, new, members, peers, loaded, replaced in seen:
         assert isinstance(old, AgentNode)

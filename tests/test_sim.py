@@ -311,6 +311,29 @@ def test_a_bounce_a_delivery_and_a_timer_on_one_instant_run_in_seq_order():
     assert order == sorted(set(order))  # strictly increasing (time, seq)
 
 
+def test_every_kind_of_event_on_one_instant_runs_in_queue_order():
+    # all six land at 5 ms: b takes m1, crashes, drops m2 (bounced to a),
+    # skips its timer while down, rejoins and takes m3
+    sim, a, b = two_nodes()
+    sim.send(a.node_id, b.node_id, "m1")
+    sim.inject_crash(b.node_id, 5 * MS)
+    sim.send(a.node_id, b.node_id, "m2")
+    sim.set_timer(b.node_id, "t", 5 * MS)
+    sim.inject_rejoin(b.node_id, 5 * MS)
+    sim.send(a.node_id, b.node_id, "m3")
+    sim.run_until(20 * MS)
+    assert b.log == [(5 * MS, "msg", "m1", "a"), (5 * MS, "crash", None, None),
+                     (5 * MS, "rejoin", None, None), (5 * MS, "msg", "m3", "a")]
+    assert [(t, k, type(m).__name__, src) for t, k, m, src in a.log] == [
+        (10 * MS, "msg", "SendFailed", "b")]
+    assert a.log[0][2].original == "m2" and a.log[0][2].dead == b.node_id
+    assert [(r.time, r.seq, r.kind, r.detail) for r in sim.trace] == [
+        (5 * MS, 0, "deliver", "str::a"), (5 * MS, 1, "crash", ""),
+        (5 * MS, 2, "drop", "str:"), (5 * MS, 4, "rejoin", ""),
+        (5 * MS, 5, "deliver", "str::a"), (10 * MS, 6, "deliver", "SendFailed::b")]
+    assert sim.deliver_count == 3 and sim._heap == [] and sim._buckets == {}
+
+
 def test_an_event_before_the_clock_is_rejected():
     sim, a, b = two_nodes()
     sim.inject_crash(b.node_id, 5 * MS)
