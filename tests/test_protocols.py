@@ -15,7 +15,9 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             AgentHeartbeat, AgentNode, AssumeRAgent, BaseNode,
                             CatalogueSync, CInsert, ClientNode, CopyDone,
                             CopyReplica, CRead, CSearch, FetchObjects,
-                            JoinRequest, LusNode, RAgentHeartbeat, RAgentNode)
+                            JoinRequest, LusNode, MigrateDenied, MigrateRequest,
+                            OwnerQuery, OwnerQueryReply, RAgentHeartbeat,
+                            RAgentNode, RemoteSearch, RemoteSearchReply)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
@@ -849,6 +851,30 @@ def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
     deliver = [r for r in sim.trace if r.kind == "deliver"]
     assert sim.deliver_count == len(deliver)
     assert any(r.seq == ignored[0].seq for r in deliver)
+
+
+@pytest.mark.parametrize("ask,answer", [
+    (lambda oid: RemoteSearch(request_id="q9", criterion=PatternKey(KeyKind.EXACT_TYPE, "sensor"),
+                              mode="all", hop=3),
+     lambda oid: RemoteSearchReply(request_id="q9", objects=(), hop=4)),
+    (lambda oid: OwnerQuery(request_id="q9", oid=oid, hop=3),
+     lambda oid: OwnerQueryReply(request_id="q9", oid=oid, has=False, hop=4)),
+    (lambda oid: MigrateRequest(request_id="r1.mig9", oid=oid, hop=3),
+     lambda oid: MigrateDenied(request_id="r1.mig9", oid=oid, hop=4)),
+], ids=["RemoteSearch", "OwnerQuery", "MigrateRequest"])
+def test_an_agent_asked_as_a_super_peer_says_not_here_and_changes_nothing(ask, answer):
+    res = staged(ONE_CLUSTER)
+    sim = res.sim
+    sim.run_until(50 * MS)
+    a2 = sim.nodes[NodeId("a2")]
+    oid = res.labels["obj1"].id
+    before = copy.deepcopy(vars(a2))
+    log = spy_sends(sim)
+    sim.send(NodeId("r1"), a2.node_id, ask(oid))
+    sim.run_until(80 * MS)
+    assert [(dst, msg) for src, dst, msg, _ in log if src == a2.node_id] == [
+        (NodeId("r1"), answer(oid))]
+    assert isinstance(sim.nodes[a2.node_id], AgentNode) and vars(a2) == before
 
 
 def test_every_message_has_a_handler_and_every_handler_a_message():
