@@ -682,11 +682,14 @@ class AgentNode(BaseNode):
             sim.record_cluster_lost(suspected, self.node_id)
 
     def _on_RAgentHeartbeat(self, sim, msg: RAgentHeartbeat, src):
+        # a rejoined agent can still hear the super-peer it had before its
+        # crash; only its own join answer admits it and starts its beat
+        if not self.joined:
+            return
         self.ragent = src
         self.secondary_id = msg.secondary
         self.last_ragent_seen = sim.clock
         self._suspected_ragent = None
-        self.joined = True
 
     def _on_ConfigUpdate(self, sim, msg: ConfigUpdate, src):
         self.ragent = msg.ragent
@@ -1812,6 +1815,16 @@ class RAgentNode(BaseNode):
                 self.merge_target = None
                 self._replay_deferred(sim)
             self._drop_peer(sim, dead)
+        elif isinstance(orig, DelegateInsert):
+            # the delegate died: place the insert here after all
+            self._drop_peer(sim, dead)
+            self._on_DelegateInsert(sim, replace(orig, route=orig.route[1:]), self.node_id)
+        elif isinstance(orig, (ForwardUpdate, UpdateRetry)):
+            # the cluster the update was handed to died with it
+            self._drop_peer(sim, dead)
+            route = orig.route[1:] if isinstance(orig, ForwardUpdate) else orig.route
+            self._reply(sim, route, request_id=orig.request_id, op="update",
+                        outcome="ragent_down", hop=orig.hop + 1)
         elif isinstance(orig, CopyReplica):
             # the copy source died; the membership handler above already
             # re-orphaned its objects if it was still a member, this
@@ -1896,6 +1909,7 @@ class ClientNode(BaseNode):
     on_timer = BaseNode.on_timer
 
     def _record(self, sim, rid, op, outcome, hop, objects=(), version=None):
+        self._pending.pop(rid, None)
         try:
             acct = sim.steps.account_search(rid)
         except UnknownRequest:
@@ -1920,7 +1934,6 @@ class ClientNode(BaseNode):
         sim.record_op(**rec)
 
     def _complete_op(self, sim, msg: OpReply):
-        self._pending.pop(msg.request_id, None)
         if msg.holder is not None:
             for obj in msg.objects:
                 self.known_holders[obj.id] = msg.holder
@@ -1932,6 +1945,5 @@ class ClientNode(BaseNode):
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         rid = getattr(msg.original, "request_id", None)
-        if rid and rid in self._pending:
-            op = self._pending.pop(rid)
-            self._record(sim, rid, op["kind"], "agent_down", hop=0)
+        if rid in self._pending:
+            self._record(sim, rid, self._pending[rid]["kind"], "agent_down", hop=0)

@@ -11,7 +11,7 @@ from .membership import HeartbeatConfig, Thresholds, elect_agent, join_select_ra
 from .nodes import AgentNode, ClientNode, ClusterConfig, LusNode, RAgentNode
 from .scenario import (CrashEvent, InsertEvent, JoinEvent, ReadEvent,
                        RejoinEvent, Scenario, SearchEvent, UpdateEvent)
-from .sim import MS, NetworkModel, Simulator
+from .sim import MS, Simulator
 
 
 @dataclass
@@ -46,8 +46,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
     bootstrap is message-free so the first scripted event sees a steady
     system. ``trace`` turns on the engine's event trace."""
     c = sc.config
-    sim = Simulator(NetworkModel(c.latency_base_ms * MS, c.latency_tier_ms * MS),
-                    trace=trace)
+    sim = Simulator(trace=trace)
 
     decls = list(sc.nodes)
     declared = {d.name for d in decls}
@@ -246,6 +245,13 @@ def check_invariants(result: RunResult) -> list[str]:
             missing = sorted(str(p) for p in expect_peers - r.peers)
             extra = sorted(str(p) for p in r.peers - expect_peers)
             issues.append(f"{tag}: peer set wrong (missing={missing} extra={extra})")
+        # quiescence: no request, transfer or copy still in flight
+        for name in ("searches", "resolutions", "updates", "out_migrations",
+                     "in_migrations", "pending_copies", "deferred"):
+            if getattr(r, name):
+                issues.append(f"{tag}: {len(getattr(r, name))} {name} left over")
+        if r.locks.locks:
+            issues.append(f"{tag}: {len(r.locks.locks)} object locks held")
         # size thresholds (a lone cluster has no merge partner)
         if len(r.members) > sc.config.max_cluster:
             issues.append(f"{tag}: {len(r.members)} members above max")
@@ -282,6 +288,10 @@ def check_invariants(result: RunResult) -> list[str]:
             if not any(oid in r.catalogue and nid in r.catalogue.holders_of(oid)
                        for r in ragents):
                 issues.append(f"{nid}: stores {oid.hex()[:12]} that no super-peer lists")
+
+    for name, client in sorted(result.clients.items()):
+        for rid in sorted(client._pending):
+            issues.append(f"{name}: op {rid} never completed")
 
     if sim.loss_records and not sc.config.expect_loss:
         for _, oid, detail in sim.loss_records:

@@ -49,8 +49,6 @@ class ScenarioConfig:
     max_cluster: int = 10_000
     heartbeat_period_ms: int = 500
     failure_timeout_ms: int = 2000
-    latency_base_ms: int = 5
-    latency_tier_ms: int = 10
     delegation_factor: float = 2.0
     migration_threshold: int = 3
     lus_count: int = 2

@@ -109,6 +109,7 @@ def test_read_without_known_holder():
     sc.events[-1].time_ms = 500
     res = run_scenario(sc)
     assert completions(res)["q0002"]["outcome"] == "no_holder"
+    assert res.clients["c1"]._pending == {} and res.issues == []
 
 
 def test_duplicate_insert_reported():
@@ -480,6 +481,68 @@ c1 client net1 as1 ro eu
     assert [r.node for r in deliveries(res, "MigrateDenied")] == ["r2"]
     r2 = ragent(res, "r2")
     assert r2.in_migrations == {} and oid not in r2.hot.counts
+
+
+# -- a forward to a cluster that died ---------------------------------------
+
+BOUNCE = """
+[config]
+min_cluster = 2
+delegation_factor = 2.0
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+a5 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+"""
+
+
+@pytest.mark.parametrize("bounced,text,rid,outcome", [
+    # r1 delegates the insert to the emptier r2, which has just died
+    ("DelegateInsert", BOUNCE + "100 insert c1 a1 obj1 sensor - 01\n"
+     "1000 crash r2\n1001 insert c1 a1 obj2 sensor - 02\n", "q0002", "ok"),
+    # r2 answers r1's owner query for obj1, then dies
+    ("ForwardUpdate", BOUNCE + "100 insert c1 a3 obj1 sensor - 01\n"
+     "1000 update c1 a1 obj1 beef\n1120 crash r2\n", "q0002", "ragent_down"),
+    # r2, where the update came from, dies once obj1 has migrated to it
+    ("UpdateRetry", MIGRATION.replace("8000 search_first", "3050 update c1 a3 obj1 cafe\n"
+                                      "3320 crash r2\n8000 search_first"),
+     "q0005", "ragent_down"),
+], ids=["DelegateInsert", "ForwardUpdate", "UpdateRetry"])
+def test_a_bounced_forward_gives_its_op_one_outcome(bounced, text, rid, outcome):
+    res = build(text, trace=True)
+    assert [(r.node, r.kind) for r in res.sim.trace
+            if r.msg_type == bounced and r.request_id == rid] == [("r2", "drop")]
+    assert [rec["outcome"] for rec in res.ops if rec["id"] == rid] == [outcome]
+    assert res.issues == []
+    if bounced == "DelegateInsert":
+        assert res.labels["obj2"].id in ragent(res, "r1").catalogue
+
+
+def test_a_quiescent_run_reports_what_is_still_in_flight():
+    res = build(ONE_CLUSTER)
+    assert res.issues == []
+    r1 = ragent(res, "r1")
+    res.clients["c1"]._pending["q9"] = {"kind": "search"}
+    for name in ("searches", "resolutions", "updates", "out_migrations",
+                 "in_migrations", "pending_copies"):
+        getattr(r1, name)["x"] = None
+    r1.deferred.append(None)
+    r1.locks.acquire(res.labels["obj1"].id, None)
+    assert check_invariants(res) == [
+        "r1: 1 searches left over", "r1: 1 resolutions left over",
+        "r1: 1 updates left over", "r1: 1 out_migrations left over",
+        "r1: 1 in_migrations left over", "r1: 1 pending_copies left over",
+        "r1: 1 deferred left over", "r1: 1 object locks held",
+        "c1: op q9 never completed"]
 
 
 FAILOVER = (SCENARIOS / "failover.txt").read_text()
@@ -886,6 +949,13 @@ def test_every_message_has_a_handler_and_every_handler_a_message():
     assert handled == messages | {"SendFailed"}
 
 
+def test_every_timer_tag_has_a_handler_and_every_handler_a_tag():
+    source = "".join(p.read_text() for p in Path(nodes.__file__).parent.glob("*.py"))
+    tags = set(re.findall(r'set_timer\([^,()]+,\s*"(\w+)"', source))
+    ticked = set().union(*(cls._tick for cls in (LusNode, AgentNode, RAgentNode, ClientNode)))
+    assert tags == ticked
+
+
 def test_client_ops_reach_the_merge_target_after_a_demotion():
     # a2 heads the split-off cluster until it merges into r1 at 24 s
     res = staged(SPLIT_MERGE, trace=True)
@@ -1183,6 +1253,18 @@ def test_a_rejoined_agent_beats_on_its_own_timer_only():
              if r.detail.endswith(":a3") and r.time > 1300 * MS]
     assert len(beats) >= 3
     assert {b - a for a, b in zip(beats, beats[1:])} == {500 * MS}
+
+
+def test_a_rejoined_agent_that_hears_its_old_super_peer_first_still_joins():
+    # r1 has not yet noticed the crash, so its beat reaches the fresh a1
+    # before a1's lookup-service answer does
+    res = build(ONE_CLUSTER + "1200 crash a1\n1500 rejoin a1\n", trace=True)
+    first = [r.detail.split(":")[0] for r in res.sim.trace
+             if r.node == "a1" and r.kind == "deliver" and r.time > 1500 * MS]
+    assert first[:3] == ["RAgentHeartbeat", "LusQueryReply", "JoinAccept"]
+    assert res.issues == []
+    a1 = res.sim.nodes[NodeId("a1")]
+    assert a1.joined and a1.ragent == "r1" and NodeId("a1") in ragent(res, "r1").members
 
 
 def test_a_promoted_agent_leaves_no_heartbeat_timer_behind():
