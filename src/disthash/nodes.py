@@ -122,11 +122,6 @@ class PeerHeartbeat:
 
 
 @dataclass(kw_only=True)
-class RAgentDown:
-    ragent: NodeId
-
-
-@dataclass(kw_only=True)
 class ConfigUpdate:
     ragent: NodeId
     secondary: NodeId | None
@@ -664,12 +659,12 @@ class AgentNode(BaseNode):
             sim.set_timer(self.node_id, "hb", hb.period_us)
 
     def _suspect_ragent(self, sim):
+        # the secondary promotes on its own timeout; any other member gives
+        # it one more timeout to announce itself, then reports the loss
         self._suspected_ragent = self.ragent
         if self.secondary_id == self.node_id:
             self._promote(sim)
-            return
-        if self.secondary_id is not None:
-            sim.send(self.node_id, self.secondary_id, RAgentDown(ragent=self.ragent))
+        elif self.secondary_id is not None:
             sim.set_timer(self.node_id, "lost_check",
                           self.hb.failure_timeout_us, self.ragent)
         else:
@@ -717,13 +712,6 @@ class AgentNode(BaseNode):
         self.sync_loads = msg.loads
         self.sync_members = msg.members
         self.sync_peers = msg.peers
-
-    def _on_RAgentDown(self, sim, msg: RAgentDown, src):
-        if msg.ragent != self.ragent:
-            return
-        if self.secondary_id == self.node_id and self.sync_catalogue is not None:
-            if sim.clock - self.last_ragent_seen > self.hb.failure_timeout_us:
-                self._promote(sim)
 
     def _promote(self, sim):
         """Secondary backup takes over the crashed super-peer's role,
@@ -842,9 +830,6 @@ class AgentNode(BaseNode):
         orig = msg.original
         if isinstance(orig, JoinRequest):
             sim.set_timer(self.node_id, "retry_join", self.hb.period_us)
-        elif isinstance(orig, RAgentDown):
-            # the secondary is dead too: the cluster state is unrecoverable
-            sim.record_cluster_lost(orig.ragent, self.node_id)
         elif isinstance(orig, (CSearch, CInsert, CUpdate)):
             # straight to the client, the last hop of the route
             self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=orig.op,
@@ -1017,13 +1002,13 @@ class RAgentNode(BaseNode):
                                     self.hb.failure_timeout_us):
             self._drop_peer(sim, dead)
         self._check_thresholds(sim)
-        # re-replicate what a split left with one holder, and anything
-        # that lost a copy attempt to a race the reactive handlers missed
+        # the one retry for replica copies: re-replicate whatever is short
+        # of holders, after a split or a copy that failed or was cut off
         if not self.reconfiguring and len(self.members) >= REPLICATION_FACTOR:
             short = sorted(oid for oid, hl in self.catalogue.holders.items()
                            if len(hl) < REPLICATION_FACTOR)
             for oid in short:
-                self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
+                self._restore_redundancy(sim, oid)
         sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def _check_thresholds(self, sim):
@@ -1119,9 +1104,10 @@ class RAgentNode(BaseNode):
             if not survivors:
                 sim.record_loss(oid, "all-holders-gone")
                 continue
-            self._restore_redundancy(sim, oid, survivors)
+            self._restore_redundancy(sim, oid)
 
-    def _restore_redundancy(self, sim, oid: ObjectId, survivors):
+    def _restore_redundancy(self, sim, oid: ObjectId):
+        survivors = self.catalogue.holders_of(oid)
         if len(survivors) >= REPLICATION_FACTOR:
             return
         if any(p[0] == oid for p in self.pending_copies.values()):
@@ -1158,26 +1144,21 @@ class RAgentNode(BaseNode):
             self.loads.bump(dest)
         self._sync_secondary(sim)
 
+    def _on_CopyFailed(self, sim, msg: CopyFailed, src):
+        # the source no longer stores the object; the sweep copies again
+        self.pending_copies.pop(msg.copy_id, None)
+
     def _handle_agent_failure(self, sim, failed: NodeId, reason: str):
         if failed not in self.members:
             return  # idempotent under repeated reports
         self.members.discard(failed)
         self.member_last_seen.pop(failed, None)
         sim.record_member_event("agent_failed", self.node_id, failed, reason)
-        # in-flight copies touching the dead node will never complete;
-        # source failures re-orphan through the vacate below, dest
-        # failures need an explicit fresh attempt
-        retry_oids = []
-        for cid in sorted(self.pending_copies):
-            oid, dest, source = self.pending_copies[cid]
+        # copies touching the dead node never complete; the sweep redoes them
+        for cid, (_oid, dest, source) in sorted(self.pending_copies.items()):
             if failed in (dest, source):
                 del self.pending_copies[cid]
-                if dest == failed:
-                    retry_oids.append(oid)
         self._vacate_holder(sim, failed)
-        for oid in retry_oids:
-            if oid in self.catalogue:
-                self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
         if failed == self.secondary:
             self._elect_secondary(sim)
         else:
@@ -1765,19 +1746,6 @@ class RAgentNode(BaseNode):
         if oid is not None:
             self.hot.reset(oid)
 
-    # -- replica copy retries ------------------------------------------------
-
-    def _on_CopyFailed(self, sim, msg: CopyFailed, src):
-        sim.set_timer(self.node_id, "copy_retry", self.hb.period_us,
-                      (msg.oid, msg.copy_id))
-
-    def _tick_copy_retry(self, sim, payload):
-        oid, copy_id = payload
-        # drop the stale attempt and run a fresh one against the current
-        # holder list
-        if self.pending_copies.pop(copy_id, None) is not None and oid in self.catalogue:
-            self._restore_redundancy(sim, oid, self.catalogue.holders_of(oid))
-
     # -- reactive failure handling --------------------------------------------
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
@@ -1826,13 +1794,8 @@ class RAgentNode(BaseNode):
             self._reply(sim, route, request_id=orig.request_id, op="update",
                         outcome="ragent_down", hop=orig.hop + 1)
         elif isinstance(orig, CopyReplica):
-            # the copy source died; the membership handler above already
-            # re-orphaned its objects if it was still a member, this
-            # covers a bounce that raced an earlier detection
-            if self.pending_copies.pop(orig.copy_id, None) is not None:
-                if orig.oid in self.catalogue:
-                    self._restore_redundancy(
-                        sim, orig.oid, self.catalogue.holders_of(orig.oid))
+            # the source died; the sweep copies again
+            self.pending_copies.pop(orig.copy_id, None)
         elif isinstance(orig, (RemoteSearch, OwnerQuery, PeerHeartbeat,
                                PeerUpdate, MigrateAck,
                                MigrateDenied, RemoteSearchReply)):
