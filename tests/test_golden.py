@@ -20,11 +20,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
-    "failover.txt": "2009734635c4ec230e0f5dea15550215d2de90d27af92f1a23e4144d03c3f338",
+    "failover.txt": "c3dd1714402cd5e241da626ff124bf8154f03f77bd2920c46aa429b7120e2259",
 }
 GOLDEN_TRACE = {
     "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
-    "failover.txt": "dfd6bda5b6c29c542475ebf1b5b17b9373c45abeb3ac8b907a1ffb43ddffe1d6",
+    "failover.txt": "95b40a59be36f339364c2d56886ae8672ef9b9adf5ba488e80a06bdbd09e76dd",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
