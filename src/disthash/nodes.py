@@ -1841,13 +1841,13 @@ class ClientNode(BaseNode):
         self.completions: list[dict] = []
         self.progress: dict[str, int] = {}
         self.known_holders: dict[ObjectId, NodeId] = {}
-        self._pending: dict[str, dict] = {}
+        self.pending: dict[str, dict] = {}  # issued, not yet answered
 
     def _tick_op(self, sim: Simulator, op: dict) -> None:
         """Execute one scheduled operation; ``op`` carries request_id,
         kind, target agent and the kind-specific fields."""
         rid = op["request_id"]
-        self._pending[rid] = op
+        self.pending[rid] = op
         kind = op["kind"]
         if kind == "insert":
             sim.send(self.node_id, op["agent"], CInsert(request_id=rid, obj=op["obj"]))
@@ -1872,7 +1872,7 @@ class ClientNode(BaseNode):
     on_timer = BaseNode.on_timer
 
     def _record(self, sim, rid, op, outcome, hop, objects=(), version=None):
-        self._pending.pop(rid, None)
+        self.pending.pop(rid, None)
         try:
             acct = sim.steps.account_search(rid)
         except UnknownRequest:
@@ -1908,5 +1908,5 @@ class ClientNode(BaseNode):
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         rid = getattr(msg.original, "request_id", None)
-        if rid in self._pending:
-            self._record(sim, rid, self._pending[rid]["kind"], "agent_down", hop=0)
+        if rid in self.pending:
+            self._record(sim, rid, self.pending[rid]["kind"], "agent_down", hop=0)

@@ -290,7 +290,7 @@ def check_invariants(result: RunResult) -> list[str]:
                 issues.append(f"{nid}: stores {oid.hex()[:12]} that no super-peer lists")
 
     for name, client in sorted(result.clients.items()):
-        for rid in sorted(client._pending):
+        for rid in sorted(client.pending):
             issues.append(f"{name}: op {rid} never completed")
 
     if sim.loss_records and not sc.config.expect_loss:

@@ -109,7 +109,7 @@ def test_read_without_known_holder():
     sc.events[-1].time_ms = 500
     res = run_scenario(sc)
     assert completions(res)["q0002"]["outcome"] == "no_holder"
-    assert res.clients["c1"]._pending == {} and res.issues == []
+    assert res.clients["c1"].pending == {} and res.issues == []
 
 
 def test_duplicate_insert_reported():
@@ -531,7 +531,7 @@ def test_a_quiescent_run_reports_what_is_still_in_flight():
     res = build(ONE_CLUSTER)
     assert res.issues == []
     r1 = ragent(res, "r1")
-    res.clients["c1"]._pending["q9"] = {"kind": "search"}
+    res.clients["c1"].pending["q9"] = {"kind": "search"}
     for name in ("searches", "resolutions", "updates", "out_migrations",
                  "in_migrations", "pending_copies"):
         getattr(r1, name)["x"] = None
