@@ -1793,6 +1793,10 @@ class RAgentNode(BaseNode):
             route = orig.route[1:] if isinstance(orig, ForwardUpdate) else orig.route
             self._reply(sim, route, request_id=orig.request_id, op="update",
                         outcome="ragent_down", hop=orig.hop + 1)
+        elif isinstance(orig, (OpReply, ProgressNote)) and orig.route:
+            # the relaying hop died: straight to the client, the last hop
+            sim.send(self.node_id, orig.route[-1],
+                     replace(orig, route=(), hop=orig.hop + 1))
         elif isinstance(orig, CopyReplica):
             # the source died; the sweep copies again
             self.pending_copies.pop(orig.copy_id, None)

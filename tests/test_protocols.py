@@ -527,6 +527,21 @@ def test_a_bounced_forward_gives_its_op_one_outcome(bounced, text, rid, outcome)
         assert res.labels["obj2"].id in ragent(res, "r1").catalogue
 
 
+@pytest.mark.parametrize("ops,bounced,results,progress", [
+    # a2 relays the search to r1, then dies before r1's answer reaches it
+    ("600 search c1 a2 exact sensor\n606 crash a2\n", ["OpReply"], 1, 0),
+    # a2 relays the update, then dies before the lock note and the answer
+    ("900 update c1 a2 obj1 beef\n906 crash a2\n", ["ProgressNote", "OpReply"], 0, 1),
+], ids=["search", "update"])
+def test_a_reply_bounced_off_a_dead_relay_still_reaches_its_client(ops, bounced, results, progress):
+    res = build(ONE_CLUSTER.split("600 search")[0] + ops, trace=True)
+    assert [(r.node, r.kind, r.msg_type) for r in res.sim.trace
+            if r.request_id == "q0002" and r.kind == "drop"] == [("a2", "drop", t) for t in bounced]
+    assert [(rec["outcome"], rec["results"], rec["progress"]) for rec in res.ops
+            if rec["id"] == "q0002"] == [("ok", results, progress)]
+    assert res.issues == []
+
+
 def test_a_quiescent_run_reports_what_is_still_in_flight():
     res = build(ONE_CLUSTER)
     assert res.issues == []
