@@ -7,7 +7,6 @@ happens inside that machine's event handler, so no locking is needed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .core import DistObject, KeyKind, NodeId, ObjectId, PatternKey
@@ -38,7 +37,8 @@ def clog2(x: int) -> int:
     logarithms appear in step accounting."""
     if x < 2:
         return 1
-    return math.ceil(math.log2(x))
+    # exact in integers; math.log2 rounds from 2**49 + 1 on
+    return (x - 1).bit_length()
 
 
 @dataclass

@@ -32,6 +32,9 @@ def test_clog2_table():
     expected = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10}
     for x, want in expected.items():
         assert clog2(x) == want, x
+    # around every power of two, where a float log2 rounds wrong from 2**49 + 1
+    for k in range(1, 120):
+        assert (clog2(2**k - 1), clog2(2**k), clog2(2**k + 1)) == (k, k, k + 1), k
 
 
 def test_insert_and_exact_lookup():
