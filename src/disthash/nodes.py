@@ -115,7 +115,7 @@ AGENT_HEARTBEAT = AgentHeartbeat()
 AGENT_HEARTBEAT_RESYNC = AgentHeartbeat(resync=True)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class PeerHeartbeat:
     cat_size: int
     member_count: int
@@ -498,15 +498,14 @@ class LusNode(BaseNode):
 
     def _on_LusRegister(self, sim, msg: LusRegister, src):
         self.registry.register(msg.ragent, msg.locality, msg.count, sim.clock)
-        for sib in self.siblings:
-            sim.send(self.node_id, sib, LusSync(
-                action="register", ragent=msg.ragent,
-                locality=msg.locality, count=msg.count))
+        sim.multicast(self.node_id, self.siblings, LusSync(
+            action="register", ragent=msg.ragent,
+            locality=msg.locality, count=msg.count))
 
     def _on_LusDeregister(self, sim, msg: LusDeregister, src):
         self.registry.deregister(msg.ragent)
-        for sib in self.siblings:
-            sim.send(self.node_id, sib, LusSync(action="deregister", ragent=msg.ragent))
+        sim.multicast(self.node_id, self.siblings,
+                      LusSync(action="deregister", ragent=msg.ragent))
 
     def _on_LusSync(self, sim, msg: LusSync, src):
         if msg.action == "register":
@@ -634,13 +633,11 @@ class AgentNode(BaseNode):
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=replacing))
         ragent._update_lus_count(sim)
-        for p in sorted(ragent.peers):
-            sim.send(self.node_id, p, PeerUpdate(
-                add=(self.node_id,), remove=(replacing,) if replacing else ()))
+        sim.multicast(self.node_id, sorted(ragent.peers), PeerUpdate(
+            add=(self.node_id,), remove=(replacing,) if replacing else ()))
         ragent._elect_secondary(sim)
-        for m in sorted(ragent.members):
-            sim.send(self.node_id, m, ConfigUpdate(
-                ragent=self.node_id, secondary=ragent.secondary))
+        sim.multicast(self.node_id, sorted(ragent.members), ConfigUpdate(
+            ragent=self.node_id, secondary=ragent.secondary))
         ragent.start(sim)
 
     # -- heartbeats and failover ------------------------------------------
@@ -989,12 +986,10 @@ class RAgentNode(BaseNode):
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
     def _tick_sweep(self, sim, payload):
-        hb = RAgentHeartbeat(secondary=self.secondary)
-        for m in sorted(self.members):
-            sim.send(self.node_id, m, hb)
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, PeerHeartbeat(
-                cat_size=len(self.catalogue), member_count=len(self.members)))
+        sim.multicast(self.node_id, sorted(self.members),
+                      RAgentHeartbeat(secondary=self.secondary))
+        sim.multicast(self.node_id, sorted(self.peers), PeerHeartbeat(
+            cat_size=len(self.catalogue), member_count=len(self.members)))
         for dead in detect_failures(sim.clock, self.member_last_seen,
                                     self.hb.failure_timeout_us):
             self._handle_agent_failure(sim, dead, "heartbeat")
@@ -1192,8 +1187,7 @@ class RAgentNode(BaseNode):
         sim.send(self.node_id, new_r, AssumeRAgent(
             catalogue=move_cat, loads=move_loads, members=tuple(move_list),
             peers=tuple(sorted((self.peers | {self.node_id}) - {new_r}))))
-        for m in move_list:
-            sim.send(self.node_id, m, ReassignCluster(ragent=new_r))
+        sim.multicast(self.node_id, move_list, ReassignCluster(ragent=new_r))
         # shrink self to the keep side
         self.catalogue = keep_cat
         self.members = keep_set
@@ -1213,8 +1207,7 @@ class RAgentNode(BaseNode):
             self._elect_secondary(sim)
         else:
             self._sync_secondary(sim)
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, PeerUpdate(add=(new_r,)))
+        sim.multicast(self.node_id, sorted(self.peers), PeerUpdate(add=(new_r,)))
         self.peers.add(new_r)
         self.peer_last_seen[new_r] = sim.clock
         self.peer_sizes[new_r] = len(move_cat)
@@ -1263,8 +1256,7 @@ class RAgentNode(BaseNode):
                 self.members.add(a)
                 self.loads.counts[a] = msg.loads.get(a, 0)
                 self.member_last_seen[a] = sim.clock
-        for a in msg.members:
-            sim.send(self.node_id, a, ReassignCluster(ragent=self.node_id))
+        sim.multicast(self.node_id, msg.members, ReassignCluster(ragent=self.node_id))
         sim.send(self.node_id, msg.from_ragent, MergeAck(target=self.node_id))
         self._drop_peer(sim, msg.from_ragent)
         self._update_lus_count(sim)
@@ -1283,9 +1275,8 @@ class RAgentNode(BaseNode):
         if self.config.lus_ids:
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=self.node_id))
-        for p in sorted(self.peers):
-            if p != msg.target:
-                sim.send(self.node_id, p, PeerUpdate(remove=(self.node_id,)))
+        sim.multicast(self.node_id, sorted(self.peers - {msg.target}),
+                      PeerUpdate(remove=(self.node_id,)))
         agent = self._become_agent(sim)
         agent.joined = True
         agent.ragent = msg.target
@@ -1358,9 +1349,8 @@ class RAgentNode(BaseNode):
             fan_out = False
         if fan_out:
             st.awaiting_peers = set(self.peers)
-            for p in sorted(self.peers):
-                sim.send(self.node_id, p, RemoteSearch(
-                    request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
+            sim.multicast(self.node_id, sorted(self.peers), RemoteSearch(
+                request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
         self._fetch_groups(sim, rid, matches, st, hop)
         self._maybe_finish_search(sim, rid)
 
@@ -1493,9 +1483,8 @@ class RAgentNode(BaseNode):
         self.catalogue.insert(obj.id, obj.type_tag, obj.index_keys, [owner, second])
         self.loads.bump(owner)
         self.loads.bump(second)
-        for holder in (owner, second):
-            sim.send(self.node_id, holder,
-                     StoreReplica(obj=obj, request_id=rid, hop=hop + 1))
+        sim.multicast(self.node_id, (owner, second),
+                      StoreReplica(obj=obj, request_id=rid, hop=hop + 1))
         self._sync_secondary(sim)
         reply("ok")
 
@@ -1522,8 +1511,8 @@ class RAgentNode(BaseNode):
         self.resolutions[rid] = ResolveState(
             oid=oid, payload=payload, route=route,
             awaiting=set(self.peers), hop=hop)
-        for p in sorted(self.peers):
-            sim.send(self.node_id, p, OwnerQuery(request_id=rid, oid=oid, hop=hop + 1))
+        sim.multicast(self.node_id, sorted(self.peers),
+                      OwnerQuery(request_id=rid, oid=oid, hop=hop + 1))
 
     def _on_OwnerQuery(self, sim, msg: OwnerQuery, src):
         sim.send(self.node_id, src, OwnerQueryReply(
@@ -1603,10 +1592,9 @@ class RAgentNode(BaseNode):
             self._finish_update(sim, msg.request_id, "ok")
             return
         ue.awaiting_acks = set(others)
-        for h in sorted(others):
-            sim.send(self.node_id, h, ReplicaUpdate(
-                request_id=msg.request_id, oid=ue.oid, payload=ue.pu.payload,
-                version=msg.version, hop=msg.hop + 1))
+        sim.multicast(self.node_id, sorted(others), ReplicaUpdate(
+            request_id=msg.request_id, oid=ue.oid, payload=ue.pu.payload,
+            version=msg.version, hop=msg.hop + 1))
 
     def _on_ReplicaUpdateAck(self, sim, msg: ReplicaUpdateAck, src):
         ue = self.updates.get(msg.request_id)
@@ -1712,8 +1700,7 @@ class RAgentNode(BaseNode):
             return
         self.loads.bump(owner)
         self.loads.bump(second)
-        for holder in (owner, second):
-            sim.send(self.node_id, holder, StoreReplica(obj=obj))
+        sim.multicast(self.node_id, (owner, second), StoreReplica(obj=obj))
         self._sync_secondary(sim)
         sim.send(self.node_id, src, MigrateAck(request_id=msg.request_id, oid=obj.id))
         sim.record_member_event("migrate_in", self.node_id, src,

@@ -12,21 +12,30 @@ depend on the interpreter's hash seed.
 The event queue is bucketed by simulated time, after Brown's calendar
 queue (CACM 1988): a heap of distinct times, and for each time a FIFO of
 flat event tuples with the event's ``seq`` first, so only a new instant
-pays for the heap. A delivery is ``(seq, src, dst, msg)``, a timer
+pays for the heap. A delivery is ``(seq, src, dsts, msg)``: one message
+to a run of destinations that arrive at the same time, the i-th
+destination taking ``seq + i``. ``send`` queues a run of one;
+``multicast`` is ``send`` to each destination in order, with the same
+seqs and arrival times, but queues each run of consecutive destinations
+with one arrival time as one entry, so a super-peer's beat round to
+members at one latency costs one entry, not one per member. A timer is
 ``(seq, node, owner, tag, payload)``, ``owner`` being the node object
 that set it, and a crash or rejoin ``(seq, node, "crash"|"rejoin")``.
-``send`` and ``set_timer`` append straight to their bucket; crash,
-rejoin and the ``SendFailed`` bounce go through ``_push``. ``run_until``
-drains each bucket in one local loop that handles deliveries and timers
-inline and hands the rare faults to ``_fault``.
+``send``, ``multicast`` and ``set_timer`` append straight to their
+bucket; crash, rejoin and the ``SendFailed`` bounce go through
+``_push``. ``run_until`` drains each bucket in one local loop that
+delivers each run in place and runs timers inline, and hands the rare
+faults to ``_fault``.
 
 No event is scheduled before the clock: ``_push`` checks the time,
 ``set_timer`` rejects a negative delay, and ``_latency`` admits only a
 non-negative latency to the memo that ``send`` reads. As ``seq`` only
 grows, every event pushed to a time lands behind all those already
 there: draining buckets in time order and each bucket front to back is
-exactly (time, seq) order. A zero-delay timer set while its bucket
-drains joins the end of that bucket.
+exactly (time, seq) order. A run's seqs are consecutive and handed out
+at once, so anything queued later into its bucket has a larger seq than
+the whole run. A zero-delay timer set while its bucket drains joins the
+end of that bucket.
 
 The trace is opt-in: ``Simulator(trace=True)`` records one
 ``TraceRecord`` per event; without it the engine builds no record and
@@ -252,7 +261,7 @@ TRACE_FORMATS = {"digest": TraceRecord.line, "jsonl": TraceRecord.json_line}
 
 class Simulator:
     """Single-threaded engine. Nodes are registered state machines; all
-    interaction between them goes through ``send``/``set_timer``."""
+    interaction between them goes through ``send``/``multicast``/``set_timer``."""
 
     def __init__(self, network: NetworkModel | None = None, trace: bool = False):
         self.network = network or NetworkModel()
@@ -261,7 +270,7 @@ class Simulator:
         self.clock = 0
         self._seq = 0
         self._heap: list[int] = []  # distinct times with queued events
-        self._buckets: dict[int, deque] = {}  # time -> (seq, event) FIFO
+        self._buckets: dict[int, deque] = {}  # time -> FIFO of event tuples
         self.nodes: dict[NodeId, object] = {}
         self.crashed: set[NodeId] = set()
         self.trace: list[TraceRecord] = []
@@ -308,8 +317,30 @@ class Simulator:
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._open(time)
-        bucket.append((self._seq, src, dst, msg))
+        bucket.append((self._seq, src, (dst,), msg))
         self._seq += 1
+
+    def multicast(self, src: NodeId, dsts, msg) -> None:
+        """``send(src, d, msg)`` for each ``d`` in ``dsts``, in order. One
+        message object serves every destination, so handlers must not
+        mutate it. Every destination is checked before anything is
+        queued."""
+        if src in self.crashed:
+            return
+        dsts = tuple(dsts)
+        memo, clock = self._latencies, self.clock
+        times = [clock + (memo.get((src, d)) or self._latency(src, d)) for d in dsts]
+        buckets, seq0, n, i = self._buckets, self._seq, len(dsts), 0
+        while i < n:
+            time, j = times[i], i + 1
+            while j < n and times[j] == time:
+                j += 1
+            bucket = buckets.get(time)
+            if bucket is None:
+                bucket = self._open(time)
+            bucket.append((seq0 + i, src, dsts[i:j], msg))
+            i = j
+        self._seq = seq0 + n
 
     def _latency(self, src: NodeId, dst: NodeId) -> int:
         """Link latency, memoized per (src, dst) pair. A node id keeps its
@@ -389,26 +420,38 @@ class Simulator:
                 ev = popleft()
                 n = len(ev)
                 if n == 4:
-                    seq, src, dst, msg = ev
+                    seq0, src, dsts, msg = ev
                     rid = getattr(msg, "request_id", None)
-                    dead = dst in crashed
-                    if tracing:
-                        rec = TraceRecord(time, seq, "drop" if dead else "deliver", dst,
-                                          src, type(msg).__name__, rid, getattr(msg, "hop", None))
-                        trace.append(rec)
-                    if dead:
-                        # bounce a failure notice to a live, non-engine
-                        # sender; pushed directly as the nominal source is dead
-                        if src not in crashed and not isinstance(msg, SendFailed):
-                            self._push(time + self._latency(dst, src), dst, src, SendFailed(
-                                original=msg, dead=dst, request_id=rid, hop=getattr(msg, "hop", 0)))
-                        continue
-                    self.deliver_count += 1
-                    if rid is not None:
-                        steps.on_message(rid)
-                    # a node whose role has no handler for the type returns False
-                    if nodes[dst].on_message(self, msg, src) is False and tracing:
-                        trace.append(replace(rec, kind="ignored"))
+                    seq = seq0
+                    try:
+                        for dst in dsts:
+                            dead = dst in crashed
+                            if tracing:
+                                rec = TraceRecord(time, seq, "drop" if dead else "deliver", dst, src,
+                                                  type(msg).__name__, rid, getattr(msg, "hop", None))
+                                trace.append(rec)
+                            if dead:
+                                # bounce a failure notice to a live, non-engine
+                                # sender; pushed directly as the nominal source is dead
+                                if src not in crashed and not isinstance(msg, SendFailed):
+                                    self._push(time + self._latency(dst, src), dst, (src,), SendFailed(
+                                        original=msg, dead=dst, request_id=rid,
+                                        hop=getattr(msg, "hop", 0)))
+                            else:
+                                self.deliver_count += 1
+                                if rid is not None:
+                                    steps.on_message(rid)
+                                # a node whose role has no handler for the type returns False
+                                if nodes[dst].on_message(self, msg, src) is False and tracing:
+                                    trace.append(replace(rec, kind="ignored"))
+                            seq += 1
+                    except BaseException:
+                        # the rest of the run stays at the front of the
+                        # bucket, with its seqs, and the error propagates
+                        rest = dsts[seq - seq0 + 1:]
+                        if rest:
+                            bucket.appendleft((seq + 1, src, rest, msg))
+                        raise
                 elif n == 5:
                     seq, node, owner, tag, payload = ev
                     if node in crashed:

@@ -16,8 +16,9 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             CatalogueSync, CInsert, ClientNode, CopyDone,
                             CopyReplica, CRead, CSearch, FetchObjects,
                             JoinRequest, LusNode, MigrateDenied, MigrateRequest,
-                            OwnerQuery, OwnerQueryReply, RAgentHeartbeat,
-                            RAgentNode, RemoteSearch, RemoteSearchReply)
+                            OwnerQuery, OwnerQueryReply, PeerHeartbeat,
+                            RAgentHeartbeat, RAgentNode, RemoteSearch,
+                            RemoteSearchReply)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
@@ -771,20 +772,37 @@ def finish(res):
     return res
 
 
-def spy_sends(sim, drop=lambda msg: False):
-    """Log every send as (src, dst, msg, sender's catalogue copy or None);
-    sends that ``drop`` picks are logged but never reach the network."""
-    log = []
-    send = sim.send
+def spy_multicasts(sim, seen):
+    """Call ``seen(src, dst, msg)`` for every destination of every send
+    and multicast, before the engine queues it; the message goes on to
+    the network only where ``seen`` returns a true value."""
+    send, multicast = sim.send, sim.multicast
 
-    def spy(src, dst, msg):
+    def spy_send(src, dst, msg):
+        if seen(src, dst, msg):
+            send(src, dst, msg)
+
+    def spy_multicast(src, dsts, msg):
+        dsts = tuple(dsts)
+        if all([seen(src, d, msg) for d in dsts]):
+            multicast(src, dsts, msg)
+
+    sim.send, sim.multicast = spy_send, spy_multicast
+
+
+def spy_sends(sim, drop=lambda msg: False):
+    """Log every send, one entry per destination of a multicast, as (src,
+    dst, msg, sender's catalogue copy or None); sends that ``drop`` picks
+    are logged but never reach the network."""
+    log = []
+
+    def seen(src, dst, msg):
         node = sim.nodes[src]
         cat = node.catalogue.copy() if isinstance(node, RAgentNode) else None
         log.append((src, dst, msg, cat))
-        if not drop(msg):
-            send(src, dst, msg)
+        return not drop(msg)
 
-    sim.send = spy
+    spy_multicasts(sim, seen)
     return log
 
 
@@ -1295,27 +1313,33 @@ def test_a_promoted_agent_leaves_no_heartbeat_timer_behind():
 
 
 def test_one_frozen_heartbeat_instance_serves_a_whole_beat_round():
-    res = staged(ONE_CLUSTER)
+    res = staged(BOUNCE + "100 insert c1 a1 obj1 sensor - 01\n", trace=True)
     sim = res.sim
     beats: dict[tuple, list] = {}
-    send = sim.send
 
-    def spy(src, dst, msg):
-        if isinstance(msg, (AgentHeartbeat, RAgentHeartbeat)):
-            beats.setdefault((sim.clock, src, type(msg)), []).append(msg)
-        send(src, dst, msg)
+    def seen(src, dst, msg):
+        if isinstance(msg, (AgentHeartbeat, RAgentHeartbeat, PeerHeartbeat)):
+            beats.setdefault((sim.clock, src, type(msg)), []).append((dst, msg))
+        return True
 
-    sim.send = spy
+    spy_multicasts(sim, seen)
     finish(res)
-    sweeps = [ms for (_, src, kind), ms in beats.items() if kind is RAgentHeartbeat]
-    assert sweeps and all(len(ms) == 3 and len({id(m) for m in ms}) == 1 for ms in sweeps)
-    agent_beats = {id(m) for (_, _, kind), ms in beats.items()
-                   if kind is AgentHeartbeat for m in ms}
+    # each sweep sends one instance per kind, delivered once per member or peer
+    for kind, each in ((RAgentHeartbeat, {"r1": ["a1", "a2"], "r2": ["a3", "a4", "a5"]}),
+                       (PeerHeartbeat, {"r1": ["r2"], "r2": ["r1"]})):
+        rounds = [(src, sent) for (_, src, k), sent in beats.items() if k is kind]
+        assert rounds and all([d for d, _ in sent] == each[src]
+                              and len({id(m) for _, m in sent}) == 1 for src, sent in rounds)
+        delivered = [r for r in sim.trace if r.msg_type == kind.__name__ and r.kind == "deliver"]
+        assert len(delivered) == sum(len(sent) for _, sent in rounds)
+        beat = rounds[0][1][0][1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(beat, dataclasses.fields(beat)[0].name, None)
+    agent_beats = {id(m) for (_, _, kind), sent in beats.items()
+                   if kind is AgentHeartbeat for _, m in sent}
     assert agent_beats <= {id(AGENT_HEARTBEAT), id(AGENT_HEARTBEAT_RESYNC)}
     with pytest.raises(dataclasses.FrozenInstanceError):
         AGENT_HEARTBEAT.resync = True
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sweeps[0][0].secondary = None
 
 
 def test_sweep_repairs_only_short_holder_lists_in_id_order():

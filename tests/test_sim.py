@@ -274,6 +274,22 @@ def test_a_handler_that_raises_leaves_the_rest_of_its_bucket_queued():
     sim.run_until(20 * MS)
     assert seen(b)[2:] == [(5 * MS, "m2"), (7 * MS, "later")]
     assert [r.seq for r in sim.trace] == [0, 1, 2, 3]
+    # a multicast run: b raises in its middle, the rest of the run stays
+    # at the front of its bucket with its seqs, ahead of a later send
+    b.react["boom"] = boom
+    c, d = Recorder(NodeId("c"), loc()), Recorder(NodeId("d"), loc())
+    sim.add_node(c)
+    sim.add_node(d)
+    sim.multicast(a.node_id, [c.node_id, b.node_id, d.node_id], "boom")
+    sim.send(a.node_id, c.node_id, "after")
+    with pytest.raises(RuntimeError):
+        sim.run_until(40 * MS)
+    assert seen(c) == [(25 * MS, "boom")] and d.log == [] and sim.clock == 25 * MS
+    del b.react["boom"]
+    sim.run_until(40 * MS)
+    assert seen(d) == [(25 * MS, "boom")] and seen(c)[1:] == [(25 * MS, "after")]
+    assert [(r.seq, r.node) for r in sim.trace[4:]] == [(4, "c"), (5, "b"), (6, "d"), (7, "c")]
+    assert sim._heap == [] and sim._buckets == {}
 
 
 def test_run_until_stops_between_two_buckets():
@@ -442,3 +458,84 @@ def test_timer_of_a_replaced_node_object_is_traced_but_not_run():
     assert successor.log == [(5 * MS, "timer", "new", None)]
     with pytest.raises(UnknownNode):
         sim.set_timer(NodeId("ghost"), "x", 1 * MS)
+
+
+# -- multicast -------------------------------------------------------------
+
+
+def fan_out(multicast: bool, crashed=()):
+    """a sends one message to six destinations at mixed latencies, between
+    two timers and a later send, by one multicast or by one send each."""
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=True)
+    nodes = {name: Recorder(NodeId(name), locality) for name, locality in (
+        ("a", loc()), ("b", loc()), ("c", loc()), ("far", loc(net="x")),
+        ("d", loc()), ("world", loc(continent="na")))}
+    for node in nodes.values():
+        sim.add_node(node)
+    for name in crashed:
+        sim.inject_crash(NodeId(name), 0)
+    sim.run_until(0)
+    sim.set_timer(NodeId("b"), "t", 5 * MS)
+    dsts = [NodeId(n) for n in ("b", "c", "far", "d", "world", "b")]
+    if multicast:
+        sim.multicast(NodeId("a"), dsts, Ping("q1", hop=1))
+    else:
+        for dst in dsts:
+            sim.send(NodeId("a"), dst, Ping("q1", hop=1))
+    sim.send(NodeId("a"), NodeId("c"), "later")
+    sim.set_timer(NodeId("c"), "u", 5 * MS)
+    return sim, nodes
+
+
+def test_multicast_is_a_send_to_each_destination_in_order():
+    sim, nodes = fan_out(multicast=True)
+    # runs of consecutive destinations with one arrival time share an entry
+    assert [len(e[2]) for e in sim._buckets[5 * MS] if len(e) == 4] == [2, 1, 1, 1]
+    sim.run_until(100 * MS)
+    ref, ref_nodes = fan_out(multicast=False)
+    ref.run_until(100 * MS)
+    assert sim.trace_lines() == ref.trace_lines()
+    assert sim.trace_lines("jsonl") == ref.trace_lines("jsonl")
+    assert sim.deliver_count == ref.deliver_count == 7
+    assert sim.steps.messages == ref.steps.messages == {"q1": 6}
+    assert {n: node.log for n, node in nodes.items()} == {
+        n: node.log for n, node in ref_nodes.items()}
+    order = [(r.time, r.seq) for r in sim.trace]
+    assert order == sorted(set(order)) and sim._seq == ref._seq
+
+
+def test_a_crashed_destination_in_a_run_is_dropped_and_bounced_alone():
+    sim, nodes = fan_out(multicast=True, crashed=("c",))
+    sim.run_until(100 * MS)
+    ref, _ = fan_out(multicast=False, crashed=("c",))
+    ref.run_until(100 * MS)
+    assert sim.trace_lines() == ref.trace_lines()
+    drops = [(r.node, r.msg_type) for r in sim.trace if r.kind == "drop"]
+    assert drops == [("c", "Ping"), ("c", "str")]
+    bounces = [m for _, k, m, _ in nodes["a"].log if k == "msg"]
+    assert [(type(m).__name__, m.original, m.dead) for m in bounces] == [
+        ("SendFailed", Ping("q1", hop=1), "c"), ("SendFailed", "later", "c")]
+    assert [n for n in ("b", "far", "d", "world")
+            if not any(k == "msg" for _, k, _, _ in nodes[n].log)] == []
+    assert sim.deliver_count == 5 + 2  # four live nodes, b twice; two bounces
+
+
+def test_multicast_to_an_unknown_node_queues_nothing():
+    sim, a, b = two_nodes()
+    with pytest.raises(UnknownNode) as err:
+        sim.multicast(a.node_id, [b.node_id, NodeId("ghost"), b.node_id], "x")
+    assert err.value.args == (NodeId("ghost"),)
+    assert sim._seq == 0 and sim._heap == [] and sim._buckets == {}
+    sim.multicast(a.node_id, [], "x")
+    assert sim._seq == 0 and sim._heap == []
+
+
+def test_a_crashed_node_multicasts_nothing():
+    sim, a, b = two_nodes()
+    sim.inject_crash(a.node_id, 0)
+    sim.run_until(1 * MS)
+    seq = sim._seq
+    sim.multicast(a.node_id, [b.node_id, b.node_id], "x")
+    assert sim._seq == seq and sim._heap == []
+    sim.run_until(60 * MS)
+    assert b.log == [] and [r.kind for r in sim.trace] == ["crash"]
