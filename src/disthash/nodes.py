@@ -32,8 +32,6 @@ from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          join_select_ragent, split_partition)
 from .sim import SendFailed, Simulator, UnknownRequest
 
-FETCH_RETRY_LIMIT = 5
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -763,7 +761,7 @@ class AgentNode(BaseNode):
     def _on_ApplyUpdate(self, sim, msg: ApplyUpdate, src):
         obj = self.store.get(msg.oid)
         if obj is None:
-            # replica copy still in flight; the super-peer retries
+            # a rejoin wiped the store; the super-peer unlists this node
             sim.send(self.node_id, src, ApplyMissing(
                 request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
             return
@@ -849,7 +847,6 @@ class SearchState:
     results: list = field(default_factory=list)
     holder: NodeId | None = None
     max_hop: int = 0
-    retries: int = 0
 
 
 @dataclass
@@ -1142,6 +1139,28 @@ class RAgentNode(BaseNode):
     def _on_CopyFailed(self, sim, msg: CopyFailed, src):
         # the source no longer stores the object; the sweep copies again
         self.pending_copies.pop(msg.copy_id, None)
+        self._unlist(sim, src, (msg.oid,))
+
+    def _unlist(self, sim, holder: NodeId, ids) -> None:
+        """``holder`` says it lacks ``ids``: a rejoin wiped its store
+        before its crash was detected. Stop listing it for each of them
+        it is listed for, as ``_vacate_holder`` does after a crash: the
+        next holder becomes owner, and an object left without one is
+        lost. The sweep restores redundancy."""
+        cat = self.catalogue
+        listed = [oid for oid in ids if oid in cat and holder in cat.holders_of(oid)]
+        for oid in listed:
+            self.loads.bump(holder, -1)
+            hl = cat.holders_of(oid)
+            if len(hl) == 1:
+                cat.remove_object(oid)
+                sim.record_loss(oid, "all-holders-gone")
+                continue
+            if hl[0] == holder:
+                cat.set_owner(oid, hl[1])
+            cat.remove_holder(oid, holder)
+        if listed:
+            self._sync_secondary(sim)
 
     def _handle_agent_failure(self, sim, failed: NodeId, reason: str):
         if failed not in self.members:
@@ -1355,8 +1374,10 @@ class RAgentNode(BaseNode):
         self._maybe_finish_search(sim, rid)
 
     def _on_FetchReply(self, sim, msg: FetchReply, src):
+        if msg.missing:
+            self._unlist(sim, src, msg.missing)
         if msg.purpose == "migrate":
-            self._migrate_fetched(sim, msg, src)
+            self._migrate_fetched(sim, msg.request_id, msg.objects)
             return
         st = self.searches.get(msg.request_id)
         if st is None:
@@ -1364,31 +1385,22 @@ class RAgentNode(BaseNode):
         if msg.objects:
             sim.steps.on_probe(msg.request_id, self.node_id,
                                msg.store_size, len(msg.objects))
+            if st.mode == "first":
+                st.holder = src  # after a refetch, not the owner looked up
         st.results.extend(msg.objects)
         st.max_hop = max(st.max_hop, msg.hop)
         if src in st.awaiting_agents:
             st.awaiting_agents[src] -= 1
             if st.awaiting_agents[src] <= 0:
                 del st.awaiting_agents[src]
-        if msg.missing and st.retries < FETCH_RETRY_LIMIT:
-            st.retries += 1
-            sim.set_timer(self.node_id, "fetch_retry", self.hb.period_us,
-                          (msg.request_id, msg.missing))
-            return
+        if msg.missing:  # fetch at once from the next holder, as after a bounce
+            self._refetch(sim, msg.request_id, st, msg.missing)
         self._maybe_finish_search(sim, msg.request_id)
 
     def _refetch(self, sim, rid: str, st: SearchState, ids) -> None:
         matches = [(oid, self.catalogue.owner_of(oid))
                    for oid in ids if oid in self.catalogue]
         self._fetch_groups(sim, rid, matches, st, st.max_hop + 1)
-
-    def _tick_fetch_retry(self, sim, payload):
-        rid, missing = payload
-        if rid not in self.searches:
-            return
-        st = self.searches[rid]
-        self._refetch(sim, rid, st, missing)
-        self._maybe_finish_search(sim, rid)
 
     def _on_RemoteSearchReply(self, sim, msg: RemoteSearchReply, src):
         st = self.searches.get(msg.request_id)
@@ -1614,10 +1626,10 @@ class RAgentNode(BaseNode):
         self._release_lock(sim, ue.oid)
 
     def _on_ApplyMissing(self, sim, msg: ApplyMissing, src):
-        # the owner's replica was still in flight; retry after a period
+        # retry at once at the next holder, as after a bounce
+        self._unlist(sim, src, (msg.oid,))
         if msg.request_id in self.updates:
-            sim.set_timer(self.node_id, "apply_retry", self.hb.period_us,
-                          msg.request_id)
+            sim.set_timer(self.node_id, "apply_retry", 0, msg.request_id)
 
     def _tick_apply_retry(self, sim, rid):
         ue = self.updates.get(rid)
@@ -1659,29 +1671,20 @@ class RAgentNode(BaseNode):
         sim.send(self.node_id, self.catalogue.owner_of(oid), FetchObjects(
             request_id=pu.request_id, ids=(oid,), purpose="migrate"))
 
-    def _migrate_fetched(self, sim, msg: FetchReply, src):
-        entry = self.out_migrations.get(msg.request_id)
+    def _migrate_fetched(self, sim, mid: str, objects: tuple) -> None:
+        """Send the fetched object to the requester. With none (the owner
+        lacks it, or the fetch bounced), give up: unlock the object, which
+        stays here, and deny the requester."""
+        entry = self.out_migrations.get(mid)
         if entry is None:
             return
         oid, requester = entry
-        if not msg.objects:
-            sim.set_timer(self.node_id, "migrate_fetch_retry",
-                          self.hb.period_us, msg.request_id)
+        if objects:
+            sim.send(self.node_id, requester, MigrateTransfer(request_id=mid, obj=objects[0]))
             return
-        sim.send(self.node_id, requester, MigrateTransfer(
-            request_id=msg.request_id, obj=msg.objects[0]))
-
-    def _tick_migrate_fetch_retry(self, sim, mid):
-        if mid not in self.out_migrations:
-            return
-        oid, requester = self.out_migrations[mid]
-        if oid not in self.catalogue:
-            del self.out_migrations[mid]
-            self._release_lock(sim, oid)
-            sim.send(self.node_id, requester, MigrateDenied(request_id=mid, oid=oid))
-            return
-        sim.send(self.node_id, self.catalogue.owner_of(oid), FetchObjects(
-            request_id=mid, ids=(oid,), purpose="migrate"))
+        del self.out_migrations[mid]
+        self._release_lock(sim, oid)
+        sim.send(self.node_id, requester, MigrateDenied(request_id=mid, oid=oid))
 
     def _on_MigrateTransfer(self, sim, msg: MigrateTransfer, src):
         if self.in_migrations.pop(msg.request_id, None) is None:
@@ -1794,12 +1797,7 @@ class RAgentNode(BaseNode):
 
     def _fetch_bounced(self, sim, orig: FetchObjects):
         if orig.purpose == "migrate":
-            entry = self.out_migrations.pop(orig.request_id, None)
-            if entry is not None:
-                oid, requester = entry
-                self._release_lock(sim, oid)
-                sim.send(self.node_id, requester,
-                         MigrateDenied(request_id=orig.request_id, oid=oid))
+            self._migrate_fetched(sim, orig.request_id, ())
             return
         st = self.searches.get(orig.request_id)
         if st is None:

@@ -21,10 +21,12 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = {
     "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
     "failover.txt": "c3dd1714402cd5e241da626ff124bf8154f03f77bd2920c46aa429b7120e2259",
+    "rejoin_before_detection.txt": "c26d238fc4d321d27334a2e90c13e539dbd712f989394495a3daf1077a0dd2f9",
 }
 GOLDEN_TRACE = {
     "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
     "failover.txt": "95b40a59be36f339364c2d56886ae8672ef9b9adf5ba488e80a06bdbd09e76dd",
+    "rejoin_before_detection.txt": "1b9d018b4cd4b92783b7cf1a3d0c24ac496d0100371149a01600fa48a7e11c43",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
