@@ -93,11 +93,15 @@ def split_partition(members) -> tuple[list[NodeId], list[NodeId]]:
 
 
 def choose_merge_target(
-    clusters: list[tuple[NodeId, int]], exclude: NodeId
+    clusters: list[tuple[NodeId, int]], own: tuple[NodeId, int]
 ) -> NodeId:
-    """Merge partner for an under-threshold cluster: the live cluster
-    with the fewest members, ties by smallest RAgent id."""
-    options = [(size, rid) for rid, size in clusters if rid != exclude]
+    """Merge partner for the under-threshold cluster ``own`` (RAgent id,
+    members): among the clusters that order strictly above it by
+    (members, id), the one with the fewest members, ties by smallest
+    RAgent id. Merges only go up this order, so two clusters never
+    choose each other, and the largest cluster merges into none."""
+    own_id, own_size = own
+    options = [(size, rid) for rid, size in clusters if (size, rid) > (own_size, own_id)]
     if not options:
         raise NoMergeTarget()
     return min(options)[1]

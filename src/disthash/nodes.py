@@ -14,7 +14,8 @@ Conventions used throughout:
    ``ProgressNote``) is sent to ``route[0]`` with the rest in tow;
  - a timer belongs to the node object that set it: the engine runs no
    timer of an object that a role change or a rejoin has replaced;
- - catalogues and load tables are copied when sent, never shared.
+ - catalogues and load tables are copied when sent, except that a merge
+   hands its catalogue over whole, as the sender stops using it.
 """
 from __future__ import annotations
 
@@ -157,6 +158,7 @@ class CatalogueSync:
 class PeerUpdate:
     add: tuple = ()
     remove: tuple = ()
+    merged_into: NodeId | None = None  # the removed peer handed its cluster on
 
 
 @dataclass(kw_only=True)
@@ -165,11 +167,8 @@ class MergeRequest:
     catalogue: MetaCatalogue
     loads: dict
     members: tuple
-
-
-@dataclass(kw_only=True)
-class MergeAck:
-    target: NodeId
+    peers: tuple  # with the rest, to head the cluster again if it comes back
+    hop: int = 0
 
 
 @dataclass(kw_only=True)
@@ -804,6 +803,19 @@ class AgentNode(BaseNode):
 
     _on_CSearch = _on_CInsert = _on_CUpdate = _relay_op
 
+    def _pass_on(self, sim, msg: MergeRequest | JoinRequest | DelegateInsert, src):
+        """Sent to this node while it was a super-peer; a merge has
+        demoted it since, so ``msg`` goes on, with the reply address it
+        carries, to the cluster it merged into. Its own hand-off, passed
+        back by a target that merged into this node in turn, makes it
+        head the cluster again."""
+        if isinstance(msg, MergeRequest) and msg.from_ragent == self.node_id:
+            self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
+        elif self.joined and self.ragent is not None:
+            sim.send(self.node_id, self.ragent, replace(msg, hop=msg.hop + 1))
+
+    _on_MergeRequest = _on_JoinRequest = _on_DelegateInsert = _pass_on
+
     # a peer that still lists this node as a super-peer is told "not
     # here", so it neither waits for an answer nor leaks request state
     def _on_RemoteSearch(self, sim, msg: RemoteSearch, src):
@@ -829,11 +841,21 @@ class AgentNode(BaseNode):
             # straight to the client, the last hop of the route
             self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=orig.op,
                         outcome="ragent_down", hop=orig.hop + 1)
+        elif isinstance(orig, MergeRequest) and orig.from_ragent == self.node_id:
+            # the merge target died: head the cluster again
+            self._become_ragent(sim, orig.catalogue, orig.loads, orig.members, orig.peers)
         # bounced heartbeats need no reaction; detection is timeout-driven
 
 
 # ---------------------------------------------------------------------
 # RAgent
+
+
+def _answered(awaiting: dict, node: NodeId) -> None:
+    """``node`` gave one of the answers it owed, if it owed any."""
+    n = awaiting.pop(node, 0)
+    if n > 1:
+        awaiting[node] = n - 1
 
 
 @dataclass
@@ -842,8 +864,9 @@ class SearchState:
     criterion: PatternKey
     route: tuple = ()                    # local origin: reply path
     remote_origin: NodeId | None = None  # remote origin: peer to answer
+    # node -> answers still owed: a merge target can owe two
     awaiting_agents: dict = field(default_factory=dict)
-    awaiting_peers: set = field(default_factory=set)
+    awaiting_peers: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
     holder: NodeId | None = None
     max_hop: int = 0
@@ -854,7 +877,7 @@ class ResolveState:
     oid: ObjectId
     payload: bytes
     route: tuple
-    awaiting: set
+    awaiting: dict  # peer -> answers still owed
     forwarded: bool = False
     hop: int = 0
 
@@ -898,9 +921,6 @@ class RAgentNode(BaseNode):
         # dest only becomes a catalogue holder on CopyDone
         self.pending_copies: dict[str, tuple] = {}
         self._copyseq = 0
-        self.reconfiguring = False
-        self.merge_target: NodeId | None = None
-        self.deferred: list = []
         # log shipping: the secondary and catalogue object the journal
         # is relative to, and the number of the last sync sent
         self._sync_to: NodeId | None = None
@@ -994,9 +1014,11 @@ class RAgentNode(BaseNode):
                                     self.hb.failure_timeout_us):
             self._drop_peer(sim, dead)
         self._check_thresholds(sim)
+        if sim.nodes[self.node_id] is not self:
+            return  # merged away: an agent of the target now
         # the one retry for replica copies: re-replicate whatever is short
         # of holders, after a split or a copy that failed or was cut off
-        if not self.reconfiguring and len(self.members) >= REPLICATION_FACTOR:
+        if len(self.members) >= REPLICATION_FACTOR:
             short = sorted(oid for oid, hl in self.catalogue.holders.items()
                            if len(hl) < REPLICATION_FACTOR)
             for oid in short:
@@ -1004,8 +1026,6 @@ class RAgentNode(BaseNode):
         sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def _check_thresholds(self, sim):
-        if self.reconfiguring:
-            return
         if len(self.members) > self.thresholds.max_cluster:
             self._split(sim)
         elif len(self.members) < self.thresholds.min_cluster and self.peers:
@@ -1030,6 +1050,8 @@ class RAgentNode(BaseNode):
         self.peer_members[src] = msg.member_count
 
     def _on_PeerUpdate(self, sim, msg: PeerUpdate, src):
+        if msg.merged_into is not None:
+            self._reask(sim, src, msg.merged_into)
         for p in msg.remove:
             self._drop_peer(sim, p)
         for p in msg.add:
@@ -1053,22 +1075,33 @@ class RAgentNode(BaseNode):
                      LusDeregister(ragent=peer))
         # requests waiting on that peer must not stall
         for rid in sorted(self.searches):
-            st = self.searches[rid]
-            if peer in st.awaiting_peers:
-                st.awaiting_peers.discard(peer)
+            if self.searches[rid].awaiting_peers.pop(peer, None):
                 self._maybe_finish_search(sim, rid)
         for rid in sorted(self.resolutions):
-            rs = self.resolutions[rid]
-            if peer in rs.awaiting:
-                rs.awaiting.discard(peer)
+            if self.resolutions[rid].awaiting.pop(peer, None):
                 self._maybe_finish_resolution(sim, rid)
+
+    def _reask(self, sim, gone: NodeId, target: NodeId):
+        """``gone`` merged into ``target``: ask ``target`` what ``gone``
+        still owed. By the triangle inequality this arrives after the
+        hand-off."""
+        for rid in sorted(self.searches):
+            st = self.searches[rid]
+            if st.awaiting_peers.pop(gone, None):
+                st.awaiting_peers[target] = st.awaiting_peers.get(target, 0) + 1
+                sim.send(self.node_id, target, RemoteSearch(
+                    request_id=rid, criterion=st.criterion, mode=st.mode,
+                    hop=st.max_hop + 1))
+        for rid in sorted(self.resolutions):
+            rs = self.resolutions[rid]
+            if rs.awaiting.pop(gone, None):
+                rs.awaiting[target] = rs.awaiting.get(target, 0) + 1
+                sim.send(self.node_id, target, OwnerQuery(
+                    request_id=rid, oid=rs.oid, hop=rs.hop + 1))
 
     # -- join / membership ----------------------------------------------
 
     def _on_JoinRequest(self, sim, msg: JoinRequest, src):
-        if self.reconfiguring:
-            self.deferred.append(msg)
-            return
         joiner = msg.joiner
         if joiner in self.members:
             # transient crash+rejoin before detection: clear the stale
@@ -1247,26 +1280,36 @@ class RAgentNode(BaseNode):
     # -- merge ------------------------------------------------------------
 
     def _initiate_merge(self, sim):
+        """Hand the cluster to a larger one and be its agent at once; only
+        with nothing in flight, else the next sweep tries again."""
+        if (self.searches or self.resolutions or self.updates or self.locks.locks
+                or self.out_migrations or self.in_migrations):
+            return
         known = [(rid, self.peer_members[rid]) for rid in sorted(self.peers)
                  if rid in self.peer_members]
         if not known:
             return  # peer sizes unknown yet; retried next sweep
         try:
-            target = choose_merge_target(known, self.node_id)
+            target = choose_merge_target(known, (self.node_id, len(self.members)))
         except NoMergeTarget:
-            return
-        self.reconfiguring = True
-        self.merge_target = target
+            return  # the largest cluster waits for the others
+        self._forget_sync()
         sim.send(self.node_id, target, MergeRequest(
-            from_ragent=self.node_id,
-            catalogue=self.catalogue.copy(),
-            loads=dict(self.loads.counts),
-            members=tuple(sorted(self.members))))
+            from_ragent=self.node_id, catalogue=self.catalogue,
+            loads=dict(self.loads.counts), members=tuple(sorted(self.members)),
+            peers=tuple(sorted(self.peers))))
+        sim.record_member_event("demote", self.node_id, self.node_id,
+                                f"merged_into={target}")
+        if self.config.lus_ids:
+            sim.send(self.node_id, self.config.lus_ids[0],
+                     LusDeregister(ragent=self.node_id))
+        sim.multicast(self.node_id, sorted(self.peers - {target}),
+                      PeerUpdate(remove=(self.node_id,), merged_into=target))
+        agent = self._become_agent(sim)
+        agent.joined, agent.ragent = True, target
+        agent.start(sim)
 
     def _on_MergeRequest(self, sim, msg: MergeRequest, src):
-        if self.reconfiguring:
-            self.deferred.append(msg)
-            return
         entries_in = len(msg.catalogue)
         entries_own = len(self.catalogue)
         self.catalogue.merge(msg.catalogue)
@@ -1276,7 +1319,6 @@ class RAgentNode(BaseNode):
                 self.loads.counts[a] = msg.loads.get(a, 0)
                 self.member_last_seen[a] = sim.clock
         sim.multicast(self.node_id, msg.members, ReassignCluster(ragent=self.node_id))
-        sim.send(self.node_id, msg.from_ragent, MergeAck(target=self.node_id))
         self._drop_peer(sim, msg.from_ragent)
         self._update_lus_count(sim)
         self._sync_secondary(sim)
@@ -1287,31 +1329,12 @@ class RAgentNode(BaseNode):
         if len(self.members) > self.thresholds.max_cluster:
             sim.set_timer(self.node_id, "reconfig_check", 0)
 
-    def _on_MergeAck(self, sim, msg: MergeAck, src):
-        # demote: this node becomes a plain agent of the target cluster
-        sim.record_member_event("demote", self.node_id, self.node_id,
-                                f"merged_into={msg.target}")
-        if self.config.lus_ids:
-            sim.send(self.node_id, self.config.lus_ids[0],
-                     LusDeregister(ragent=self.node_id))
-        sim.multicast(self.node_id, sorted(self.peers - {msg.target}),
-                      PeerUpdate(remove=(self.node_id,)))
-        agent = self._become_agent(sim)
-        agent.joined = True
-        agent.ragent = msg.target
-        agent.start(sim)
-        # anything deferred during the merge window belongs to the target
-        for m in self.deferred:
-            sim.send(self.node_id, msg.target, m)
-        self.deferred.clear()
-
     # -- client ops --------------------------------------------------------
 
     def _routed(self, msg: CSearch | CInsert | CUpdate, src):
         """``msg`` with its reply route. An op without one came straight
         from a client that sent it here while this node was an agent; it
-        is answered through this node. Called before a merge window
-        defers the op, so a deferred op still carries its client."""
+        is answered through this node."""
         return msg if msg.route else replace(msg, route=(self.node_id, src))
 
     def _on_CRead(self, sim, msg: CRead, src):
@@ -1367,7 +1390,7 @@ class RAgentNode(BaseNode):
             st.holder = matches[0][1]
             fan_out = False
         if fan_out:
-            st.awaiting_peers = set(self.peers)
+            st.awaiting_peers = dict.fromkeys(self.peers, 1)
             sim.multicast(self.node_id, sorted(self.peers), RemoteSearch(
                 request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
         self._fetch_groups(sim, rid, matches, st, hop)
@@ -1389,10 +1412,7 @@ class RAgentNode(BaseNode):
                 st.holder = src  # after a refetch, not the owner looked up
         st.results.extend(msg.objects)
         st.max_hop = max(st.max_hop, msg.hop)
-        if src in st.awaiting_agents:
-            st.awaiting_agents[src] -= 1
-            if st.awaiting_agents[src] <= 0:
-                del st.awaiting_agents[src]
+        _answered(st.awaiting_agents, src)
         if msg.missing:  # fetch at once from the next holder, as after a bounce
             self._refetch(sim, msg.request_id, st, msg.missing)
         self._maybe_finish_search(sim, msg.request_id)
@@ -1407,21 +1427,17 @@ class RAgentNode(BaseNode):
         if st is None:
             return  # first-match already settled
         st.max_hop = max(st.max_hop, msg.hop)
-        if st.mode == "first":
-            st.awaiting_peers.discard(src)
-            if msg.objects:
-                st.results = list(msg.objects)
-                st.holder = msg.holder
-                # tally remote interest; pull the object here when hot
-                obj = msg.objects[0]
-                if self.hot.record(obj.id) and obj.id not in self.catalogue:
-                    self._start_migration(sim, obj.id, src)
-                self._finish_search(sim, msg.request_id)
-            elif not st.awaiting_peers and not st.awaiting_agents:
-                self._finish_search(sim, msg.request_id)
+        _answered(st.awaiting_peers, src)
+        if st.mode == "first" and msg.objects:
+            st.results = list(msg.objects)
+            st.holder = msg.holder
+            # tally remote interest; pull the object here when hot
+            obj = msg.objects[0]
+            if self.hot.record(obj.id) and obj.id not in self.catalogue:
+                self._start_migration(sim, obj.id, src)
+            self._finish_search(sim, msg.request_id)
             return
         st.results.extend(msg.objects)
-        st.awaiting_peers.discard(src)
         self._maybe_finish_search(sim, msg.request_id)
 
     def _maybe_finish_search(self, sim, rid: str):
@@ -1462,9 +1478,6 @@ class RAgentNode(BaseNode):
 
     def _on_CInsert(self, sim, msg: CInsert, src):
         msg = self._routed(msg, src)
-        if self.reconfiguring:
-            self.deferred.append(msg)
-            return
         target = self._should_delegate()
         if target is not None and msg.obj.id not in self.catalogue:
             sim.send(self.node_id, target, DelegateInsert(
@@ -1474,9 +1487,6 @@ class RAgentNode(BaseNode):
         self._place_insert(sim, msg.request_id, msg.obj, msg.route, msg.hop)
 
     def _on_DelegateInsert(self, sim, msg: DelegateInsert, src):
-        if self.reconfiguring:
-            self.deferred.append(msg)
-            return
         self._place_insert(sim, msg.request_id, msg.obj, msg.route, msg.hop)
 
     def _place_insert(self, sim, rid: str, obj: DistObject, route, hop: int):
@@ -1504,9 +1514,6 @@ class RAgentNode(BaseNode):
 
     def _on_CUpdate(self, sim, msg: CUpdate, src):
         msg = self._routed(msg, src)
-        if self.reconfiguring:
-            self.deferred.append(msg)
-            return
         self._resolve_update(sim, msg.request_id, msg.oid, msg.payload,
                              msg.route, msg.hop)
 
@@ -1522,7 +1529,7 @@ class RAgentNode(BaseNode):
             return
         self.resolutions[rid] = ResolveState(
             oid=oid, payload=payload, route=route,
-            awaiting=set(self.peers), hop=hop)
+            awaiting=dict.fromkeys(self.peers, 1), hop=hop)
         sim.multicast(self.node_id, sorted(self.peers),
                       OwnerQuery(request_id=rid, oid=oid, hop=hop + 1))
 
@@ -1535,7 +1542,7 @@ class RAgentNode(BaseNode):
         rs = self.resolutions.get(msg.request_id)
         if rs is None:
             return
-        rs.awaiting.discard(src)
+        _answered(rs.awaiting, src)
         if msg.has and not rs.forwarded:
             rs.forwarded = True
             sim.send(self.node_id, src, ForwardUpdate(
@@ -1767,12 +1774,6 @@ class RAgentNode(BaseNode):
             if entry is not None:
                 self._release_lock(sim, entry[0])
             self._drop_peer(sim, dead)
-        elif isinstance(orig, MergeRequest):
-            if dead == self.merge_target:
-                self.reconfiguring = False
-                self.merge_target = None
-                self._replay_deferred(sim)
-            self._drop_peer(sim, dead)
         elif isinstance(orig, DelegateInsert):
             # the delegate died: place the insert here after all
             self._drop_peer(sim, dead)
@@ -1787,6 +1788,9 @@ class RAgentNode(BaseNode):
             # the relaying hop died: straight to the client, the last hop
             sim.send(self.node_id, orig.route[-1],
                      replace(orig, route=(), hop=orig.hop + 1))
+        elif isinstance(orig, (CSearch, CInsert, CUpdate)):
+            # relayed while a merge that bounced had demoted this node
+            self.on_message(sim, orig, self.node_id)
         elif isinstance(orig, CopyReplica):
             # the source died; the sweep copies again
             self.pending_copies.pop(orig.copy_id, None)
@@ -1808,11 +1812,6 @@ class RAgentNode(BaseNode):
             del st.awaiting_agents[a]
         self._refetch(sim, orig.request_id, st, orig.ids)
         self._maybe_finish_search(sim, orig.request_id)
-
-    def _replay_deferred(self, sim):
-        pending, self.deferred = self.deferred, []
-        for m in pending:
-            self.on_message(sim, m, self.node_id)
 
 
 # ---------------------------------------------------------------------

@@ -247,7 +247,7 @@ def check_invariants(result: RunResult) -> list[str]:
             issues.append(f"{tag}: peer set wrong (missing={missing} extra={extra})")
         # quiescence: no request, transfer or copy still in flight
         for name in ("searches", "resolutions", "updates", "out_migrations",
-                     "in_migrations", "pending_copies", "deferred"):
+                     "in_migrations", "pending_copies"):
             if getattr(r, name):
                 issues.append(f"{tag}: {len(getattr(r, name))} {name} left over")
         if r.locks.locks:

@@ -1,6 +1,8 @@
 """Cluster lifecycle policy rules: join selection, deterministic voting,
 split partitioning, merge-partner choice and failure detection."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from disthash.core import LocalityDescriptor, NodeId
 from disthash.membership import (HeartbeatConfig, EmptyElectorate,
@@ -85,10 +87,34 @@ def test_split_partition_halves():
 
 def test_choose_merge_target():
     clusters = [(nid("r1"), 5), (nid("r2"), 3), (nid("r3"), 3)]
-    assert choose_merge_target(clusters, nid("r9")) == nid("r2")
-    assert choose_merge_target(clusters, nid("r2")) == nid("r3")
+    # the fewest-membered peer above the caller by (members, id)
+    assert choose_merge_target(clusters, (nid("r9"), 1)) == nid("r2")
+    assert choose_merge_target(clusters, (nid("r2"), 3)) == nid("r3")
+    assert choose_merge_target(clusters, (nid("r4"), 3)) == nid("r1")
+    for own in ((nid("r1"), 5), (nid("r4"), 5)):
+        with pytest.raises(NoMergeTarget):
+            choose_merge_target(clusters, own)
     with pytest.raises(NoMergeTarget):
-        choose_merge_target([(nid("r1"), 5)], nid("r1"))
+        choose_merge_target([], (nid("r1"), 1))
+
+
+@given(st.dictionaries(st.sampled_from([f"r{i}" for i in range(8)]),
+                       st.integers(min_value=0, max_value=4), min_size=1))
+def test_merge_targets_only_go_up_so_no_two_clusters_choose_each_other(sizes):
+    clusters = [(nid(r), n) for r, n in sorted(sizes.items())]
+    top = max((n, rid) for rid, n in clusters)
+    choice = {}
+    for rid, n in clusters:
+        peers = [c for c in clusters if c[0] != rid]
+        if (n, rid) == top:
+            with pytest.raises(NoMergeTarget):
+                choose_merge_target(peers, (rid, n))
+            continue
+        target = choice[rid] = choose_merge_target(peers, (rid, n))
+        # above the caller, with no peer between the two
+        assert (n, rid) < (sizes[target], target)
+        assert not any((n, rid) < (m, p) < (sizes[target], target) for p, m in peers)
+    assert all(choice.get(target) != rid for rid, target in choice.items())
 
 
 def test_detect_failures():

@@ -16,7 +16,7 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             AssumeRAgent, BaseNode, CatalogueSync, CInsert,
                             ClientNode, CopyDone, CopyFailed, CopyReplica,
                             CRead, CSearch, FetchObjects, FetchReply,
-                            JoinRequest, LusNode, MigrateDenied, MigrateRequest,
+                            LusNode, MigrateDenied, MigrateRequest,
                             OwnerQuery, OwnerQueryReply, PeerHeartbeat,
                             RAgentHeartbeat, RAgentNode, RemoteSearch,
                             RemoteSearchReply)
@@ -556,13 +556,12 @@ def test_a_quiescent_run_reports_what_is_still_in_flight():
     for name in ("searches", "resolutions", "updates", "out_migrations",
                  "in_migrations", "pending_copies"):
         getattr(r1, name)["x"] = None
-    r1.deferred.append(None)
     r1.locks.acquire(res.labels["obj1"].id, None)
     assert check_invariants(res) == [
         "r1: 1 searches left over", "r1: 1 resolutions left over",
         "r1: 1 updates left over", "r1: 1 out_migrations left over",
         "r1: 1 in_migrations left over", "r1: 1 pending_copies left over",
-        "r1: 1 deferred left over", "r1: 1 object locks held",
+        "r1: 1 object locks held",
         "c1: op q9 never completed"]
 
 
@@ -648,29 +647,7 @@ c1 client net1 as1 ro eu
     assert NodeId("a2") in r1.members
 
 
-SPLIT_MERGE = """
-[config]
-min_cluster = 2
-max_cluster = 4
-drain_ms = 20000
-
-[nodes]
-r1 ragent net1 as1 ro eu
-a1 agent net1 as1 ro eu
-a2 agent net1 as1 ro eu
-a3 agent net1 as1 ro eu
-a4 agent net1 as1 ro eu
-c1 client net1 as1 ro eu
-
-[events]
-100 insert c1 a1 obj1 sensor k1 01
-200 insert c1 a2 obj2 camera k2 02
-300 insert c1 a3 obj3 drone k3 03
-2000 join a6 net1 as1 ro eu
-2100 join a7 net1 as1 ro eu
-20000 crash a6
-24000 crash a7
-"""
+SPLIT_MERGE = (SCENARIOS / "split_merge.txt").read_text()
 
 
 def test_split_and_merge_conserve_entries():
@@ -697,7 +674,7 @@ def test_split_and_merge_conserve_entries():
         assert sum(obj.id in r.catalogue for r in live) == 1
 
 
-MERGE_WINDOW = """
+BELOW_MIN = """
 [config]
 min_cluster = 3
 max_cluster = 10
@@ -720,8 +697,8 @@ c1 client net1 as1 ro eu
 """
 
 
-def test_rejoin_during_merge_window_is_deferred():
-    res = build(MERGE_WINDOW)
+def test_a_cluster_that_drops_below_min_merges_into_its_peer():
+    res = build(BELOW_MIN)
     # losing a1 puts its cluster below min; it merges into the peer and
     # the system settles healthy
     assert res.issues == []
@@ -939,19 +916,19 @@ def test_message_without_a_handler_in_this_role_is_ignored_and_traced():
     sim = res.sim
     sim.run_until(50 * MS)
     a2 = sim.nodes[NodeId("a2")]
-    assert isinstance(a2, AgentNode) and not hasattr(a2, "_on_JoinRequest")
+    assert isinstance(a2, AgentNode) and not hasattr(a2, "_on_PeerHeartbeat")
     before = copy.deepcopy(vars(a2))
     log = spy_sends(sim)
     timers = []
     set_timer = sim.set_timer
     sim.set_timer = lambda node, *rest: (timers.append(node), set_timer(node, *rest))
-    sim.send(NodeId("c1"), a2.node_id, JoinRequest(joiner=NodeId("c1"), locality=a2.locality))
+    sim.send(NodeId("r1"), a2.node_id, PeerHeartbeat(cat_size=1, member_count=3))
     sim.run_until(80 * MS)
     assert [s for s, *_ in log if s == a2.node_id] == []
     assert a2.node_id not in timers
     assert vars(a2) == before
     ignored = [r for r in sim.trace if r.kind == "ignored"]
-    assert [(r.node, r.detail) for r in ignored] == [("a2", "JoinRequest::c1")]
+    assert [(r.node, r.detail) for r in ignored] == [("a2", "PeerHeartbeat::r1")]
     deliver = [r for r in sim.trace if r.kind == "deliver"]
     assert sim.deliver_count == len(deliver)
     assert any(r.seq == ignored[0].seq for r in deliver)
@@ -1001,13 +978,12 @@ def test_client_ops_reach_the_merge_target_after_a_demotion():
     # a2 heads the split-off cluster until it merges into r1 at 24 s
     res = staged(SPLIT_MERGE, trace=True)
     sim, a2, c1 = res.sim, NodeId("a2"), NodeId("c1")
-    t = 0
-    while not (isinstance(sim.nodes[a2], RAgentNode) and sim.nodes[a2].reconfiguring):
-        t += MS
-        sim.run_until(t)
+    sim.run_until(24_000 * MS)
     member = next(m for m in sorted(sim.nodes[a2].members) if sim.is_alive(m))
-    # straight from the client, in the merge window: deferred, then
-    # handed to r1 with the route through a2
+    while isinstance(sim.nodes[a2], RAgentNode):
+        sim.run_until(sim.clock + MS)
+    # straight from the client, as to the super-peer a2 was a moment ago:
+    # relayed to r1 with the route through a2
     late = make_object("late", ("k9",), b"\x09")
     sim.send(c1, a2, CInsert(request_id="x1", obj=late))
     finish(res)
@@ -1146,12 +1122,13 @@ def test_role_comes_from_the_node_class():
     assert isinstance(a1, RAgentNode) and a1.role is Role.RAGENT
     assert isinstance(r1, AgentNode) and r1.role is Role.AGENT
     assert "role" not in vars(a1) and "role" not in vars(r1)
-    # a2 is promoted by the split at 2015 ms and demoted by the merge
+    # a2 is promoted by the split at 2015 ms, and demoted as it hands its
+    # cluster to r1, before r1 merges it
     res = staged(SPLIT_MERGE)
     res.sim.run_until(3000 * MS)
     assert res.sim.nodes[NodeId("a2")].role is Role.RAGENT
     finish(res)
-    assert [e[1] for e in res.sim.member_events if e[3] == "a2"][-1] == "demote"
+    assert [e[1] for e in res.sim.member_events if e[3] == "a2"][-2:] == ["demote", "merge"]
     assert res.sim.nodes[NodeId("a2")].role is Role.AGENT
 
 
@@ -1516,7 +1493,8 @@ def test_a_sole_holder_that_lacks_its_object_loses_it(says):
 # -- every handler is reached ---------------------------------------------
 
 # r1 drops below min_cluster and merges into r2; r3 still lists r1 as a
-# super-peer until r1's PeerUpdate arrives, and asks it as one meanwhile
+# super-peer until r1's PeerUpdate arrives, and asks it as one meanwhile.
+# The PeerUpdate names r2, so r3 asks r2 again what r1 still owed it
 STALE_PEER = """
 [config]
 min_cluster = 3
@@ -1541,14 +1519,15 @@ c1 client net3 as1 ro eu
 100 insert c1 a1 obj1 sensor k1 01
 1000 search_first c1 a7 exact sensor
 2000 search_first c1 a7 exact sensor
+2960 search_first c1 a7 exact sensor
 3000 crash a1
-3000 search_first c1 a7 exact sensor
-3030 search c1 a7 exact sensor
-3031 update c1 a7 obj1 beef
+3000 search c1 a7 exact sensor
+3001 update c1 a7 obj1 beef
 """
 
-# r1 drops below min_cluster and asks r2 to merge, but r2 dies inside the
-# merge window; an insert deferred meanwhile is replayed at r1
+# r1 drops below min_cluster and hands its cluster to r2, but r2 dies
+# before the hand-off arrives; the hand-off and an insert the demoted r1
+# relayed meanwhile bounce, and r1 heads its cluster again
 MERGE_TARGET_DIES = """
 [config]
 min_cluster = 3
@@ -1573,6 +1552,66 @@ c1 client net1 as1 ro eu
 3015 crash r2
 """
 
+# after r2 dies, r1 and a4 (which took over from r2) are both below
+# min_cluster, and each is the other's only peer
+BOTH_BELOW_MIN = (MERGE_TARGET_DIES.replace("a7 agent net2 as1 ro eu\n", "")
+                  .replace("drain_ms = 15000", "drain_ms = 60000"))
+
+# r1 and r2 drop below min_cluster at once, each while the other's last
+# beat still gave it more members, so each hands its cluster to the other
+CROSSED_MERGES = """
+[config]
+min_cluster = 3
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+b1 agent net2 as2 us na
+b2 agent net2 as2 us na
+b3 agent net2 as2 us na
+b4 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 b1 obj2 sensor k2 02
+3000 crash a3
+3000 crash b3
+3000 crash b4
+"""
+
+# r2 drops below min_cluster and merges into r1 at 3010 ms; a join and
+# an insert r1 delegates to r2 both reach r2 after that
+PASSED_ON = """
+[config]
+min_cluster = 3
+delegation_factor = 1.0
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+b1 agent net2 as2 us na
+b2 agent net2 as2 us na
+b3 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a2 obj2 sensor k2 02
+2950 join b4 net2 as2 us na
+3000 crash b1
+3020 insert c1 a3 obj3 camera k3 03
+"""
+
 # c1 learns a1 as obj1's holder; a1 is the secondary and takes over r1
 PROMOTED_HOLDER = ONE_CLUSTER.replace("800 read c1 obj1", "1000 crash r1\n5000 read c1 obj1")
 
@@ -1582,29 +1621,86 @@ def test_a_demoted_super_peer_asked_as_one_says_not_here():
     assert res.issues == []
     [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote" and e[2] == "r1"]
     asked = [r for r in res.sim.trace if r.kind == "deliver" and r.time > demoted
-             and (r.node, r.src) == ("r1", "r3")]
-    assert [(r.msg_type, r.request_id) for r in asked] == [
-        ("RemoteSearch", "q0005"), ("OwnerQuery", "q0006"), ("MigrateRequest", "r3.mig1")]
-    assert [r.msg_type for r in res.sim.trace if r.kind == "deliver" and (r.node, r.src) == ("r3", "r1")
-            and r.request_id in ("q0005", "q0006", "r3.mig1")] == [
-        "RemoteSearchReply", "OwnerQueryReply", "MigrateDenied"]
+             and (r.node, r.src) == ("r1", "r3") and r.request_id]
+    assert sorted((r.msg_type, r.request_id) for r in asked) == [
+        ("MigrateRequest", "r3.mig1"), ("OwnerQuery", "q0006"), ("RemoteSearch", "q0005")]
+    assert sorted(r.msg_type for r in res.sim.trace if r.kind == "deliver" and (r.node, r.src) == ("r3", "r1")
+                  and r.request_id in ("q0005", "q0006", "r3.mig1")) == [
+        "MigrateDenied", "OwnerQueryReply", "RemoteSearchReply"]
+    # asked again at r2, which r1 handed its cluster to
+    [told] = [r.time for r in res.sim.trace if r.kind == "deliver" and (r.node, r.src) == ("r3", "r1")
+              and r.msg_type == "PeerUpdate"]
+    for ask, rid in (("RemoteSearch", "q0005"), ("OwnerQuery", "q0006")):
+        assert [r.time for r in deliveries(res, ask, rid) if r.node == "r2"][1:] == [told + 15 * MS]
     recs = completions(res)
-    assert [(recs[q]["outcome"], recs[q]["results"]) for q in ("q0005", "q0006")] == [
-        ("ok", 1), ("ok", 0)]
+    assert [(recs[q]["outcome"], recs[q]["results"]) for q in ("q0004", "q0005", "q0006")] == [
+        ("ok", 1), ("ok", 1), ("ok", 0)]
     assert recs["q0006"]["version"] == 1
 
 
-def test_a_merge_whose_target_dies_replays_what_it_deferred():
+def test_a_merge_whose_target_dies_comes_back_and_its_sender_heads_the_cluster_again():
     res = build(MERGE_TARGET_DIES, trace=True)
     assert res.issues == []
     [bounced] = [r.time for r in res.sim.trace if r.kind == "drop" and r.msg_type == "MergeRequest"]
-    [deferred] = [r.time for r in deliveries(res, "CInsert", "q0002") if r.node == "r1"]
-    assert deferred < bounced
-    assert [r.node for r in deliveries(res, "StoreReplica", "q0002")] == ["a2", "a3"]
+    roles = [(e[0], e[1], e[3]) for e in res.sim.member_events
+             if e[1] in ("demote", "assume_ragent", "promote", "merge")]
+    # r1 heads its cluster again once the bounce is back, then merges
+    # into the cluster r2's secondary took over
+    assert [(event, node) for _, event, node in roles] == [
+        ("demote", "r1"), ("assume_ragent", "r1"), ("promote", "a4"), ("demote", "r1"), ("merge", "r1")]
+    assert roles[0][0] < bounced < roles[1][0]
+    # the insert r1 relayed to r2 while demoted bounced too, and ran at r1
+    assert [(r.kind, r.node) for r in res.sim.trace if r.request_id == "q0002"
+            and r.msg_type == "CInsert"] == [("deliver", "a2"), ("deliver", "r1"), ("drop", "r2")]
+    assert sorted(r.node for r in deliveries(res, "StoreReplica", "q0002")) == ["a2", "a3"]
     assert completions(res)["q0002"]["outcome"] == "ok"
-    # r1 merges later into the cluster r2's secondary took over
-    assert [(e[1], e[2], e[3]) for e in res.sim.member_events if e[1] in ("promote", "merge")] == [
-        ("promote", "a4", "a4"), ("merge", "a4", "r1")]
+
+
+def test_two_clusters_below_min_never_choose_each_other():
+    res = build(BOTH_BELOW_MIN)
+    assert res.issues == []
+    # merges only go up by (members, id): a4's 2 members order below r1's
+    assert [(e[1], e[2], e[3]) for e in res.sim.member_events if e[1] in ("demote", "merge")][-2:] == [
+        ("demote", "a4", "a4"), ("merge", "r1", "a4")]
+
+
+def test_hand_offs_crossed_on_stale_counts_come_back_and_the_next_sweeps_merge_one_way():
+    res = build(CROSSED_MERGES, trace=True)
+    assert res.issues == []
+    roles = [(e[1], e[3]) for e in res.sim.member_events
+             if e[1] in ("demote", "assume_ragent", "merge")]
+    assert roles == [("demote", "r1"), ("demote", "r2"), ("assume_ragent", "r1"),
+                     ("assume_ragent", "r2"), ("demote", "r1"), ("merge", "r1")]
+    # each hand-off reached the other, now an agent, and was passed back
+    passed = [(r.node, r.src) for r in deliveries(res, "MergeRequest") if r.hop == 1]
+    assert sorted(passed) == [("r1", "r2"), ("r2", "r1")]
+
+
+def test_a_join_and_a_delegated_insert_sent_to_a_demoted_super_peer_are_passed_on():
+    res = build(PASSED_ON, trace=True)
+    assert res.issues == []
+    [(demoted, _)] = [(e[0], e[3]) for e in res.sim.member_events if e[1] == "demote"]
+    for name in ("JoinRequest", "DelegateInsert"):
+        hops = deliveries(res, name)
+        assert [(r.node, r.src) for r in hops] == [("r2", hops[0].src), ("r1", "r2")]
+        assert hops[0].time > demoted
+    r1 = ragent(res, "r1")
+    assert NodeId("b4") in r1.members and res.labels["obj3"].id in r1.catalogue
+    assert completions(res)["q0003"]["outcome"] == "ok"
+
+
+def test_a_super_peer_with_a_search_in_flight_merges_at_its_next_sweep():
+    # the search reaches a2 at 24,028 ms; a2 would hand its cluster to r1
+    # at 24,030 ms, but waits for the search's answer
+    res = build(SPLIT_MERGE + "24023 search c1 a2 exact sensor\n", trace=True)
+    assert res.issues == []
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], [o.id for o in rec["objects"]]) == ("ok", [res.labels["obj1"].id])
+    [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
+    sweeps = [r.time for r in res.sim.trace if (r.kind, r.node, r.tag) == ("timer", "a2", "sweep")]
+    assert demoted == min(t for t in sweeps if t > 24_030 * MS) == 24_520 * MS
+    alone = build(SPLIT_MERGE)
+    assert [e[0] for e in alone.sim.member_events if e[1] == "demote"] == [24_030 * MS]
 
 
 def test_a_read_sent_to_a_holder_since_promoted_is_not_held():
@@ -1641,7 +1737,7 @@ def test_every_handler_runs_in_some_scenario(monkeypatch):
             wanted |= set(labels.values())
             monkeypatch.setattr(cls, table, {key: counted(labels[key], fn)
                                              for key, fn in vars(cls)[table].items()})
-    for name in ("_refetch", "_fetch_bounced", "_replay_deferred", "_unlist"):
+    for name in ("_refetch", "_fetch_bounced", "_unlist", "_reask"):
         wanted.add(f"RAgentNode.{name}")
         monkeypatch.setattr(RAgentNode, name, counted(f"RAgentNode.{name}", getattr(RAgentNode, name)))
     texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.txt"))]
