@@ -289,6 +289,7 @@ class FetchReply:
 
 @dataclass(kw_only=True)
 class DelegateInsert:
+    op = "insert"
     request_id: str
     obj: DistObject
     route: tuple
@@ -514,7 +515,8 @@ class LusNode(BaseNode):
         if msg.role is Role.CLIENT:
             sim.send(self.node_id, src, LusQueryReply(denied=True, hop=msg.hop + 1))
             return
-        entries = tuple(self.registry.query(msg.role))
+        # a super-peer that rejoined may still be listed: not to itself
+        entries = tuple(e for e in self.registry.query(msg.role) if e[0] != src)
         sim.send(self.node_id, src, LusQueryReply(entries=entries, hop=msg.hop + 1))
 
 
@@ -733,8 +735,9 @@ class AgentNode(BaseNode):
             self.store.pop(oid, None)
 
     def _on_CopyDone(self, sim, msg: CopyDone, src):
-        # only a former super-peer gets one: a copy it started before a
-        # merge or a crash, which no catalogue lists
+        # only a former super-peer gets one: a copy it started before it
+        # crashed and rejoined, which no catalogue lists (a merge waits
+        # for its copies)
         sim.send(self.node_id, src, DropReplica(ids=(msg.oid,)))
 
     def _on_CopyReplica(self, sim, msg: CopyReplica, src):
@@ -813,6 +816,10 @@ class AgentNode(BaseNode):
             self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
         elif self.joined and self.ragent is not None:
             sim.send(self.node_id, self.ragent, replace(msg, hop=msg.hop + 1))
+        else:
+            # in no cluster (a rejoin the registry still lists): refused,
+            # as a dead node's would be, so that the sender goes on
+            sim.send(self.node_id, src, SendFailed(original=msg, dead=self.node_id))
 
     _on_MergeRequest = _on_JoinRequest = _on_DelegateInsert = _pass_on
 
@@ -835,15 +842,23 @@ class AgentNode(BaseNode):
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         orig = msg.original
-        if isinstance(orig, JoinRequest):
+        if isinstance(orig, JoinRequest) and orig.joiner == self.node_id:
             sim.set_timer(self.node_id, "retry_join", self.hb.period_us)
-        elif isinstance(orig, (CSearch, CInsert, CUpdate)):
+        elif isinstance(orig, JoinRequest):
+            # passed on to a super-peer that died: the joiner retries
+            sim.send(self.node_id, orig.joiner, msg)
+        elif isinstance(orig, (CSearch, CInsert, CUpdate, DelegateInsert)):
             # straight to the client, the last hop of the route
             self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=orig.op,
                         outcome="ragent_down", hop=orig.hop + 1)
         elif isinstance(orig, MergeRequest) and orig.from_ragent == self.node_id:
-            # the merge target died: head the cluster again
+            # the merge target died: head the cluster again at once, before
+            # the bounces of what this node passed on come back
             self._become_ragent(sim, orig.catalogue, orig.loads, orig.members, orig.peers)
+        elif isinstance(orig, MergeRequest) and msg.dead != orig.from_ragent:
+            # passed on to a target that died: back to its sender, which
+            # heads its cluster again (a dead one's secondary takes over)
+            sim.send(self.node_id, orig.from_ragent, orig)
         # bounced heartbeats need no reaction; detection is timeout-driven
 
 
@@ -1028,7 +1043,7 @@ class RAgentNode(BaseNode):
     def _check_thresholds(self, sim):
         if len(self.members) > self.thresholds.max_cluster:
             self._split(sim)
-        elif len(self.members) < self.thresholds.min_cluster and self.peers:
+        else:
             self._initiate_merge(sim)
 
     def _tick_reconfig_check(self, sim, payload):
@@ -1050,10 +1065,8 @@ class RAgentNode(BaseNode):
         self.peer_members[src] = msg.member_count
 
     def _on_PeerUpdate(self, sim, msg: PeerUpdate, src):
-        if msg.merged_into is not None:
-            self._reask(sim, src, msg.merged_into)
         for p in msg.remove:
-            self._drop_peer(sim, p)
+            self._drop_peer(sim, p, into=msg.merged_into)
         for p in msg.add:
             if p != self.node_id:
                 self.peers.add(p)
@@ -1061,7 +1074,7 @@ class RAgentNode(BaseNode):
         # the secondary must know the peer set it would take over
         self._sync_secondary(sim)
 
-    def _drop_peer(self, sim, peer: NodeId):
+    def _drop_peer(self, sim, peer: NodeId, into: NodeId | None = None):
         if peer not in self.peers and peer not in self.peer_last_seen:
             return
         self.peers.discard(peer)
@@ -1073,31 +1086,24 @@ class RAgentNode(BaseNode):
         if peer in sim.crashed and self.config.lus_ids:
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=peer))
-        # requests waiting on that peer must not stall
-        for rid in sorted(self.searches):
-            if self.searches[rid].awaiting_peers.pop(peer, None):
+        # requests waiting on that peer must not stall; what it still owed
+        # is asked of ``into``, the cluster it merged into if it did (by
+        # the triangle inequality the ask arrives after the hand-off)
+        for rid, st in sorted(self.searches.items()):
+            if st.awaiting_peers.pop(peer, None):
+                if into is not None:
+                    st.awaiting_peers[into] = st.awaiting_peers.get(into, 0) + 1
+                    sim.send(self.node_id, into, RemoteSearch(
+                        request_id=rid, criterion=st.criterion, mode=st.mode,
+                        hop=st.max_hop + 1))
                 self._maybe_finish_search(sim, rid)
-        for rid in sorted(self.resolutions):
-            if self.resolutions[rid].awaiting.pop(peer, None):
+        for rid, rs in sorted(self.resolutions.items()):
+            if rs.awaiting.pop(peer, None):
+                if into is not None:
+                    rs.awaiting[into] = rs.awaiting.get(into, 0) + 1
+                    sim.send(self.node_id, into, OwnerQuery(
+                        request_id=rid, oid=rs.oid, hop=rs.hop + 1))
                 self._maybe_finish_resolution(sim, rid)
-
-    def _reask(self, sim, gone: NodeId, target: NodeId):
-        """``gone`` merged into ``target``: ask ``target`` what ``gone``
-        still owed. By the triangle inequality this arrives after the
-        hand-off."""
-        for rid in sorted(self.searches):
-            st = self.searches[rid]
-            if st.awaiting_peers.pop(gone, None):
-                st.awaiting_peers[target] = st.awaiting_peers.get(target, 0) + 1
-                sim.send(self.node_id, target, RemoteSearch(
-                    request_id=rid, criterion=st.criterion, mode=st.mode,
-                    hop=st.max_hop + 1))
-        for rid in sorted(self.resolutions):
-            rs = self.resolutions[rid]
-            if rs.awaiting.pop(gone, None):
-                rs.awaiting[target] = rs.awaiting.get(target, 0) + 1
-                sim.send(self.node_id, target, OwnerQuery(
-                    request_id=rid, oid=rs.oid, hop=rs.hop + 1))
 
     # -- join / membership ----------------------------------------------
 
@@ -1279,20 +1285,37 @@ class RAgentNode(BaseNode):
 
     # -- merge ------------------------------------------------------------
 
-    def _initiate_merge(self, sim):
-        """Hand the cluster to a larger one and be its agent at once; only
-        with nothing in flight, else the next sweep tries again."""
-        if (self.searches or self.resolutions or self.updates or self.locks.locks
-                or self.out_migrations or self.in_migrations):
-            return
-        known = [(rid, self.peer_members[rid]) for rid in sorted(self.peers)
-                 if rid in self.peer_members]
-        if not known:
-            return  # peer sizes unknown yet; retried next sweep
+    def _merge_into(self) -> NodeId | None:
+        """The peer to hand the cluster to once it is below min_cluster;
+        None for the largest cluster, or while peer sizes are unknown."""
+        if len(self.members) >= self.thresholds.min_cluster:
+            return None
+        known = [(p, self.peer_members[p]) for p in sorted(self.peers) if p in self.peer_members]
         try:
-            target = choose_merge_target(known, (self.node_id, len(self.members)))
+            return choose_merge_target(known, (self.node_id, len(self.members)))
         except NoMergeTarget:
-            return  # the largest cluster waits for the others
+            return None
+
+    def _admit(self, sim, msg: CSearch | CUpdate) -> bool:
+        """Whether to run a client op here: once the cluster is due to
+        merge, it goes on to the target instead, so that what is in
+        flight here drains by the next sweep."""
+        target = self._merge_into()
+        if target is not None:
+            sim.send(self.node_id, target, replace(msg, hop=msg.hop + 1))
+        return target is None
+
+    def _initiate_merge(self, sim):
+        """Hand the cluster to the merge target and be its agent at once;
+        only with nothing of its own in flight, else the next sweep tries
+        again. A peer's search here does not hold it back: the peer asks
+        the target again, and a target that is that peer looks again."""
+        target = self._merge_into()
+        if target is None or (
+                any(st.remote_origin is None for st in self.searches.values())
+                or self.resolutions or self.updates or self.locks.locks
+                or self.out_migrations or self.in_migrations or self.pending_copies):
+            return
         self._forget_sync()
         sim.send(self.node_id, target, MergeRequest(
             from_ragent=self.node_id, catalogue=self.catalogue,
@@ -1310,21 +1333,28 @@ class RAgentNode(BaseNode):
         agent.start(sim)
 
     def _on_MergeRequest(self, sim, msg: MergeRequest, src):
-        entries_in = len(msg.catalogue)
         entries_own = len(self.catalogue)
         self.catalogue.merge(msg.catalogue)
-        for a in list(msg.members) + [msg.from_ragent]:
+        newcomers = sorted((*msg.members, msg.from_ragent))
+        for a in newcomers:
             if a not in self.members:
                 self.members.add(a)
                 self.loads.counts[a] = msg.loads.get(a, 0)
                 self.member_last_seen[a] = sim.clock
-        sim.multicast(self.node_id, msg.members, ReassignCluster(ragent=self.node_id))
+        # a search in flight here looked before the cluster came in
+        for rid, st in sorted(self.searches.items()):
+            if st.holder is None:
+                self._fetch_groups(sim, rid, self._look_up(sim, rid, st, msg.catalogue),
+                                   st, st.max_hop + 1)
+        # with this secondary: the one they had is not a member here
+        sim.multicast(self.node_id, newcomers, ConfigUpdate(
+            ragent=self.node_id, secondary=self.secondary))
         self._drop_peer(sim, msg.from_ragent)
         self._update_lus_count(sim)
         self._sync_secondary(sim)
         sim.record_member_event(
             "merge", self.node_id, msg.from_ragent,
-            f"entries={entries_own}+{entries_in}={len(self.catalogue)} "
+            f"entries={entries_own}+{len(msg.catalogue)}={len(self.catalogue)} "
             f"members={len(self.members)}")
         if len(self.members) > self.thresholds.max_cluster:
             sim.set_timer(self.node_id, "reconfig_check", 0)
@@ -1344,10 +1374,14 @@ class RAgentNode(BaseNode):
 
     # -- search ------------------------------------------------------------
 
-    def _lookup_counted(self, sim, request_id: str, criterion: PatternKey):
-        matches, key_steps = self.catalogue.lookup(criterion)
-        sim.steps.on_lookup(request_id, self.node_id,
-                            self.catalogue.key_count, key_steps, len(matches))
+    def _look_up(self, sim, rid: str, st: SearchState, catalogue: MetaCatalogue):
+        """``st``'s matches in ``catalogue``; search-first keeps one."""
+        matches, key_steps = catalogue.lookup(st.criterion)
+        sim.steps.on_lookup(rid, self.node_id, catalogue.key_count,
+                            key_steps, len(matches))
+        if st.mode == "first" and matches:
+            matches = matches[:1]
+            st.holder = matches[0][1]
         return matches
 
     def _fetch_groups(self, sim, request_id: str, matches, st: SearchState, hop: int):
@@ -1368,11 +1402,18 @@ class RAgentNode(BaseNode):
 
     def _on_CSearch(self, sim, msg: CSearch, src):
         msg = self._routed(msg, src)
-        self._search(sim, msg.request_id, SearchState(
-            mode=msg.mode, criterion=msg.criterion,
-            route=msg.route, max_hop=msg.hop), fan_out=True)
+        if self._admit(sim, msg):
+            self._search(sim, msg.request_id, SearchState(
+                mode=msg.mode, criterion=msg.criterion,
+                route=msg.route, max_hop=msg.hop), fan_out=True)
 
     def _on_RemoteSearch(self, sim, msg: RemoteSearch, src):
+        if msg.request_id in self.searches:
+            # asked again after a merge, while the first ask is in flight
+            # here: that one answers for the cluster taken in too
+            sim.send(self.node_id, src, RemoteSearchReply(
+                request_id=msg.request_id, objects=(), hop=msg.hop + 1))
+            return
         self._search(sim, msg.request_id, SearchState(
             mode=msg.mode, criterion=msg.criterion,
             remote_origin=src, max_hop=msg.hop), fan_out=False)
@@ -1384,12 +1425,8 @@ class RAgentNode(BaseNode):
         search-all, only on a local miss for search-first."""
         self.searches[rid] = st
         hop = st.max_hop + 1
-        matches = self._lookup_counted(sim, rid, st.criterion)
-        if st.mode == "first" and matches:
-            matches = matches[:1]
-            st.holder = matches[0][1]
-            fan_out = False
-        if fan_out:
+        matches = self._look_up(sim, rid, st, self.catalogue)
+        if fan_out and st.holder is None:
             st.awaiting_peers = dict.fromkeys(self.peers, 1)
             sim.multicast(self.node_id, sorted(self.peers), RemoteSearch(
                 request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
@@ -1514,8 +1551,10 @@ class RAgentNode(BaseNode):
 
     def _on_CUpdate(self, sim, msg: CUpdate, src):
         msg = self._routed(msg, src)
-        self._resolve_update(sim, msg.request_id, msg.oid, msg.payload,
-                             msg.route, msg.hop)
+        # an object listed here is updated here whatever is due
+        if msg.oid in self.catalogue or self._admit(sim, msg):
+            self._resolve_update(sim, msg.request_id, msg.oid, msg.payload,
+                                 msg.route, msg.hop)
 
     def _resolve_update(self, sim, rid, oid, payload, route, hop):
         if oid in self.catalogue:
@@ -1749,6 +1788,7 @@ class RAgentNode(BaseNode):
         orig, dead = msg.original, msg.dead
         if dead in self.members:
             self._handle_agent_failure(sim, dead, "reactive")
+        self._drop_peer(sim, dead)  # if it is one
         if isinstance(orig, FetchObjects):
             self._fetch_bounced(sim, orig)
         elif isinstance(orig, ApplyUpdate):
@@ -1767,20 +1807,16 @@ class RAgentNode(BaseNode):
             oid = self.in_migrations.pop(orig.request_id, None)
             if oid is not None:
                 self.hot.reset(oid)
-            self._drop_peer(sim, dead)
         elif isinstance(orig, MigrateTransfer):
             # the requester died before it took the object: keep it here
             entry = self.out_migrations.pop(orig.request_id, None)
             if entry is not None:
                 self._release_lock(sim, entry[0])
-            self._drop_peer(sim, dead)
         elif isinstance(orig, DelegateInsert):
             # the delegate died: place the insert here after all
-            self._drop_peer(sim, dead)
             self._on_DelegateInsert(sim, replace(orig, route=orig.route[1:]), self.node_id)
         elif isinstance(orig, (ForwardUpdate, UpdateRetry)):
             # the cluster the update was handed to died with it
-            self._drop_peer(sim, dead)
             route = orig.route[1:] if isinstance(orig, ForwardUpdate) else orig.route
             self._reply(sim, route, request_id=orig.request_id, op="update",
                         outcome="ragent_down", hop=orig.hop + 1)
@@ -1788,16 +1824,12 @@ class RAgentNode(BaseNode):
             # the relaying hop died: straight to the client, the last hop
             sim.send(self.node_id, orig.route[-1],
                      replace(orig, route=(), hop=orig.hop + 1))
-        elif isinstance(orig, (CSearch, CInsert, CUpdate)):
-            # relayed while a merge that bounced had demoted this node
+        elif isinstance(orig, (CSearch, CInsert, CUpdate, JoinRequest, MergeRequest)):
+            # relayed or passed on while demoted by a merge that bounced
             self.on_message(sim, orig, self.node_id)
         elif isinstance(orig, CopyReplica):
             # the source died; the sweep copies again
             self.pending_copies.pop(orig.copy_id, None)
-        elif isinstance(orig, (RemoteSearch, OwnerQuery, PeerHeartbeat,
-                               PeerUpdate, MigrateAck,
-                               MigrateDenied, RemoteSearchReply)):
-            self._drop_peer(sim, dead)
 
     def _fetch_bounced(self, sim, orig: FetchObjects):
         if orig.purpose == "migrate":

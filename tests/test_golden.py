@@ -22,13 +22,13 @@ GOLDEN = {
     "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
     "failover.txt": "c3dd1714402cd5e241da626ff124bf8154f03f77bd2920c46aa429b7120e2259",
     "rejoin_before_detection.txt": "c26d238fc4d321d27334a2e90c13e539dbd712f989394495a3daf1077a0dd2f9",
-    "split_merge.txt": "0e710e91102bc59c59f3e04b7b73de7bbfc3e430fc478dbff5976ff21ee0873b",
+    "split_merge.txt": "3233db43dd705d2bf9c28597f8e75e2b6e0544c8d707cbde5d0457dddd452e1a",
 }
 GOLDEN_TRACE = {
     "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
     "failover.txt": "95b40a59be36f339364c2d56886ae8672ef9b9adf5ba488e80a06bdbd09e76dd",
     "rejoin_before_detection.txt": "1b9d018b4cd4b92783b7cf1a3d0c24ac496d0100371149a01600fa48a7e11c43",
-    "split_merge.txt": "a3911b081b55e2c11252a751e831c3a1578b6e485cbb04f19f6e9142b4fbc4dd",
+    "split_merge.txt": "a0f5cac6212a5b47a7ebc481af922fee1b66167fea597b1ad629120fc9af81c9",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"

@@ -1519,10 +1519,10 @@ c1 client net3 as1 ro eu
 100 insert c1 a1 obj1 sensor k1 01
 1000 search_first c1 a7 exact sensor
 2000 search_first c1 a7 exact sensor
-2960 search_first c1 a7 exact sensor
 3000 crash a1
-3000 search c1 a7 exact sensor
-3001 update c1 a7 obj1 beef
+3450 search_first c1 a7 exact sensor
+3490 search c1 a7 exact sensor
+3491 update c1 a7 obj1 beef
 """
 
 # r1 drops below min_cluster and hands its cluster to r2, but r2 dies
@@ -1548,14 +1548,35 @@ c1 client net1 as1 ro eu
 [events]
 100 insert c1 a1 obj1 sensor k1 01
 3000 crash a1
+3495 insert c1 a2 obj2 camera k2 02
+3505 crash r2
+"""
+
+# r2 dies while r1 is still copying a1's replica; then r1 and a4 (which
+# took over from r2) are both below min_cluster, and each is the other's
+# only peer
+BOTH_BELOW_MIN = """
+[config]
+min_cluster = 3
+drain_ms = 60000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net2 as1 ro eu
+a5 agent net2 as1 ro eu
+a6 agent net2 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+3000 crash a1
 3005 insert c1 a2 obj2 camera k2 02
 3015 crash r2
 """
-
-# after r2 dies, r1 and a4 (which took over from r2) are both below
-# min_cluster, and each is the other's only peer
-BOTH_BELOW_MIN = (MERGE_TARGET_DIES.replace("a7 agent net2 as1 ro eu\n", "")
-                  .replace("drain_ms = 15000", "drain_ms = 60000"))
 
 # r1 and r2 drop below min_cluster at once, each while the other's last
 # beat still gave it more members, so each hands its cluster to the other
@@ -1612,6 +1633,115 @@ c1 client net1 as1 ro eu
 3020 insert c1 a3 obj3 camera k3 03
 """
 
+# r1 dies after it took in r2's cluster, and before the join and the
+# insert that the demoted r2 passes on reach it
+PASSED_ON_TARGET_DIES = PASSED_ON.replace("3020 insert c1 a3 obj3 camera k3 03\n",
+                                          "3020 insert c1 a3 obj3 camera k3 03\n3070 crash r1\n")
+
+# r2 drops below min_cluster at 3,010 ms and hands its cluster to r3,
+# the smaller of its peers; obj1 is in r2's cluster, obj2 in r3's
+SEARCH_ACROSS_A_MERGE = """
+[config]
+min_cluster = 3
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as1 ro eu
+r3 ragent net3 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net1 as1 ro eu
+b1 agent net2 as1 ro eu
+b2 agent net2 as1 ro eu
+b3 agent net2 as1 ro eu
+d1 agent net3 as1 ro eu
+d2 agent net3 as1 ro eu
+d3 agent net3 as1 ro eu
+d4 agent net3 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 b1 obj1 sensor k1 01
+200 insert c1 d1 obj2 sensor k2 02
+3000 crash b3
+"""
+
+# at 3,010 ms r1 hands its cluster to r3 and r2 its own to r1, which r2
+# still lists as a super-peer; r3 dies after it took r1's in, before
+# the demoted r1 passes r2's hand-off on to it
+HAND_OFF_TO_A_DEAD_TARGET = """
+[config]
+min_cluster = 3
+drain_ms = 12000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net3 as2 us na
+r3 ragent net2 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+b1 agent net3 as2 us na
+b2 agent net3 as2 us na
+b3 agent net3 as2 us na
+b4 agent net3 as2 us na
+d1 agent net2 as1 ro eu
+d2 agent net2 as1 ro eu
+d3 agent net2 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 b1 obj2 sensor k2 02
+3000 crash a3
+3000 crash b2
+3000 crash b3
+3000 crash b4
+3040 crash r3
+9000 search c1 a2 exact sensor
+"""
+
+# r1 starts a copy of obj2 after a3's crash, then crashes and rejoins
+# before the copy's CopyDone reaches it; the registry still lists r1
+# until a1, its secondary, takes over, so a9 first asks r1 to join
+REJOINED_SUPER_PEER = """
+[config]
+min_cluster = 2
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a1 obj2 sensor k2 02
+3000 crash a3
+3012 crash r1
+3020 rejoin r1
+3100 join a9 net1 as1 ro eu
+6000 search c1 a2 exact sensor
+"""
+
+
+def with_events(text, *lines):
+    """``text`` with more event lines, each put in time order."""
+    head, events = text.split("[events]\n")
+    rows = events.splitlines() + list(lines)
+    return head + "[events]\n" + "\n".join(sorted(rows, key=lambda r: int(r.split()[0]))) + "\n"
+
+
+# a9's join reaches r1 at 3,505 ms, just after r1 handed its cluster to
+# the dead r2; r1 passes it on, and it bounces after r1's own hand-off
+JOIN_PASSED_TO_A_DEAD_TARGET = with_events(MERGE_TARGET_DIES, "3490 join a9 net1 as1 ro eu")
+
 # c1 learns a1 as obj1's holder; a1 is the secondary and takes over r1
 PROMOTED_HOLDER = ONE_CLUSTER.replace("800 read c1 obj1", "1000 crash r1\n5000 read c1 obj1")
 
@@ -1636,6 +1766,10 @@ def test_a_demoted_super_peer_asked_as_one_says_not_here():
     assert [(recs[q]["outcome"], recs[q]["results"]) for q in ("q0004", "q0005", "q0006")] == [
         ("ok", 1), ("ok", 1), ("ok", 0)]
     assert recs["q0006"]["version"] == 1
+    # r1 waited for the copy it started after a1's crash, so the copy
+    # is listed and not dropped
+    [copied] = [r.time for r in deliveries(res, "CopyDone") if r.node == "r1"]
+    assert copied < demoted and deliveries(res, "DropReplica") == []
 
 
 def test_a_merge_whose_target_dies_comes_back_and_its_sender_heads_the_cluster_again():
@@ -1703,6 +1837,127 @@ def test_a_super_peer_with_a_search_in_flight_merges_at_its_next_sweep():
     assert [e[0] for e in alone.sim.member_events if e[1] == "demote"] == [24_030 * MS]
 
 
+def test_while_a_merge_waits_new_client_ops_go_to_the_target_so_it_happens_a_period_later():
+    # a search reaches a2 every 10 ms from 23,955 ms to 25,195 ms, so one
+    # is in flight at the 24,030 ms check that finds a2 due to merge
+    stream = [f"{ms} search c1 a2 exact sensor" for ms in range(23950, 25200, 10)]
+    res = build(with_events(SPLIT_MERGE, *stream), trace=True)
+    assert res.issues == []
+    [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
+    assert demoted == 24_520 * MS
+    # from the 24,030 ms check on, a2 passes every new search on to r1
+    searches = deliveries(res, "CSearch")
+    waiting = {r.request_id for r in searches if r.node == "a2" and 24_030 * MS <= r.time < demoted}
+    relayed = {r.request_id for r in searches if (r.src, r.node) == ("a2", "r1")}
+    assert waiting and waiting <= relayed
+    recs = [r for r in res.ops if r["op"] == "search"]
+    assert len(recs) == len(stream) + 1  # and the one at 3,000 ms
+    assert {(r["outcome"], r["results"]) for r in recs} == {("ok", 1)}
+
+
+def test_a_peer_asked_again_while_its_first_answer_is_in_flight_answers_both():
+    # r1 fans out at 3,020 ms and learns at 3,025 ms that r2 merged into
+    # r3; its second ask reaches r3 while the first one still waits there
+    # for its fetches
+    res = build(with_events(SEARCH_ACROSS_A_MERGE, "3010 search c1 a1 exact sensor"), trace=True)
+    assert res.issues == []
+    [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
+    asks = [r.time for r in deliveries(res, "RemoteSearch", "q0003") if r.node == "r3"]
+    answers = [r.time for r in deliveries(res, "RemoteSearchReply", "q0003") if r.src == "r3"]
+    assert len(asks) == len(answers) == 2 and asks[0] < asks[1] < answers[1] - 15 * MS
+    # the second ask is answered at once, empty; the first with both
+    # clusters' objects, since r3 took r2's in before it looked
+    assert answers[0] == asks[1] + 15 * MS
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["results"]) == ("ok", 2)
+    assert demoted < asks[0]
+
+
+def test_a_peers_search_in_flight_does_not_hold_a_merge_back():
+    # r1's ask reaches r2 at 3,005 ms; r2 hands its cluster off at 3,010
+    # ms with the fetch for it still out, and r1 asks r3 instead
+    res = build(with_events(SEARCH_ACROSS_A_MERGE, "2980 search c1 a1 exact sensor"), trace=True)
+    assert res.issues == []
+    [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
+    [asked] = [r.time for r in deliveries(res, "RemoteSearch", "q0003") if r.node == "r2"]
+    [fetched] = [r.time for r in deliveries(res, "FetchReply", "q0003") if r.node == "r2"]
+    assert asked < demoted == 3010 * MS < fetched
+    assert len([r for r in deliveries(res, "RemoteSearch", "q0003") if r.node == "r3"]) == 2
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["results"]) == ("ok", 2)
+
+
+def test_a_search_at_the_merge_target_looks_at_the_cluster_it_takes_in():
+    # r3 looks obj2 up at 3,020 ms; r2's hand-off arrives at 3,025 ms,
+    # and r2, an agent by then, tells r3 it has nothing
+    res = build(with_events(SEARCH_ACROSS_A_MERGE, "3000 search c1 d2 exact sensor"), trace=True)
+    assert res.issues == []
+    [merged] = [e[0] for e in res.sim.member_events if e[1] == "merge"]
+    [asked] = [r.time for r in deliveries(res, "CSearch", "q0003") if r.node == "r3"]
+    assert asked < merged
+    assert [r.node for r in deliveries(res, "FetchObjects", "q0003")] == ["d1", "b1"]
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], [o.id for o in rec["objects"]]) == (
+        "ok", sorted(res.labels[n].id for n in ("obj1", "obj2")))
+
+
+def test_a_join_and_an_insert_passed_on_to_a_target_that_died_are_answered():
+    res = build(PASSED_ON_TARGET_DIES, trace=True)
+    assert res.issues == []
+    # the join's bounce goes on to b4, which asks the registry again
+    [bounce] = [r for r in deliveries(res, "SendFailed") if (r.src, r.node) == ("r2", "b4")]
+    admits = [(e[2], e[3]) for e in res.sim.member_events if e[1] == "admit"]
+    assert admits == [("a1", "b4")]
+    assert bounce.time > [e[0] for e in res.sim.member_events if e[1] == "merge"][0]
+    # the insert r1 delegated, and r2 passed back, is answered straight
+    # to the client when it bounces
+    assert [r.src for r in deliveries(res, "OpReply", "q0003")] == ["r2"]
+    assert completions(res)["q0003"]["outcome"] == "ragent_down"
+
+
+def test_a_join_passed_on_and_bounced_runs_once_its_passer_heads_the_cluster_again():
+    res = build(JOIN_PASSED_TO_A_DEAD_TARGET, trace=True)
+    assert res.issues == []
+    [back] = [e[0] for e in res.sim.member_events if e[1] == "assume_ragent"]
+    [passed] = [r.time for r in res.sim.trace
+                if (r.kind, r.msg_type, r.src, r.node) == ("drop", "JoinRequest", "r1", "r2")]
+    assert [(e[0], e[2], e[3]) for e in res.sim.member_events if e[1] == "admit"] == [
+        (back + 5 * MS, "r1", "a9")]
+    assert passed < back
+
+
+def test_a_hand_off_passed_on_to_a_dead_target_goes_back_to_its_sender():
+    res = build(HAND_OFF_TO_A_DEAD_TARGET, trace=True)
+    assert res.issues == []
+    hops = [(r.kind, r.src, r.node) for r in res.sim.trace if r.msg_type == "MergeRequest"]
+    assert hops == [("deliver", "r1", "r3"), ("deliver", "r2", "r1"), ("drop", "r1", "r3"),
+                    ("deliver", "r1", "r2"), ("deliver", "r2", "d1")]
+    roles = [(e[1], e[2]) for e in res.sim.member_events
+             if e[1] in ("demote", "merge", "assume_ragent", "promote")]
+    # only d1, r3's secondary, takes over: r3 told the members it took
+    # in which secondary it had, so a1 no longer thinks it is one
+    assert roles == [("demote", "r1"), ("demote", "r2"), ("merge", "r3"), ("assume_ragent", "r2"),
+                     ("promote", "d1"), ("demote", "r2"), ("merge", "d1")]
+    assert completions(res)["q0003"]["results"] == 2
+
+
+def test_a_super_peer_that_crashed_and_rejoined_drops_the_copy_it_started_and_joins_its_successor():
+    res = build(REJOINED_SUPER_PEER, trace=True)
+    assert res.issues == []
+    [done] = [r for r in deliveries(res, "CopyDone") if r.node == "r1"]
+    [drop] = deliveries(res, "DropReplica")
+    assert (drop.src, drop.node) == ("r1", done.src) and drop.time > done.time
+    # the registry still listed r1, but did not offer it to itself
+    assert [r for r in deliveries(res, "JoinRequest") if r.src == "r1" and r.node == "r1"] == []
+    # r1, in no cluster yet, refuses a9's join, and a9 asks again until
+    # the registry lists a1 instead
+    [promoted] = [e[0] for e in res.sim.member_events if e[1] == "promote"]
+    refused = [r.time for r in deliveries(res, "SendFailed") if (r.src, r.node) == ("r1", "a9")]
+    assert refused and max(refused) < promoted
+    assert [(e[1], e[2], e[3]) for e in res.sim.member_events if e[1] in ("promote", "admit")] == [
+        ("promote", "a1", "a1"), ("admit", "a1", "r1"), ("admit", "a1", "a9")]
+
+
 def test_a_read_sent_to_a_holder_since_promoted_is_not_held():
     res = build(PROMOTED_HOLDER)
     assert res.issues == []
@@ -1737,7 +1992,7 @@ def test_every_handler_runs_in_some_scenario(monkeypatch):
             wanted |= set(labels.values())
             monkeypatch.setattr(cls, table, {key: counted(labels[key], fn)
                                              for key, fn in vars(cls)[table].items()})
-    for name in ("_refetch", "_fetch_bounced", "_unlist", "_reask"):
+    for name in ("_refetch", "_fetch_bounced", "_unlist"):
         wanted.add(f"RAgentNode.{name}")
         monkeypatch.setattr(RAgentNode, name, counted(f"RAgentNode.{name}", getattr(RAgentNode, name)))
     texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.txt"))]
