@@ -313,6 +313,7 @@ class OwnerQueryReply:
 
 @dataclass(kw_only=True)
 class ForwardUpdate:
+    op = "update"
     request_id: str
     oid: ObjectId
     payload: bytes
@@ -322,6 +323,7 @@ class ForwardUpdate:
 
 @dataclass(kw_only=True)
 class UpdateRetry:
+    op = "update"
     request_id: str
     oid: ObjectId
     payload: bytes
@@ -806,7 +808,8 @@ class AgentNode(BaseNode):
 
     _on_CSearch = _on_CInsert = _on_CUpdate = _relay_op
 
-    def _pass_on(self, sim, msg: MergeRequest | JoinRequest | DelegateInsert, src):
+    def _pass_on(self, sim, msg: MergeRequest | JoinRequest | DelegateInsert
+                 | ForwardUpdate | UpdateRetry, src):
         """Sent to this node while it was a super-peer; a merge has
         demoted it since, so ``msg`` goes on, with the reply address it
         carries, to the cluster it merged into. Its own hand-off, passed
@@ -822,6 +825,7 @@ class AgentNode(BaseNode):
             sim.send(self.node_id, src, SendFailed(original=msg, dead=self.node_id))
 
     _on_MergeRequest = _on_JoinRequest = _on_DelegateInsert = _pass_on
+    _on_ForwardUpdate = _on_UpdateRetry = _pass_on
 
     # a peer that still lists this node as a super-peer is told "not
     # here", so it neither waits for an answer nor leaks request state
@@ -847,7 +851,8 @@ class AgentNode(BaseNode):
         elif isinstance(orig, JoinRequest):
             # passed on to a super-peer that died: the joiner retries
             sim.send(self.node_id, orig.joiner, msg)
-        elif isinstance(orig, (CSearch, CInsert, CUpdate, DelegateInsert)):
+        elif isinstance(orig, (CSearch, CInsert, CUpdate, DelegateInsert,
+                               ForwardUpdate, UpdateRetry)):
             # straight to the client, the last hop of the route
             self._reply(sim, orig.route[-1:], request_id=orig.request_id, op=orig.op,
                         outcome="ragent_down", hop=orig.hop + 1)
@@ -1341,11 +1346,16 @@ class RAgentNode(BaseNode):
                 self.members.add(a)
                 self.loads.counts[a] = msg.loads.get(a, 0)
                 self.member_last_seen[a] = sim.clock
-        # a search in flight here looked before the cluster came in
+        # a search or owner resolution in flight here looked before the
+        # cluster came in
         for rid, st in sorted(self.searches.items()):
             if st.holder is None:
                 self._fetch_groups(sim, rid, self._look_up(sim, rid, st, msg.catalogue),
                                    st, st.max_hop + 1)
+        for rid, rs in sorted(self.resolutions.items()):
+            if rs.oid in msg.catalogue and not rs.forwarded:
+                del self.resolutions[rid]
+                self._resolve_update(sim, rid, rs.oid, rs.payload, rs.route, rs.hop)
         # with this secondary: the one they had is not a member here
         sim.multicast(self.node_id, newcomers, ConfigUpdate(
             ragent=self.node_id, secondary=self.secondary))

@@ -15,11 +15,12 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             AgentHeartbeat, AgentNode, ApplyMissing,
                             AssumeRAgent, BaseNode, CatalogueSync, CInsert,
                             ClientNode, CopyDone, CopyFailed, CopyReplica,
-                            CRead, CSearch, FetchObjects, FetchReply,
-                            LusNode, MigrateDenied, MigrateRequest,
+                            CRead, CSearch, DelegateInsert, FetchObjects,
+                            FetchReply, ForwardUpdate, LusNode, MigrateDenied,
+                            MigrateRequest,
                             OwnerQuery, OwnerQueryReply, PeerHeartbeat,
                             RAgentHeartbeat, RAgentNode, RemoteSearch,
-                            RemoteSearchReply)
+                            RemoteSearchReply, UpdateRetry)
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
@@ -958,6 +959,26 @@ def test_an_agent_asked_as_a_super_peer_says_not_here_and_changes_nothing(ask, a
     assert isinstance(sim.nodes[a2.node_id], AgentNode) and vars(a2) == before
 
 
+@pytest.mark.parametrize("make", [
+    lambda obj: DelegateInsert(request_id="q9", obj=obj, route=(NodeId("c1"),), hop=3),
+    lambda obj: ForwardUpdate(request_id="q9", oid=obj.id, payload=b"x",
+                              route=(NodeId("r1"), NodeId("c1")), hop=3),
+    lambda obj: UpdateRetry(request_id="q9", oid=obj.id, payload=b"x",
+                            route=(NodeId("c1"),), hop=3),
+], ids=["DelegateInsert", "ForwardUpdate", "UpdateRetry"])
+def test_an_agent_passes_on_to_its_super_peer_what_was_sent_to_it_as_one(make):
+    res = staged(ONE_CLUSTER)
+    sim = res.sim
+    sim.run_until(50 * MS)
+    a2 = sim.nodes[NodeId("a2")]
+    msg = make(res.labels["obj1"])
+    log = spy_sends(sim)
+    sim.send(NodeId("r1"), a2.node_id, msg)
+    sim.run_until(80 * MS)
+    assert [(dst, m) for src, dst, m, _ in log if src == a2.node_id] == [
+        (NodeId("r1"), dataclasses.replace(msg, hop=4))]
+
+
 def test_every_message_has_a_handler_and_every_handler_a_message():
     states = {nodes.ClusterConfig, nodes.SearchState, nodes.ResolveState, nodes.UpdateExec}
     messages = {name for name, obj in vars(nodes).items()
@@ -1738,6 +1759,43 @@ def with_events(text, *lines):
     return head + "[events]\n" + "\n".join(sorted(rows, key=lambda r: int(r.split()[0]))) + "\n"
 
 
+# r1 asks r2, obj1's owner, for obj1 at 2,965 ms, and r3's update of it
+# queues behind the export at r2; r3 drops below min_cluster and hands
+# its cluster to r2 at 3,010 ms, before r2 tells it to retry
+RETRY_AFTER_A_MERGE = with_events("""
+[config]
+min_cluster = 3
+migration_threshold = 1
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as1 ro eu
+r3 ragent net3 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+b1 agent net2 as1 ro eu
+b2 agent net2 as1 ro eu
+b3 agent net2 as1 ro eu
+d1 agent net3 as1 ro eu
+d2 agent net3 as1 ro eu
+d3 agent net3 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 b1 obj1 sensor k1 01
+""", "2900 search_first c1 a1 exact sensor", "2920 update c1 d1 obj1 beef", "2990 crash d3")
+
+# r2 answers r1's owner query for obj1 at 2,995 ms, then hands its
+# cluster to r3; r1's ForwardUpdate reaches r2 at 3,025 ms
+UPDATE_ACROSS_A_MERGE = with_events(SEARCH_ACROSS_A_MERGE, "2970 update c1 a1 obj1 beef")
+
+# as above, but r3 dies at 3,030 ms, after it took r2's cluster in and
+# before r2 passes the ForwardUpdate on to it
+FORWARD_TO_A_DEAD_TARGET = with_events(UPDATE_ACROSS_A_MERGE, "3030 crash r3")
+
 # a9's join reaches r1 at 3,505 ms, just after r1 handed its cluster to
 # the dead r2; r1 passes it on, and it bounces after r1's own hand-off
 JOIN_PASSED_TO_A_DEAD_TARGET = with_events(MERGE_TARGET_DIES, "3490 join a9 net1 as1 ro eu")
@@ -1901,6 +1959,52 @@ def test_a_search_at_the_merge_target_looks_at_the_cluster_it_takes_in():
         "ok", sorted(res.labels[n].id for n in ("obj1", "obj2")))
 
 
+def test_an_update_forwarded_to_an_owner_that_merged_meanwhile_runs_at_the_target():
+    res = build(UPDATE_ACROSS_A_MERGE, trace=True)
+    assert res.issues == []
+    [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
+    hops = deliveries(res, "ForwardUpdate", "q0003")
+    assert [(r.src, r.node) for r in hops] == [("r1", "r2"), ("r2", "r3")]
+    assert hops[0].time > demoted
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["version"]) == ("ok", 1)
+
+
+def test_an_update_retry_sent_to_an_origin_that_merged_meanwhile_is_resolved_at_the_target():
+    res = build(RETRY_AFTER_A_MERGE, trace=True)
+    assert res.issues == []
+    [demoted] = [(e[0], e[2]) for e in res.sim.member_events if e[1] == "demote"]
+    hops = deliveries(res, "UpdateRetry", "q0003")
+    assert [(r.src, r.node) for r in hops] == [("r2", "r3"), ("r3", "r2")]
+    assert demoted == (3010 * MS, "r3") and hops[0].time > demoted[0]
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["version"]) == ("ok", 1)
+
+
+def test_an_update_passed_on_to_a_target_that_died_is_answered_ragent_down():
+    res = build(FORWARD_TO_A_DEAD_TARGET, trace=True)
+    assert res.issues == []
+    assert [(r.kind, r.src, r.node) for r in res.sim.trace
+            if r.msg_type == "ForwardUpdate" and r.request_id == "q0003"] == [
+        ("deliver", "r1", "r2"), ("drop", "r2", "r3")]
+    # straight to the client from r2, now an agent of the dead r3
+    assert [r.src for r in deliveries(res, "OpReply", "q0003")] == ["r2"]
+    assert completions(res)["q0003"]["outcome"] == "ragent_down"
+
+
+def test_an_update_resolving_at_the_merge_target_finds_the_object_it_takes_in():
+    # r3 asks its peers for obj1's owner at 3,020 ms; r2's hand-off, which
+    # lists obj1, arrives at 3,025 ms, and r2, an agent by then, says no
+    res = build(with_events(SEARCH_ACROSS_A_MERGE, "3000 update c1 d2 obj1 beef"), trace=True)
+    assert res.issues == []
+    [merged] = [e[0] for e in res.sim.member_events if e[1] == "merge"]
+    [applied] = [r.time for r in deliveries(res, "ApplyUpdate", "q0003")]
+    assert [r.node for r in deliveries(res, "OwnerQuery", "q0003")] == ["r1", "r2"]
+    assert applied == merged + 15 * MS
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["version"]) == ("ok", 1)
+
+
 def test_a_join_and_an_insert_passed_on_to_a_target_that_died_are_answered():
     res = build(PASSED_ON_TARGET_DIES, trace=True)
     assert res.issues == []
@@ -1956,6 +2060,21 @@ def test_a_super_peer_that_crashed_and_rejoined_drops_the_copy_it_started_and_jo
     assert refused and max(refused) < promoted
     assert [(e[1], e[2], e[3]) for e in res.sim.member_events if e[1] in ("promote", "admit")] == [
         ("promote", "a1", "a1"), ("admit", "a1", "r1"), ("admit", "a1", "a9")]
+
+
+def test_generated_runs_that_merge_under_load_end_clean():
+    # clusters of 4-32 agents and min_cluster 16: the small ones merge
+    # while the inserts (one per ms) and searches are still arriving
+    merges = 0
+    for seed in range(40):
+        sc = random_scenario(seed)
+        sc.config = dataclasses.replace(
+            sc.config, min_cluster=16, max_cluster=64, heartbeat_period_ms=500,
+            failure_timeout_ms=2000, delegation_factor=1.0, drain_ms=6000)
+        res = run_scenario(sc, trace=False)
+        assert res.issues == [], seed
+        merges += sum(e[1] == "merge" for e in res.sim.member_events)
+    assert merges >= 40
 
 
 def test_a_read_sent_to_a_holder_since_promoted_is_not_held():
