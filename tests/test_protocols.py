@@ -1913,11 +1913,13 @@ def test_while_a_merge_waits_new_client_ops_go_to_the_target_so_it_happens_a_per
     assert {(r["outcome"], r["results"]) for r in recs} == {("ok", 1)}
 
 
-def test_a_peer_asked_again_while_its_first_answer_is_in_flight_answers_both():
-    # r1 fans out at 3,020 ms and learns at 3,025 ms that r2 merged into
-    # r3; its second ask reaches r3 while the first one still waits there
-    # for its fetches
-    res = build(with_events(SEARCH_ACROSS_A_MERGE, "3010 search c1 a1 exact sensor"), trace=True)
+@pytest.mark.parametrize("at", [2990, 3010], ids=["fan_out_before_the_merge", "after"])
+def test_a_peer_asked_again_while_its_first_answer_is_in_flight_answers_both(at):
+    # r1 fans out at 3,000 ms (its ask reaches r2 after r2 handed its
+    # cluster to r3 at 3,010 ms) or at 3,020 ms, and learns at 3,025 ms
+    # that r2 merged into r3; its second ask reaches r3 while the first
+    # one still waits there for its fetches
+    res = build(with_events(SEARCH_ACROSS_A_MERGE, f"{at} search c1 a1 exact sensor"), trace=True)
     assert res.issues == []
     [demoted] = [e[0] for e in res.sim.member_events if e[1] == "demote"]
     asks = [r.time for r in deliveries(res, "RemoteSearch", "q0003") if r.node == "r3"]
