@@ -10,6 +10,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 ID_BYTES = 20  # 160-bit object identifiers
 
@@ -70,10 +71,12 @@ class KeyKind(str, Enum):
     PATTERN = "pattern"
 
 
-@dataclass(frozen=True, order=True)
-class PatternKey:
+class PatternKey(NamedTuple):
     """A search key: either an object's exact type tag or one of its
-    user-declared access-pattern strings."""
+    user-declared access-pattern strings. A tuple, so that the
+    catalogue's index hashes and compares its keys in C: equality, hash
+    and order are those of ``(kind, key)``, and a key equals that bare
+    tuple."""
 
     kind: KeyKind
     key: str

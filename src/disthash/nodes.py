@@ -12,6 +12,8 @@ Conventions used throughout:
    nearest hop first and the client last: a node that relays the
    request onward prepends itself, and the reply (``OpReply``,
    ``ProgressNote``) is sent to ``route[0]`` with the rest in tow;
+ - a node never assigns to a message it receives, as a multicast
+   shares one object among its destinations: a relay sends a ``_copy``;
  - a timer belongs to the node object that set it: the engine runs no
    timer of an object that a role change or a rejoin has replaced;
  - catalogues and load tables are copied when sent, except that a merge
@@ -19,7 +21,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .catalogue import AgentLoadTable, DuplicateObject, MetaCatalogue
 from .core import (DistObject, LocalityDescriptor, NodeId, ObjectId,
@@ -31,7 +33,7 @@ from .lus import LusRegistry
 from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          choose_merge_target, detect_failures, elect_agent,
                          join_select_ragent, split_partition)
-from .sim import SendFailed, Simulator, UnknownRequest
+from .sim import SearchAccounting, SendFailed, Simulator, UnknownRequest
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,23 @@ class MigrateAck:
     hop: int = 0
 
 
+def _copy(msg, **changes):
+    """``dataclasses.replace(msg, **changes)`` for a message: a new
+    instance of its class with the named fields set. It copies the
+    instance dict instead of inspecting the fields on every call; a
+    relay copies the message it passes on, as one object may have been
+    multicast to many nodes."""
+    fields = msg.__dict__.copy()
+    n = len(fields)
+    fields.update(changes)
+    if len(fields) != n:
+        raise TypeError(f"{type(msg).__name__} has no field "
+                        f"{', '.join(sorted(changes.keys() - msg.__dict__.keys()))}")
+    new = object.__new__(type(msg))
+    new.__dict__ = fields
+    return new
+
+
 # ---------------------------------------------------------------------
 # Base node
 
@@ -466,7 +485,7 @@ class BaseNode:
         route, take it."""
         if msg.route:
             sim.send(self.node_id, msg.route[0],
-                     replace(msg, route=msg.route[1:], hop=msg.hop + 1))
+                     _copy(msg, route=msg.route[1:], hop=msg.hop + 1))
         elif type(msg) is OpReply:
             self._complete_op(sim, msg)
         else:
@@ -751,15 +770,16 @@ class AgentNode(BaseNode):
                      StoreReplica(obj=obj, copy_id=msg.copy_id))
 
     def _on_FetchObjects(self, sim, msg: FetchObjects, src):
-        objects, missing = [], []
+        objects, missing, store = [], [], self.store
         for oid in msg.ids:
-            if oid in self.store:
-                objects.append(self.store[oid])
-            else:
+            obj = store.get(oid)
+            if obj is None:
                 missing.append(oid)
+            else:
+                objects.append(obj)
         sim.send(self.node_id, src, FetchReply(
             request_id=msg.request_id, objects=tuple(objects),
-            missing=tuple(missing), store_size=len(self.store),
+            missing=tuple(missing), store_size=len(store),
             purpose=msg.purpose, hop=msg.hop + 1))
 
     def _on_ApplyUpdate(self, sim, msg: ApplyUpdate, src):
@@ -803,7 +823,7 @@ class AgentNode(BaseNode):
             self._reply(sim, msg.route or (src,), request_id=msg.request_id,
                         op=msg.op, outcome="no_ragent")
             return
-        sim.send(self.node_id, self.ragent, replace(
+        sim.send(self.node_id, self.ragent, _copy(
             msg, route=msg.route or (self.node_id, src), hop=msg.hop + 1))
 
     _on_CSearch = _on_CInsert = _on_CUpdate = _relay_op
@@ -818,7 +838,7 @@ class AgentNode(BaseNode):
         if isinstance(msg, MergeRequest) and msg.from_ragent == self.node_id:
             self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
         elif self.joined and self.ragent is not None:
-            sim.send(self.node_id, self.ragent, replace(msg, hop=msg.hop + 1))
+            sim.send(self.node_id, self.ragent, _copy(msg, hop=msg.hop + 1))
         else:
             # in no cluster (a rejoin the registry still lists): refused,
             # as a dead node's would be, so that the sender goes on
@@ -1307,7 +1327,7 @@ class RAgentNode(BaseNode):
         flight here drains by the next sweep."""
         target = self._merge_into()
         if target is not None:
-            sim.send(self.node_id, target, replace(msg, hop=msg.hop + 1))
+            sim.send(self.node_id, target, _copy(msg, hop=msg.hop + 1))
         return target is None
 
     def _initiate_merge(self, sim):
@@ -1375,7 +1395,7 @@ class RAgentNode(BaseNode):
         """``msg`` with its reply route. An op without one came straight
         from a client that sent it here while this node was an agent; it
         is answered through this node."""
-        return msg if msg.route else replace(msg, route=(self.node_id, src))
+        return msg if msg.route else _copy(msg, route=(self.node_id, src))
 
     def _on_CRead(self, sim, msg: CRead, src):
         # a super-peer stores no replicas
@@ -1824,7 +1844,7 @@ class RAgentNode(BaseNode):
                 self._release_lock(sim, entry[0])
         elif isinstance(orig, DelegateInsert):
             # the delegate died: place the insert here after all
-            self._on_DelegateInsert(sim, replace(orig, route=orig.route[1:]), self.node_id)
+            self._on_DelegateInsert(sim, _copy(orig, route=orig.route[1:]), self.node_id)
         elif isinstance(orig, (ForwardUpdate, UpdateRetry)):
             # the cluster the update was handed to died with it
             route = orig.route[1:] if isinstance(orig, ForwardUpdate) else orig.route
@@ -1833,7 +1853,7 @@ class RAgentNode(BaseNode):
         elif isinstance(orig, (OpReply, ProgressNote)) and orig.route:
             # the relaying hop died: straight to the client, the last hop
             sim.send(self.node_id, orig.route[-1],
-                     replace(orig, route=(), hop=orig.hop + 1))
+                     _copy(orig, route=(), hop=orig.hop + 1))
         elif isinstance(orig, (CSearch, CInsert, CUpdate, JoinRequest, MergeRequest)):
             # relayed or passed on while demoted by a merge that bounced
             self.on_message(sim, orig, self.node_id)
@@ -1858,6 +1878,11 @@ class RAgentNode(BaseNode):
 
 # ---------------------------------------------------------------------
 # Client
+
+
+# what an op that ran no search is charged
+_NOT_A_SEARCH = SearchAccounting(measured=0, bound=0, decomposed=0,
+                                 bound_applicable=False, clusters=0)
 
 
 class ClientNode(BaseNode):
@@ -1906,16 +1931,16 @@ class ClientNode(BaseNode):
         try:
             acct = sim.steps.account_search(rid)
         except UnknownRequest:
-            acct = None
+            acct = _NOT_A_SEARCH
         rec = {
             "time": sim.clock,
             "op": op,
             "id": rid,
-            "steps": acct.measured if acct else 0,
-            "bound": acct.bound if acct else 0,
-            "decomposed": acct.decomposed if acct else 0,
-            "bound_applicable": acct.bound_applicable if acct else False,
-            "clusters": acct.clusters if acct else 0,
+            "steps": acct.measured,
+            "bound": acct.bound,
+            "decomposed": acct.decomposed,
+            "bound_applicable": acct.bound_applicable,
+            "clusters": acct.clusters,
             "messages": sim.steps.message_count(rid),
             "hops": hop,
             "outcome": outcome,
@@ -1923,8 +1948,8 @@ class ClientNode(BaseNode):
             "version": version,
             "progress": self.progress.get(rid, 0),
         }
-        self.completions.append(dict(rec, objects=tuple(objects)))
-        sim.record_op(**rec)
+        sim.op_records.append(rec)
+        self.completions.append({**rec, "objects": tuple(objects)})
 
     def _complete_op(self, sim, msg: OpReply):
         if msg.holder is not None:

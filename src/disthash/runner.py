@@ -320,15 +320,17 @@ def format_metrics(result: RunResult) -> list[str]:
     for a given scenario."""
     sim = result.sim
     lines = []
+    # op lines are most of the output: formatted as _kv would, without
+    # its keyword packing and per-value tests
     for rec in sim.op_records:
-        lines.append("op " + _kv(
-            id=rec["id"], time_us=rec["time"], kind=rec["op"],
-            outcome=rec["outcome"], steps=rec["steps"], bound=rec["bound"],
-            decomposed=rec["decomposed"],
-            bound_applicable=rec["bound_applicable"],
-            clusters=rec["clusters"], messages=rec["messages"],
-            hops=rec["hops"], results=rec["results"],
-            version=rec["version"], progress=rec["progress"]))
+        version = rec["version"]
+        lines.append(
+            f"op id={rec['id']} time_us={rec['time']} kind={rec['op']} "
+            f"outcome={rec['outcome']} steps={rec['steps']} bound={rec['bound']} "
+            f"decomposed={rec['decomposed']} bound_applicable={rec['bound_applicable']:d} "
+            f"clusters={rec['clusters']} messages={rec['messages']} hops={rec['hops']} "
+            f"results={rec['results']} version={'-' if version is None else version} "
+            f"progress={rec['progress']}")
     for time, event, cluster, node, detail in sim.member_events:
         lines.append("member " + _kv(
             time_us=time, event=event, cluster=cluster, node=node,

@@ -18,7 +18,12 @@ destination taking ``seq + i``. ``send`` queues a run of one;
 ``multicast`` is ``send`` to each destination in order, with the same
 seqs and arrival times, but queues each run of consecutive destinations
 with one arrival time as one entry, so a super-peer's beat round to
-members at one latency costs one entry, not one per member. A timer is
+members at one latency costs one entry, not one per member. The runs of
+a destination list are memoized per ``(src, dsts)``, beside the latency
+memo: a list sent again queues one entry per run with no work per
+destination, and the memo grows by one entry per distinct list. One
+message object serves every destination of a multicast, so a node never
+assigns to a message it receives; a relay sends a copy. A timer is
 ``(seq, node, owner, tag, payload)``, ``owner`` being the node object
 that set it, and a crash or rejoin ``(seq, node, "crash"|"rejoin")``.
 ``send``, ``multicast`` and ``set_timer`` append straight to their
@@ -48,8 +53,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .catalogue import clog2
 from .core import LocalityDescriptor, NodeId, proximity_rank
@@ -131,21 +137,14 @@ class StepCounter:
     are charged."""
 
     def __init__(self):
-        self.requests: dict[str, dict[str, ClusterTally]] = {}
+        # a request's tallies, and a cluster's tally, open on first use
+        self.requests: dict[str, dict[str, ClusterTally]] = defaultdict(
+            partial(defaultdict, ClusterTally))
         self.messages: dict[str, int] = {}
         self.totals: dict[str, int] = {}
 
-    def _cluster(self, request_id: str, cluster: str) -> ClusterTally:
-        tallies = self.requests.get(request_id)
-        if tallies is None:
-            tallies = self.requests[request_id] = {}
-        t = tallies.get(cluster)
-        if t is None:
-            t = tallies[cluster] = ClusterTally()
-        return t
-
     def on_lookup(self, request_id: str, cluster: str, m_keys: int, key_steps: int, matches: int) -> None:
-        t = self._cluster(request_id, cluster)
+        t = self.requests[request_id][cluster]
         t.m_keys = max(t.m_keys, m_keys)
         t.key_steps += key_steps
         t.p += matches
@@ -153,14 +152,14 @@ class StepCounter:
         self.totals[request_id] = self.totals.get(request_id, 0) + key_steps + 2 * matches
 
     def on_fetch_request(self, request_id: str, cluster: str, agent: NodeId, n_objects: int) -> None:
-        t = self._cluster(request_id, cluster)
+        t = self.requests[request_id][cluster]
         t.fetch_requests += 1
         t.agents_contacted.add(agent)
         t.fetch_steps += 2 * n_objects
         self.totals[request_id] = self.totals.get(request_id, 0) + 2 * n_objects
 
     def on_probe(self, request_id: str, cluster: str, store_size: int, n_objects: int) -> None:
-        t = self._cluster(request_id, cluster)
+        t = self.requests[request_id][cluster]
         t.l_max = max(t.l_max, store_size)
         steps = n_objects * clog2(store_size)
         t.probe_steps += steps
@@ -176,18 +175,16 @@ class StepCounter:
         if request_id not in self.requests:
             raise UnknownRequest(request_id)
         clusters = self.requests[request_id]
-        measured = self.totals.get(request_id, 0)
-        decomposed = sum(
-            t.key_steps + t.id_steps + t.fetch_steps + t.probe_steps
-            for t in clusters.values()
-        )
-        bound = formula_bound(
-            [(t.m_keys, t.p, t.l_max) for t in clusters.values()]
-        )
-        applicable = bool(clusters) and all(
-            t.m_keys >= 1 and t.p >= 1 for t in clusters.values()
-        )
-        return SearchAccounting(measured, bound, decomposed, applicable, len(clusters))
+        decomposed = m = p = l = 0
+        applicable = bool(clusters)
+        for t in clusters.values():
+            decomposed += t.key_steps + t.id_steps + t.fetch_steps + t.probe_steps
+            m, p, l = max(m, t.m_keys), max(p, t.p), max(l, t.l_max)
+            applicable = applicable and t.m_keys >= 1 and t.p >= 1
+        # formula_bound of the clusters' (M, P, L), from the same pass
+        bound = len(clusters) * m * (4 * p + clog2(l))
+        return SearchAccounting(self.totals.get(request_id, 0), bound, decomposed,
+                                applicable, len(clusters))
 
 
 def formula_bound(per_cluster: list[tuple[int, int, int]]) -> int:
@@ -281,6 +278,7 @@ class Simulator:
         self.network = network or NetworkModel()
         self.tracing = trace
         self._latencies: dict[tuple[NodeId, NodeId], int] = {}
+        self._runs: dict[tuple[NodeId, tuple], tuple] = {}  # multicast's memo
         self.clock = 0
         self._seq = 0
         self._heap: list[int] = []  # distinct times with queued events
@@ -330,21 +328,36 @@ class Simulator:
     def multicast(self, src: NodeId, dsts, msg) -> None:
         """``send(src, d, msg)`` for each ``d`` in ``dsts``, in order. One
         message object serves every destination, so handlers must not
-        mutate it. Every destination is checked before anything is
-        queued."""
+        mutate it. The runs of a destination list are memoized per
+        ``(src, dsts)``, so a list sent again costs one queue entry per
+        run and no work per destination; the memo grows by one entry per
+        distinct destination list."""
         if src in self.crashed:
             return
         dsts = tuple(dsts)
-        memo, clock = self._latencies, self.clock
-        times = [clock + (memo.get((src, d)) or self._latency(src, d)) for d in dsts]
-        buckets, seq0, n, i = self._buckets, self._seq, len(dsts), 0
+        runs = self._runs.get((src, dsts))
+        if runs is None:
+            runs = self._split_runs(src, dsts)
+        buckets, clock, seq0 = self._buckets, self.clock, self._seq
+        for i, lat, run in runs:
+            buckets[clock + lat].append((seq0 + i, src, run, msg))
+        self._seq = seq0 + len(dsts)
+
+    def _split_runs(self, src: NodeId, dsts: tuple) -> tuple:
+        """``dsts`` cut into runs of consecutive destinations at one
+        latency from ``src``, as ``(first index, latency, run)``, and
+        memoized. Latencies are fixed for life, like localities. Every
+        destination is checked before anything is memoized or queued."""
+        lats = [self._latency(src, d) for d in dsts]
+        runs, i, n = [], 0, len(dsts)
         while i < n:
-            time, j = times[i], i + 1
-            while j < n and times[j] == time:
+            lat, j = lats[i], i + 1
+            while j < n and lats[j] == lat:
                 j += 1
-            buckets[time].append((seq0 + i, src, dsts[i:j], msg))
+            runs.append((i, lat, dsts[i:j]))
             i = j
-        self._seq = seq0 + n
+        runs = self._runs[src, dsts] = tuple(runs)
+        return runs
 
     def _latency(self, src: NodeId, dst: NodeId) -> int:
         """Link latency, memoized per (src, dst) pair. A node id keeps its
@@ -396,10 +409,6 @@ class Simulator:
             return
         self._lost_clusters.add(ragent)
         self.record_member_event("cluster_lost", ragent, reporter, "no-surviving-secondary")
-
-    def record_op(self, **fields) -> None:
-        fields.setdefault("time", self.clock)
-        self.op_records.append(fields)
 
     # -- execution -----------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Identifier derivation, canonical encoding and the proximity metric."""
+"""Identifier derivation, canonical encoding, search keys and the
+proximity metric."""
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +113,42 @@ def test_pattern_keys_cover_type_and_indexes():
         PatternKey(KeyKind.PATTERN, "k1"),
         PatternKey(KeyKind.PATTERN, "k2"),
     ]
+
+
+# -- search keys -------------------------------------------------------
+
+pattern_keys = st.tuples(st.sampled_from(KeyKind), short_text)
+
+
+@given(pattern_keys, pattern_keys)
+def test_pattern_key_equality_hash_and_order_are_the_pairs(x, y):
+    a, b = PatternKey(*x), PatternKey(*y)
+    assert (a == b) == (x == y)
+    assert (a < b) == (x < y) and (a <= b) == (x <= y)
+    assert hash(a) == hash(x)
+    assert sorted([a, b]) == sorted([x, y])
+    assert len({a, b, x, y}) == len({x, y})
+
+
+def test_pattern_key_equals_its_bare_pair():
+    # a tuple since the catalogue index hashes keys in C; a dataclass
+    # key never equalled a tuple
+    key = PatternKey(KeyKind.EXACT_TYPE, "sensor")
+    assert key == (KeyKind.EXACT_TYPE, "sensor") and key == ("exact", "sensor")
+    assert {key: 1}[(KeyKind.EXACT_TYPE, "sensor")] == 1
+    assert key != PatternKey(KeyKind.PATTERN, "sensor")
+
+
+def test_pattern_key_is_an_immutable_named_value():
+    key = PatternKey(KeyKind.PATTERN, "k1")
+    assert (key.kind, key.key) == (KeyKind.PATTERN, "k1")
+    assert repr(key) == "PatternKey(kind=<KeyKind.PATTERN: 'pattern'>, key='k1')"
+    for field in ("kind", "key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(key, field, "x")
+    assert key == PatternKey(KeyKind.PATTERN, "k1")
+    back = pickle.loads(pickle.dumps(key))
+    assert back == key and type(back) is PatternKey and back.kind is KeyKind.PATTERN
 
 
 def test_with_payload_keeps_identity():

@@ -1,11 +1,14 @@
 """Golden outputs: the sha256 of the bytes ``disthash --metrics`` and
-``disthash --trace`` write for the example scenarios, and of the metrics
-and traces of a fixed generated corpus. A change that alters simulated
-behaviour must re-pin these and say why. Also: turning the trace off
-changes nothing that is simulated, and the JSONL trace says what the
-digest trace hashes."""
+``disthash --trace`` write for the example scenarios, of the metrics
+and traces of a fixed generated corpus, and of the metrics of the
+benchmark's workloads. A change that alters simulated behaviour must
+re-pin these and say why. Also: turning the trace off changes nothing
+that is simulated, and the JSONL trace says what the digest trace
+hashes."""
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from disthash.scenario import parse_scenario
 from disthash.sim import SimError, TraceRecord
 from test_acceptance import random_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOLDEN = {
     "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
@@ -33,6 +37,13 @@ GOLDEN_TRACE = {
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
 GOLDEN_CORPUS_TRACE = "a1ab38b20a98dbc78ca6d4fad6b1e8bfafe8673e26f25fa9bb96345988c38b9e"
+# the benchmark's workloads (bench/workloads.py) at seed 0: what
+# ``bench/run.py --workload NAME --seed 0`` reports as its metrics digest
+GOLDEN_WORKLOADS = {
+    "insert_search": "751c871ea84f6847ae86126f67b1c6c0899207a4071a8500d0d273f1c6912920",
+    "heartbeat": "7dfcb8784120cd1c215f100a5f174e72c3e6024e7849a83af07b3af30b6692c0",
+    "churn": "5dc12b9fd113ddd99a34c33558cee39c2678fe986b947f1dc486a16cb59c2b91",
+}
 
 
 def lines_bytes(lines: list[str]) -> bytes:
@@ -75,6 +86,27 @@ def test_generated_corpus_metrics_are_pinned(corpus_digests):
 
 def test_generated_corpus_trace_is_pinned(corpus_digests):
     assert corpus_digests[1] == GOLDEN_CORPUS_TRACE
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path: it is not a package."""
+    name = "disthash_bench_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_benchmark_workload_metrics_are_pinned(name, bench_workloads):
+    assert sorted(GOLDEN_WORKLOADS) == sorted(bench_workloads.WORKLOADS)
+    res = run_scenario(parse_scenario(bench_workloads.generate(name, 0).text))
+    assert hashlib.sha256(lines_bytes(format_metrics(res))).hexdigest() == GOLDEN_WORKLOADS[name]
 
 
 @pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(5)])

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from disthash import nodes
-from disthash.core import KeyKind, NodeId, PatternKey, Role, make_object
+from disthash.catalogue import MetaCatalogue
+from disthash.core import (KeyKind, LocalityDescriptor, NodeId, PatternKey, Role,
+                           make_object)
 from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             AgentHeartbeat, AgentNode, ApplyMissing,
                             AssumeRAgent, BaseNode, CatalogueSync, CInsert,
@@ -2121,3 +2123,72 @@ def test_every_handler_runs_in_some_scenario(monkeypatch):
     for text in texts:
         build(text)
     assert wanted - ran == REACH_EXEMPT
+
+
+# -- message copies --------------------------------------------------------
+
+
+def copied_messages():
+    """One of each message class that a node copies to pass it on."""
+    obj = make_object("sensor", ["k1"], b"x")
+    route = (NodeId("a1"), NodeId("c1"))
+    return [
+        nodes.OpReply(request_id="q1", op="search", outcome="ok", route=route,
+                      objects=(obj,), holder=NodeId("a2")),
+        nodes.ProgressNote(request_id="q1", oid=obj.id, route=route, hop=2),
+        CSearch(request_id="q1", criterion=PatternKey(KeyKind.PATTERN, "k1"),
+                mode="all", route=route),
+        CInsert(request_id="q1", obj=obj, route=route),
+        nodes.CUpdate(request_id="q1", oid=obj.id, payload=b"y", route=route),
+        DelegateInsert(request_id="q1", obj=obj, route=route, hop=3),
+        ForwardUpdate(request_id="q1", oid=obj.id, payload=b"y", route=route, hop=3),
+        UpdateRetry(request_id="q1", oid=obj.id, payload=b"y", route=route, hop=4),
+        nodes.JoinRequest(joiner=NodeId("a9"), locality=LocalityDescriptor("n1", "as1", "ro", "eu")),
+        nodes.MergeRequest(from_ragent=NodeId("r1"), catalogue=MetaCatalogue(),
+                           loads={NodeId("a1"): 2}, members=(NodeId("a1"),),
+                           peers=(NodeId("r2"),)),
+    ]
+
+
+@pytest.mark.parametrize("msg", copied_messages(), ids=lambda m: type(m).__name__)
+def test_a_message_copy_is_a_new_message_with_only_the_named_fields_changed(msg):
+    before = dict(vars(msg))
+    changes = {"hop": msg.hop + 1}
+    if hasattr(msg, "route"):
+        changes["route"] = msg.route[1:]
+    new = nodes._copy(msg, **changes)
+    assert type(new) is type(msg) and new is not msg and vars(new) is not vars(msg)
+    assert vars(new) == {**before, **changes}
+    assert all(vars(new)[f] is before[f] for f in before if f not in changes)
+    assert new == dataclasses.replace(msg, **changes)
+    assert vars(msg) == before  # the original is untouched
+
+
+@pytest.mark.parametrize("msg", copied_messages(), ids=lambda m: type(m).__name__)
+def test_a_message_copy_naming_no_field_raises_as_replace_does(msg):
+    before = dict(vars(msg))
+    # ``op`` is a class attribute or a property where a class has one
+    for name in ("nope", "op"):
+        if name in before:
+            continue
+        with pytest.raises(TypeError):
+            dataclasses.replace(msg, **{name: 1})
+        with pytest.raises(TypeError, match=name):
+            nodes._copy(msg, hop=9, **{name: 1})
+    assert vars(msg) == before
+
+
+def test_the_copied_classes_are_those_the_scenarios_copy(monkeypatch):
+    copied = set()
+
+    def counted(msg, **changes):
+        copied.add(type(msg))
+        return copy_message(msg, **changes)
+
+    copy_message = nodes._copy
+    monkeypatch.setattr(nodes, "_copy", counted)
+    texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.txt"))]
+    texts += [v for v in globals().values() if isinstance(v, str) and "[nodes]" in v]
+    for text in texts:
+        build(text)
+    assert copied == {type(m) for m in copied_messages()}

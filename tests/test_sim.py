@@ -463,25 +463,31 @@ def test_timer_of_a_replaced_node_object_is_traced_but_not_run():
 # -- multicast -------------------------------------------------------------
 
 
-def fan_out(multicast: bool, crashed=()):
+FAN_OUT = [NodeId(n) for n in ("b", "c", "far", "d", "world", "b")]
+
+
+def send_to_each(sim, multicast: bool, dsts, msg):
+    if multicast:
+        sim.multicast(NodeId("a"), dsts, msg)
+    else:
+        for dst in dsts:
+            sim.send(NodeId("a"), dst, msg)
+
+
+def fan_out(multicast: bool, crashed=(), extra=()):
     """a sends one message to six destinations at mixed latencies, between
     two timers and a later send, by one multicast or by one send each."""
     sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=True)
     nodes = {name: Recorder(NodeId(name), locality) for name, locality in (
         ("a", loc()), ("b", loc()), ("c", loc()), ("far", loc(net="x")),
-        ("d", loc()), ("world", loc(continent="na")))}
+        ("d", loc()), ("world", loc(continent="na")), *extra)}
     for node in nodes.values():
         sim.add_node(node)
     for name in crashed:
         sim.inject_crash(NodeId(name), 0)
     sim.run_until(0)
     sim.set_timer(NodeId("b"), "t", 5 * MS)
-    dsts = [NodeId(n) for n in ("b", "c", "far", "d", "world", "b")]
-    if multicast:
-        sim.multicast(NodeId("a"), dsts, Ping("q1", hop=1))
-    else:
-        for dst in dsts:
-            sim.send(NodeId("a"), dst, Ping("q1", hop=1))
+    send_to_each(sim, multicast, FAN_OUT, Ping("q1", hop=1))
     sim.send(NodeId("a"), NodeId("c"), "later")
     sim.set_timer(NodeId("c"), "u", 5 * MS)
     return sim, nodes
@@ -520,12 +526,54 @@ def test_a_crashed_destination_in_a_run_is_dropped_and_bounced_alone():
     assert sim.deliver_count == 5 + 2  # four live nodes, b twice; two bounces
 
 
+def test_a_list_sent_again_later_reuses_its_runs(monkeypatch):
+    def run(multicast):
+        sim, _ = fan_out(multicast)
+        sim.run_until(20 * MS)  # between the first round's arrivals
+        if multicast:
+            runs = sim._runs[NodeId("a"), tuple(FAN_OUT)]
+            # the second round does no per-destination work
+            monkeypatch.setattr(sim, "_latency", None)
+        send_to_each(sim, multicast, FAN_OUT, Ping("q2", hop=1))
+        if multicast:
+            monkeypatch.undo()
+            assert list(sim._runs) == [(NodeId("a"), tuple(FAN_OUT))]
+            assert sim._runs[NodeId("a"), tuple(FAN_OUT)] is runs
+        sim.run_until(100 * MS)
+        return sim
+
+    sim, ref = run(multicast=True), run(multicast=False)
+    assert sim.trace_lines() == ref.trace_lines()
+    assert sim.trace_lines("jsonl") == ref.trace_lines("jsonl")
+    assert sim.deliver_count == ref.deliver_count == 13 and sim._seq == ref._seq
+
+
+def test_a_list_with_one_member_more_or_less_gets_runs_of_its_own():
+    lists = [FAN_OUT, [*FAN_OUT[:3], NodeId("e"), *FAN_OUT[3:]], FAN_OUT[:-1], FAN_OUT[1:]]
+
+    def run(multicast):
+        sim, _ = fan_out(multicast, extra=(("e", loc(asd="as2")),))
+        for i, dsts in enumerate(lists):
+            sim.run_until((i + 1) * 7 * MS)
+            send_to_each(sim, multicast, dsts, Ping(f"q{i + 2}", hop=1))
+        sim.run_until(200 * MS)
+        return sim
+
+    sim, ref = run(multicast=True), run(multicast=False)
+    assert sim.trace_lines() == ref.trace_lines()
+    assert sorted(sim._runs) == sorted((NodeId("a"), tuple(d)) for d in lists)
+    assert [len(sim._runs[NodeId("a"), tuple(d)]) for d in lists] == [5, 6, 4, 5]
+
+
 def test_multicast_to_an_unknown_node_queues_nothing():
     sim, a, b = two_nodes()
     with pytest.raises(UnknownNode) as err:
         sim.multicast(a.node_id, [b.node_id, NodeId("ghost"), b.node_id], "x")
     assert err.value.args == (NodeId("ghost"),)
     assert sim._seq == 0 and sim._heap == [] and sim._buckets == {}
+    assert sim._runs == {}  # nor memoizes: the same list raises again
+    with pytest.raises(UnknownNode):
+        sim.multicast(a.node_id, [b.node_id, NodeId("ghost"), b.node_id], "x")
     sim.multicast(a.node_id, [], "x")
     assert sim._seq == 0 and sim._heap == []
 
@@ -536,6 +584,6 @@ def test_a_crashed_node_multicasts_nothing():
     sim.run_until(1 * MS)
     seq = sim._seq
     sim.multicast(a.node_id, [b.node_id, b.node_id], "x")
-    assert sim._seq == seq and sim._heap == []
+    assert sim._seq == seq and sim._heap == [] and sim._runs == {}
     sim.run_until(60 * MS)
     assert b.log == [] and [r.kind for r in sim.trace] == ["crash"]
