@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 
 from .core import DistObject, KeyKind, NodeId, ObjectId, PatternKey
 
+# holders every object should have: its owner and one replica
+REPLICATION_FACTOR = 2
+
 
 class CatalogueError(Exception):
     pass
@@ -58,12 +61,17 @@ class MetaCatalogue:
     method appends one value-only entry ``(method, *args)``, and
     ``replay`` applies such entries to another copy. Setting ``journal``
     to ``[]`` starts recording; it is ``None`` (nothing recorded) on every
-    other catalogue."""
+    other catalogue.
+
+    ``under_replicated`` is the set of ids with fewer than
+    ``REPLICATION_FACTOR`` holders, kept by every method that changes the
+    length of a holder list."""
 
     def __init__(self):
         self.entries: dict[PatternKey, set[ObjectId]] = {}
         self.holders: dict[ObjectId, list[NodeId]] = {}
         self.meta: dict[ObjectId, ObjectMeta] = {}
+        self.under_replicated: set[ObjectId] = set()
         self.journal: list[tuple] | None = None
 
     # -- introspection -------------------------------------------------
@@ -104,6 +112,8 @@ class MetaCatalogue:
         meta = ObjectMeta(type_tag, tuple(sorted(set(index_keys))))
         self.holders[oid] = holders
         self.meta[oid] = meta
+        if len(holders) < REPLICATION_FACTOR:
+            self.under_replicated.add(oid)
         for key in meta.pattern_keys():
             self.entries.setdefault(key, set()).add(oid)
         if self.journal is not None:
@@ -126,6 +136,7 @@ class MetaCatalogue:
                     del self.entries[key]
         del self.holders[oid]
         del self.meta[oid]
+        self.under_replicated.discard(oid)
 
     def set_owner(self, oid: ObjectId, new_owner: NodeId) -> None:
         if oid not in self.holders:
@@ -143,7 +154,10 @@ class MetaCatalogue:
             raise UnknownObject(oid)
         if agent in self.holders[oid]:
             raise ValueError(f"{agent} already holds {oid}")
-        self.holders[oid].append(agent)
+        hl = self.holders[oid]
+        hl.append(agent)
+        if len(hl) >= REPLICATION_FACTOR:
+            self.under_replicated.discard(oid)
         if self.journal is not None:
             self.journal.append(("add_holder", oid, agent))
 
@@ -157,6 +171,8 @@ class MetaCatalogue:
         if hl[0] == agent:
             raise ValueError(f"{agent} owns {oid}; reassign the owner first")
         hl.remove(agent)
+        if len(hl) < REPLICATION_FACTOR:
+            self.under_replicated.add(oid)
         if self.journal is not None:
             self.journal.append(("remove_holder", oid, agent))
 
@@ -174,6 +190,8 @@ class MetaCatalogue:
             orphans.append((oid, list(hl)))
             if not hl:
                 self._unlist(oid)
+            elif len(hl) < REPLICATION_FACTOR:
+                self.under_replicated.add(oid)
         if self.journal is not None:
             self.journal.append(("remove_agent", failed))
         return orphans

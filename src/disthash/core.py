@@ -2,7 +2,8 @@
 locality descriptors and the proximity metric used when peers pick a
 super-peer to connect to.
 
-Everything in this module is an immutable value; all functions are pure.
+Everything in this module but ``NodeSet`` is an immutable value; all
+functions are pure.
 """
 from __future__ import annotations
 
@@ -48,6 +49,52 @@ class NodeId(str):
 
     def __repr__(self):
         return f"NodeId({self})"
+
+
+class NodeSet(set):
+    """A set of node ids that keeps its ascending tuple, ``ordered``,
+    until the set next changes: every in-place mutator drops it, so a
+    set read in order again and again is sorted once per change.
+    Operators that build a new set (``|``, ``-``, ...) return a plain
+    ``set``."""
+
+    def __init__(self, ids=()):
+        super().__init__(ids)
+        self._ordered = None
+
+    @property
+    def ordered(self) -> tuple[NodeId, ...]:
+        if self._ordered is None:
+            self._ordered = tuple(sorted(self))
+        return self._ordered
+
+    def add(self, node_id) -> None:
+        if node_id not in self:
+            super().add(node_id)
+            self._ordered = None
+
+    def discard(self, node_id) -> None:
+        if node_id in self:
+            super().discard(node_id)
+            self._ordered = None
+
+
+def _drops_order(name: str):
+    mutate = getattr(set, name)
+
+    def method(self, *args):
+        self._ordered = None
+        return mutate(self, *args)
+
+    method.__name__ = name
+    return method
+
+
+for _name in ("remove", "pop", "clear", "update", "difference_update",
+              "intersection_update", "symmetric_difference_update",
+              "__ior__", "__iand__", "__isub__", "__ixor__"):
+    setattr(NodeSet, _name, _drops_order(_name))
+del _name
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .catalogue import AgentLoadTable
+from .catalogue import REPLICATION_FACTOR, AgentLoadTable
 from .core import DistObject, NodeId, ObjectId
-
-REPLICATION_FACTOR = 2
 
 # Scenario-overridable default: migrate an object after this many
 # remotely-resolved first-match searches.

@@ -57,6 +57,26 @@ class HeartbeatConfig:
             raise ValueError("failure timeout must be at least twice the period")
 
 
+def closest_ragents(
+    candidates: list[tuple[NodeId, LocalityDescriptor, int]],
+    joiner: LocalityDescriptor,
+) -> list[tuple[NodeId, LocalityDescriptor, int]]:
+    """The candidates closest to the joiner: those sharing the most
+    locality tiers with it, in the given order. Each candidate is ranked
+    once."""
+    if not candidates:
+        raise NoCandidates()
+    ranks = [proximity_rank(loc, joiner) for _, loc, _ in candidates]
+    best_rank = max(ranks)
+    return [c for c, rank in zip(candidates, ranks) if rank == best_rank]
+
+
+def least_loaded(candidates: list[tuple[NodeId, LocalityDescriptor, int]]) -> NodeId:
+    """The candidate with the fewest connected agents; ties broken by
+    smallest node id."""
+    return min((count, nid) for nid, _, count in candidates)[1]
+
+
 def join_select_ragent(
     candidates: list[tuple[NodeId, LocalityDescriptor, int]],
     joiner: LocalityDescriptor,
@@ -64,15 +84,7 @@ def join_select_ragent(
     """Pick the super-peer a joining agent should connect to: among the
     candidates closest to the joiner, the one with the fewest connected
     agents; ties broken by smallest node id."""
-    if not candidates:
-        raise NoCandidates()
-    best_rank = max(proximity_rank(loc, joiner) for _, loc, _ in candidates)
-    closest = [
-        (count, nid)
-        for nid, loc, count in candidates
-        if proximity_rank(loc, joiner) == best_rank
-    ]
-    return min(closest)[1]
+    return least_loaded(closest_ragents(candidates, joiner))
 
 
 def elect_agent(eligible) -> NodeId:

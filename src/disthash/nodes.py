@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalogue import AgentLoadTable, DuplicateObject, MetaCatalogue
-from .core import (DistObject, LocalityDescriptor, NodeId, ObjectId,
+from .core import (DistObject, LocalityDescriptor, NodeId, NodeSet, ObjectId,
                    PatternKey, Role)
 from .dataops import (DEFAULT_MIGRATION_THRESHOLD, REPLICATION_FACTOR,
                       HotCounter, InsufficientAgents, LockTable,
@@ -637,10 +637,10 @@ class AgentNode(BaseNode):
         gone = {self.node_id, replacing}
         ragent = RAgentNode(self.node_id, self.locality, self.config)
         ragent.catalogue = catalogue
-        ragent.members = set(members) - gone
-        for a in sorted(ragent.members):
+        ragent.members = NodeSet(set(members) - gone)
+        for a in ragent.members.ordered:
             ragent.loads.counts[a] = loads.get(a, 0)
-        ragent.peers = set(peers) - gone
+        ragent.peers = NodeSet(set(peers) - gone)
         sim.nodes[self.node_id] = ragent
         if replacing is None:
             sim.record_member_event("assume_ragent", self.node_id, self.node_id,
@@ -653,10 +653,10 @@ class AgentNode(BaseNode):
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=replacing))
         ragent._update_lus_count(sim)
-        sim.multicast(self.node_id, sorted(ragent.peers), PeerUpdate(
+        sim.multicast(self.node_id, ragent.peers.ordered, PeerUpdate(
             add=(self.node_id,), remove=(replacing,) if replacing else ()))
         ragent._elect_secondary(sim)
-        sim.multicast(self.node_id, sorted(ragent.members), ConfigUpdate(
+        sim.multicast(self.node_id, ragent.members.ordered, ConfigUpdate(
             ragent=self.node_id, secondary=ragent.secondary))
         ragent.start(sim)
 
@@ -941,10 +941,11 @@ class RAgentNode(BaseNode):
         super().__init__(node_id, locality)
         self.config = config
         self.catalogue = MetaCatalogue()
-        self.members: set[NodeId] = set()
+        # NodeSets: the sweep and the fan-outs read their ascending tuples
+        self.members = NodeSet()
         self.loads = AgentLoadTable()
         self.secondary: NodeId | None = None
-        self.peers: set[NodeId] = set()
+        self.peers = NodeSet()
         self.peer_sizes: dict[NodeId, int] = {}
         self.peer_members: dict[NodeId, int] = {}
         self.peer_last_seen: dict[NodeId, int] = {}
@@ -979,9 +980,9 @@ class RAgentNode(BaseNode):
 
     def start(self, sim: Simulator) -> None:
         now = sim.clock
-        for a in sorted(self.members):
+        for a in self.members.ordered:
             self.member_last_seen.setdefault(a, now)
-        for p in sorted(self.peers):
+        for p in self.peers.ordered:
             self.peer_last_seen.setdefault(p, now)
         sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
@@ -1017,7 +1018,7 @@ class RAgentNode(BaseNode):
             snapshot=snapshot, ops=ops, base=self._sync_seq - 1,
             seq=self._sync_seq,
             loads=dict(self.loads.counts),
-            members=tuple(sorted(self.members)),
+            members=self.members.ordered,
             peers=tuple(sorted(self.peers | {self.node_id})))
 
     def _forget_sync(self):
@@ -1043,9 +1044,9 @@ class RAgentNode(BaseNode):
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
     def _tick_sweep(self, sim, payload):
-        sim.multicast(self.node_id, sorted(self.members),
+        sim.multicast(self.node_id, self.members.ordered,
                       RAgentHeartbeat(secondary=self.secondary))
-        sim.multicast(self.node_id, sorted(self.peers), PeerHeartbeat(
+        sim.multicast(self.node_id, self.peers.ordered, PeerHeartbeat(
             cat_size=len(self.catalogue), member_count=len(self.members)))
         for dead in detect_failures(sim.clock, self.member_last_seen,
                                     self.hb.failure_timeout_us):
@@ -1059,9 +1060,7 @@ class RAgentNode(BaseNode):
         # the one retry for replica copies: re-replicate whatever is short
         # of holders, after a split or a copy that failed or was cut off
         if len(self.members) >= REPLICATION_FACTOR:
-            short = sorted(oid for oid, hl in self.catalogue.holders.items()
-                           if len(hl) < REPLICATION_FACTOR)
-            for oid in short:
+            for oid in sorted(self.catalogue.under_replicated):
                 self._restore_redundancy(sim, oid)
         sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
@@ -1273,7 +1272,7 @@ class RAgentNode(BaseNode):
         sim.multicast(self.node_id, move_list, ReassignCluster(ragent=new_r))
         # shrink self to the keep side
         self.catalogue = keep_cat
-        self.members = keep_set
+        self.members = NodeSet(keep_list)
         # in-flight copies aimed at (or sourced from) departed members
         # will never be acked here; the redundancy sweep re-issues them
         for cid in sorted(self.pending_copies):
@@ -1290,7 +1289,7 @@ class RAgentNode(BaseNode):
             self._elect_secondary(sim)
         else:
             self._sync_secondary(sim)
-        sim.multicast(self.node_id, sorted(self.peers), PeerUpdate(add=(new_r,)))
+        sim.multicast(self.node_id, self.peers.ordered, PeerUpdate(add=(new_r,)))
         self.peers.add(new_r)
         self.peer_last_seen[new_r] = sim.clock
         self.peer_sizes[new_r] = len(move_cat)
@@ -1315,7 +1314,7 @@ class RAgentNode(BaseNode):
         None for the largest cluster, or while peer sizes are unknown."""
         if len(self.members) >= self.thresholds.min_cluster:
             return None
-        known = [(p, self.peer_members[p]) for p in sorted(self.peers) if p in self.peer_members]
+        known = [(p, self.peer_members[p]) for p in self.peers.ordered if p in self.peer_members]
         try:
             return choose_merge_target(known, (self.node_id, len(self.members)))
         except NoMergeTarget:
@@ -1344,14 +1343,14 @@ class RAgentNode(BaseNode):
         self._forget_sync()
         sim.send(self.node_id, target, MergeRequest(
             from_ragent=self.node_id, catalogue=self.catalogue,
-            loads=dict(self.loads.counts), members=tuple(sorted(self.members)),
-            peers=tuple(sorted(self.peers))))
+            loads=dict(self.loads.counts), members=self.members.ordered,
+            peers=self.peers.ordered))
         sim.record_member_event("demote", self.node_id, self.node_id,
                                 f"merged_into={target}")
         if self.config.lus_ids:
             sim.send(self.node_id, self.config.lus_ids[0],
                      LusDeregister(ragent=self.node_id))
-        sim.multicast(self.node_id, sorted(self.peers - {target}),
+        sim.multicast(self.node_id, [p for p in self.peers.ordered if p != target],
                       PeerUpdate(remove=(self.node_id,), merged_into=target))
         agent = self._become_agent(sim)
         agent.joined, agent.ragent = True, target
@@ -1458,7 +1457,7 @@ class RAgentNode(BaseNode):
         matches = self._look_up(sim, rid, st, self.catalogue)
         if fan_out and st.holder is None:
             st.awaiting_peers = dict.fromkeys(self.peers, 1)
-            sim.multicast(self.node_id, sorted(self.peers), RemoteSearch(
+            sim.multicast(self.node_id, self.peers.ordered, RemoteSearch(
                 request_id=rid, criterion=st.criterion, mode=st.mode, hop=hop))
         self._fetch_groups(sim, rid, matches, st, hop)
         self._maybe_finish_search(sim, rid)
@@ -1599,7 +1598,7 @@ class RAgentNode(BaseNode):
         self.resolutions[rid] = ResolveState(
             oid=oid, payload=payload, route=route,
             awaiting=dict.fromkeys(self.peers, 1), hop=hop)
-        sim.multicast(self.node_id, sorted(self.peers),
+        sim.multicast(self.node_id, self.peers.ordered,
                       OwnerQuery(request_id=rid, oid=oid, hop=hop + 1))
 
     def _on_OwnerQuery(self, sim, msg: OwnerQuery, src):

@@ -6,8 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import KeyKind, LocalityDescriptor, NodeId, PatternKey, Role, make_object
-from .membership import HeartbeatConfig, Thresholds, elect_agent, join_select_ragent
+from .core import KeyKind, LocalityDescriptor, NodeId, NodeSet, PatternKey, Role, make_object
+# build_simulation applies join_select_ragent in its two parts; the name
+# stays importable here, where the benchmark's tracer wraps it
+from .membership import (HeartbeatConfig, Thresholds, closest_ragents, elect_agent,
+                         join_select_ragent, least_loaded)
 from .nodes import AgentNode, ClientNode, ClusterConfig, LusNode, RAgentNode
 from .scenario import (CrashEvent, InsertEvent, JoinEvent, ReadEvent,
                        RejoinEvent, Scenario, SearchEvent, UpdateEvent)
@@ -80,7 +83,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
             sim.add_node(r)
             ragents.append(r)
     for r in ragents:
-        r.peers = {x.node_id for x in ragents if x is not r}
+        r.peers = NodeSet(x.node_id for x in ragents if x is not r)
 
     clients: dict[str, ClientNode] = {}
     agents: list[AgentNode] = []
@@ -95,11 +98,18 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
             clients[d.name] = cl
 
     # place each declared agent as if it had joined through the lookup
-    # service: nearest super-peer, then fewest members
+    # service, one at a time (join_select_ragent): nearest super-peers,
+    # ranked once per distinct locality, then fewest members so far
     by_id = {r.node_id: r for r in ragents}
+    unranked = [(r.node_id, r.locality, 0) for r in ragents]
+    nearest: dict[LocalityDescriptor, list[RAgentNode]] = {}
     for a in agents:
-        candidates = [(r.node_id, r.locality, len(r.members)) for r in ragents]
-        choice = by_id[join_select_ragent(candidates, a.locality)]
+        near = nearest.get(a.locality)
+        if near is None:
+            near = nearest[a.locality] = [
+                by_id[rid] for rid, _, _ in closest_ragents(unranked, a.locality)]
+        choice = by_id[least_loaded([(r.node_id, r.locality, len(r.members))
+                                     for r in near])]
         choice.members.add(a.node_id)
         choice.loads.add_agent(a.node_id)
         a.joined = True
@@ -108,7 +118,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
     for r in ragents:
         if r.members:
             r.secondary = elect_agent(r.members)
-        for m in sorted(r.members):
+        for m in r.members.ordered:
             member = sim.nodes[m]
             member.secondary_id = r.secondary
         if r.secondary is not None:
@@ -204,15 +214,16 @@ def check_invariants(result: RunResult) -> list[str]:
     for r in ragents:
         tag = r.node_id
         # membership sanity
-        for m in sorted(r.members):
+        for m in r.members.ordered:
             if not sim.is_alive(m):
                 issues.append(f"{tag}: member {m} is dead")
         # catalogue: owner-first holder lists over live members, fully
         # replicated whenever enough members exist
         want = 2 if len(r.members) >= 2 else 1
         truth = {m: 0 for m in r.members}
-        for oid in sorted(r.catalogue.object_ids()):
-            hl = r.catalogue.holders_of(oid)
+        holders = r.catalogue.holders
+        for oid in sorted(holders):
+            hl = holders[oid]
             if len(hl) != len(set(hl)):
                 issues.append(f"{tag}: duplicate holders for {oid.hex()[:12]}")
             if len(hl) < want:
@@ -226,7 +237,7 @@ def check_invariants(result: RunResult) -> list[str]:
                 if oid not in holder_node.store:
                     issues.append(f"{tag}: {h} listed for {oid.hex()[:12]} but does not store it")
         # load table matches ground truth
-        for m in sorted(r.members):
+        for m in r.members.ordered:
             if r.loads.counts.get(m) != truth[m]:
                 issues.append(f"{tag}: load table says {r.loads.counts.get(m)} "
                               f"for {m}, catalogue says {truth[m]}")
@@ -285,8 +296,7 @@ def check_invariants(result: RunResult) -> list[str]:
         if not any(nid in r.members for r in ragents):
             issues.append(f"{nid}: live agent in no cluster")
         for oid in sorted(node.store):
-            if not any(oid in r.catalogue and nid in r.catalogue.holders_of(oid)
-                       for r in ragents):
+            if not any(nid in r.catalogue.holders.get(oid, ()) for r in ragents):
                 issues.append(f"{nid}: stores {oid.hex()[:12]} that no super-peer lists")
 
     for name, client in sorted(result.clients.items()):

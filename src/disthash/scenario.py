@@ -143,10 +143,17 @@ def _parse_config_value(name: str, raw: str, lineno: int):
     raise ScenarioError(lineno, f"unknown config key {name!r}")
 
 
-def _locality(parts: list[str], lineno: int) -> LocalityDescriptor:
+def _locality(parts: list[str], lineno: int,
+              interned: dict[tuple, LocalityDescriptor]) -> LocalityDescriptor:
+    """The descriptor for these four tiers; equal tiers within one parse
+    share one descriptor, built and validated once."""
     if len(parts) != 4:
         raise ScenarioError(lineno, "locality needs network as country continent")
-    return LocalityDescriptor(*parts)
+    key = tuple(parts)
+    loc = interned.get(key)
+    if loc is None:
+        loc = interned[key] = LocalityDescriptor(*key)
+    return loc
 
 
 def _hex_payload(raw: str, lineno: int) -> bytes:
@@ -169,6 +176,7 @@ def parse_scenario(text: str) -> Scenario:
     section = None
     names: set[str] = set()
     labels: set[str] = set()
+    localities: dict[tuple, LocalityDescriptor] = {}
     last_time = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -195,7 +203,8 @@ def parse_scenario(text: str) -> Scenario:
             if role not in ROLES:
                 raise ScenarioError(lineno, f"unknown role {role!r}")
             names.add(name)
-            sc.nodes.append(NodeDecl(name, ROLES[role], _locality(parts[2:], lineno)))
+            sc.nodes.append(NodeDecl(name, ROLES[role],
+                                    _locality(parts[2:], lineno, localities)))
         elif section == "events":
             parts = line.split()
             if len(parts) < 2:
@@ -207,7 +216,8 @@ def parse_scenario(text: str) -> Scenario:
             if t < last_time:
                 raise ScenarioError(lineno, "event times must be non-decreasing")
             last_time = t
-            sc.events.append(_parse_event(t, parts[1], parts[2:], names, labels, lineno))
+            sc.events.append(_parse_event(t, parts[1], parts[2:], names, labels,
+                                          localities, lineno))
         else:
             raise ScenarioError(lineno, "content before any section header")
     if not any(d.role is Role.RAGENT for d in sc.nodes):
@@ -226,7 +236,7 @@ def _require_node(name: str, names: set[str], lineno: int) -> str:
     return name
 
 
-def _parse_event(t, kind, args, names, labels, lineno):
+def _parse_event(t, kind, args, names, labels, localities, lineno):
     if kind == "insert":
         if len(args) != 6:
             raise ScenarioError(lineno, "insert: client agent label type keys payload")
@@ -277,7 +287,7 @@ def _parse_event(t, kind, args, names, labels, lineno):
         if name in names:
             raise ScenarioError(lineno, f"duplicate node {name!r}")
         names.add(name)
-        return JoinEvent(t, name, _locality(args[1:], lineno))
+        return JoinEvent(t, name, _locality(args[1:], lineno, localities))
     raise ScenarioError(lineno, f"unknown event kind {kind!r}")
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disthash.catalogue import (AgentLoadTable, ConflictingObject,
-                                DuplicateObject, MetaCatalogue, NotAHolder,
-                                UnknownObject, clog2)
+from disthash.catalogue import (REPLICATION_FACTOR, AgentLoadTable,
+                                ConflictingObject, DuplicateObject,
+                                MetaCatalogue, NotAHolder, UnknownObject,
+                                clog2)
 from disthash.core import KeyKind, NodeId, PatternKey, derive_object_id
 
 
@@ -296,6 +297,32 @@ def test_journal_replay_from_any_cut_rebuilds_the_catalogue(data):
     assert keep.journal is None and move.journal is None
     move.merge(payload)
     assert move.journal is None and payload.journal is None
+
+
+def short_by_scan(cat: MetaCatalogue) -> set:
+    return {o for o, hl in cat.holders.items() if len(hl) < REPLICATION_FACTOR}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_under_replicated_set_matches_a_scan_after_every_mutation(data):
+    cat = MetaCatalogue()
+    cat.journal = []
+    start = cat.copy()
+    for serial in range(data.draw(st.integers(0, 40))):
+        draw_mutation(data, cat, serial)
+        assert cat.under_replicated == short_by_scan(cat)
+    # replay, copy, split and merge go through the same methods
+    start.replay(cat.take_journal())
+    assert start.under_replicated == short_by_scan(start) == cat.under_replicated
+    dup = cat.copy()
+    assert dup.under_replicated == cat.under_replicated
+    keep, move = cat.split(set(AGENTS[:2]), set(AGENTS[2:]))
+    assert keep.under_replicated == short_by_scan(keep)
+    assert move.under_replicated == short_by_scan(move)
+    assert keep.under_replicated | move.under_replicated == cat.under_replicated
+    move.merge(keep)
+    assert move.under_replicated == short_by_scan(move) == cat.under_replicated
 
 
 def test_merge_into_a_journaled_catalogue_logs_inserts():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from disthash.core import (ID_BYTES, DistObject, KeyKind, LocalityDescriptor,
-                           NodeId, ObjectId, PatternKey,
+                           NodeId, NodeSet, ObjectId, PatternKey,
                            canonical_encode, derive_object_id, make_object,
                            proximity_rank)
 
@@ -209,3 +209,62 @@ def test_proximity_matches_tier_scan_oracle(a, b):
         expected += 1
     assert proximity_rank(la, lb) == expected
     assert proximity_rank(la, lb) == proximity_rank(lb, la)
+
+
+# -- ordered node sets -------------------------------------------------
+
+NAMES = [NodeId(f"n{i}") for i in range(12)]
+name_sets = st.sets(st.sampled_from(NAMES), max_size=5)
+SET_OPS = {
+    "add": lambda s, d: s.add(d.draw(st.sampled_from(NAMES))),
+    "discard": lambda s, d: s.discard(d.draw(st.sampled_from(NAMES))),
+    "remove": lambda s, d: s and s.remove(d.draw(st.sampled_from(sorted(s)))),
+    "pop": lambda s, d: s and s.pop(),
+    "clear": lambda s, d: s.clear(),
+    "update": lambda s, d: s.update(d.draw(name_sets)),
+    "difference_update": lambda s, d: s.difference_update(d.draw(name_sets)),
+    "intersection_update": lambda s, d: s.intersection_update(d.draw(name_sets)),
+    "symmetric_difference_update":
+        lambda s, d: s.symmetric_difference_update(d.draw(name_sets)),
+}
+
+
+def _in_place(op):
+    def apply(s, d):
+        other = d.draw(name_sets)
+        if op == "|":
+            s |= other
+        elif op == "&":
+            s &= other
+        elif op == "-":
+            s -= other
+        else:
+            s ^= other
+        return s
+    return apply
+
+
+@given(st.data())
+def test_node_set_order_follows_every_mutation(data):
+    s = NodeSet(data.draw(name_sets))
+    assert s.ordered == tuple(sorted(s))
+    ops = {**SET_OPS, **{f"{op}=": _in_place(op) for op in "|&-^"}}
+    for name in data.draw(st.lists(st.sampled_from(sorted(ops)), max_size=20)):
+        if name.endswith("="):
+            s = ops[name](s, data)  # an in-place operator rebinds the name
+            assert isinstance(s, NodeSet)
+        else:
+            ops[name](s, data)
+        assert s.ordered == tuple(sorted(s))
+        assert s.ordered is s.ordered  # kept until the next change
+
+
+def test_node_set_builds_plain_sets_and_pickles():
+    s = NodeSet([NodeId("b"), NodeId("a")])
+    assert s.ordered == (NodeId("a"), NodeId("b"))
+    assert type(s | {NodeId("c")}) is set and type(s - {NodeId("a")}) is set
+    assert s == {NodeId("a"), NodeId("b")}
+    back = pickle.loads(pickle.dumps(s))
+    assert type(back) is NodeSet and back == s
+    back.add(NodeId("0"))
+    assert back.ordered == (NodeId("0"), NodeId("a"), NodeId("b"))

@@ -1,15 +1,22 @@
 """Cluster lifecycle policy rules: join selection, deterministic voting,
-split partitioning, merge-partner choice and failure detection."""
+split partitioning, merge-partner choice and failure detection; and the
+set-up placement of declared agents, which applies the join rule."""
+from dataclasses import replace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disthash.core import LocalityDescriptor, NodeId
+from disthash import membership
+from disthash.core import LocalityDescriptor, NodeId, Role
 from disthash.membership import (HeartbeatConfig, EmptyElectorate,
                                  NoCandidates, NoMergeTarget, Thresholds,
-                                 choose_merge_target, detect_failures,
-                                 elect_agent, join_select_ragent,
+                                 choose_merge_target, closest_ragents,
+                                 detect_failures, elect_agent,
+                                 join_select_ragent, least_loaded,
                                  split_partition)
+from disthash.runner import build_simulation
+from disthash.scenario import NodeDecl, Scenario
 
 
 def loc(net="n1", asd="as1", country="ro", continent="eu"):
@@ -64,6 +71,91 @@ def test_join_single_and_ties_and_empty():
     assert join_select_ragent(tied, joiner) == nid("r1")
     with pytest.raises(NoCandidates):
         join_select_ragent([], joiner)
+
+
+def count_ranks(monkeypatch) -> list:
+    """Count the proximity ranks the membership rules compute."""
+    calls = []
+    rank = membership.proximity_rank
+    monkeypatch.setattr(membership, "proximity_rank",
+                        lambda a, b: calls.append(1) or rank(a, b))
+    return calls
+
+
+def test_closest_ragents_ranks_each_candidate_once(monkeypatch):
+    calls = count_ranks(monkeypatch)
+    candidates = [
+        (nid("r3"), loc(net="x"), 0),           # rank 3
+        (nid("r1"), loc(), 7),                  # rank 4
+        (nid("r2"), loc(continent="na"), 0),    # rank 0
+        (nid("r0"), loc(), 9),                  # rank 4
+    ]
+    assert closest_ragents(candidates, loc()) == [candidates[1], candidates[3]]
+    assert len(calls) == len(candidates)
+    assert least_loaded(candidates) == nid("r2")  # (0, r2) < (0, r3)
+    with pytest.raises(NoCandidates):
+        closest_ragents([], loc())
+
+
+def sequential_placement(sc: Scenario) -> dict:
+    """Oracle: each declared agent joins on its own, in declaration order,
+    through join_select_ragent over every super-peer."""
+    ragents = [d for d in sc.nodes if d.role is Role.RAGENT]
+    counts = {d.name: 0 for d in ragents}
+    placed = {}
+    for d in sc.nodes:
+        if d.role is Role.AGENT:
+            choice = join_select_ragent(
+                [(nid(r.name), r.locality, counts[r.name]) for r in ragents], d.locality)
+            counts[choice] += 1
+            placed[d.name] = choice
+    return placed
+
+
+def assert_placed_as_joins(sc: Scenario, res) -> None:
+    placed = sequential_placement(sc)
+    for name, rid in placed.items():
+        assert res.sim.nodes[name].ragent == rid, name
+    for d in sc.nodes:
+        if d.role is Role.RAGENT:
+            members = {a for a, rid in placed.items() if rid == d.name}
+            assert res.sim.nodes[d.name].members == members
+
+
+# two values per tier: shared localities, distinct ones and rank ties
+tiers = st.tuples(*[st.sampled_from(["x", "y"])] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_places_agents_as_one_at_a_time_joins(data):
+    n_ragents = data.draw(st.integers(1, 6))
+    # declared in a shuffled order, so declaration order and id order differ
+    ragent_ids = data.draw(st.permutations(range(n_ragents)))
+    sc = Scenario()
+    sc.nodes = [NodeDecl(f"r{i}", Role.RAGENT, LocalityDescriptor(*data.draw(tiers)))
+                for i in ragent_ids]
+    sc.nodes += [NodeDecl(f"a{i}", Role.AGENT, LocalityDescriptor(*data.draw(tiers)))
+                 for i in range(data.draw(st.integers(0, 40)))]
+    assert_placed_as_joins(sc, build_simulation(sc))
+
+
+def test_build_ranks_once_per_distinct_locality(monkeypatch):
+    """4,000 agents under 16 super-peers, in 8 localities: the placement
+    ranks at most (distinct agent localities x super-peers) pairs."""
+    places = [LocalityDescriptor(f"net{k}", f"as{k // 2}", f"c{k // 4}", "eu")
+              for k in range(8)]
+    sc = Scenario()
+    sc.nodes = [NodeDecl(f"r{i:02d}", Role.RAGENT, places[i % 8]) for i in range(16)]
+    # equal, not shared, descriptors: the placement keys localities by value
+    sc.nodes += [NodeDecl(f"a{i:04d}", Role.AGENT, replace(places[i % 8]))
+                 for i in range(4000)]
+    calls = count_ranks(monkeypatch)
+    res = build_simulation(sc)
+    assert len(calls) <= 8 * 16
+    monkeypatch.undo()
+    assert sorted(len(res.sim.nodes[f"r{i:02d}"].members) for i in range(16)) == [250] * 16
+    assert_placed_as_joins(sc, res)
 
 
 def test_elect_agent_deterministic():

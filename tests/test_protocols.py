@@ -2192,3 +2192,30 @@ def test_the_copied_classes_are_those_the_scenarios_copy(monkeypatch):
     for text in texts:
         build(text)
     assert copied == {type(m) for m in copied_messages()}
+
+
+def test_member_and_peer_order_and_short_ids_stay_current_at_every_sweep(monkeypatch):
+    """Across splits, merges, promotions and rejoins, the sweep reads
+    ascending member and peer tuples and the catalogue's short ids equal
+    a scan of its holder lists."""
+    swept = set()
+
+    def checked(self, sim, payload):
+        assert self.members.ordered == tuple(sorted(self.members))
+        assert self.peers.ordered == tuple(sorted(self.peers))
+        assert self.catalogue.under_replicated == {
+            o for o, hl in self.catalogue.holders.items() if len(hl) < 2}
+        swept.add(self.node_id)
+        sweep(self, sim, payload)
+
+    sweep = RAgentNode._tick["sweep"]
+    monkeypatch.setitem(RAgentNode._tick, "sweep", checked)
+    texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.txt"))]
+    texts += [v for v in globals().values() if isinstance(v, str) and "[nodes]" in v]
+    declared = set()
+    for text in texts:
+        sc = parse_scenario(text)
+        declared |= {d.name for d in sc.nodes if d.role is Role.RAGENT}
+        run_scenario(sc)
+    # super-peers made by a split or a promotion swept too
+    assert swept - declared

@@ -98,6 +98,33 @@ def test_error_carries_line_number():
     assert err.value.lineno == 2
 
 
+def test_equal_locality_texts_share_one_descriptor():
+    sc = parse_scenario(FULL)
+    r1, a1, a2, c1 = (d.locality for d in sc.nodes)
+    join = sc.events[8].locality  # "join a9 net1 as1 ro eu"
+    assert r1 is a1 is a2 is c1 is join
+    assert (r1.network_domain, r1.as_domain, r1.country, r1.continent) == (
+        "net1", "as1", "ro", "eu")
+    lus, r, *_ = (d.locality for d in parse_scenario(MINIMAL).nodes)
+    assert lus != r and lus is not r
+    # shared within one parse only: a second parse builds its own
+    again = parse_scenario(FULL)
+    assert again.nodes[0].locality == r1 and again.nodes[0].locality is not r1
+
+
+@pytest.mark.parametrize("bad,lineno", [
+    ("a3 agent net1 as1 ro", 4),                          # node line, 5 fields
+    ("[events]\n0 join a9 net1 as1 ro", 5),               # join, 3 tiers
+    ("[events]\n0 join a9 net1 as1 ro eu extra", 5),      # join, 5 tiers
+])
+def test_malformed_locality_after_an_interned_one_names_its_line(bad, lineno):
+    text = "[nodes]\nr1 ragent net1 as1 ro eu\na1 agent net1 as1 ro eu\n" + bad + "\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.lineno == lineno
+    assert str(err.value).startswith(f"line {lineno}:")
+
+
 # -- command line ---------------------------------------------------------
 
 
