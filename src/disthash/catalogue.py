@@ -114,8 +114,13 @@ class MetaCatalogue:
         self.meta[oid] = meta
         if len(holders) < REPLICATION_FACTOR:
             self.under_replicated.add(oid)
+        entries = self.entries
         for key in meta.pattern_keys():
-            self.entries.setdefault(key, set()).add(oid)
+            ids = entries.get(key)
+            if ids is None:
+                entries[key] = {oid}
+            else:
+                ids.add(oid)
         if self.journal is not None:
             self.journal.append(("insert", oid, type_tag, meta.index_keys,
                                  tuple(holders)))
@@ -221,7 +226,7 @@ class MetaCatalogue:
         if m == 0:
             return [], 0
         steps = m if criterion.kind is KeyKind.PATTERN else clog2(m)
-        ids = self.entries.get(criterion, set())
+        ids = self.entries.get(criterion, ())
         result = [(oid, self.holders[oid][0]) for oid in sorted(ids)]
         return result, steps
 

@@ -149,19 +149,26 @@ class DistObject:
         return DistObject(self.id, self.type_tag, self.index_keys, payload, version)
 
 
+_pack_u32 = struct.Struct(">I").pack
+
+
 def canonical_encode(type_tag: str, index_keys, payload: bytes) -> bytes:
     """Encode the identity-bearing fields of an object into a canonical
     byte string: big-endian u32 length prefixes, fields in fixed order
     (type_tag, key count, sorted index keys, payload). Independent of the
     in-memory ordering of the keys; injective over distinct inputs."""
-    keys = sorted(set(index_keys))
-    parts = [struct.pack(">I", len(type_tag.encode())), type_tag.encode()]
-    parts.append(struct.pack(">I", len(keys)))
+    return _encode_sorted(type_tag, sorted(set(index_keys)), payload)
+
+
+def _encode_sorted(type_tag: str, keys, payload: bytes) -> bytes:
+    """``canonical_encode`` of keys already sorted and distinct."""
+    tb = type_tag.encode()
+    parts = [_pack_u32(len(tb)), tb, _pack_u32(len(keys))]
     for k in keys:
         kb = k.encode()
-        parts.append(struct.pack(">I", len(kb)))
+        parts.append(_pack_u32(len(kb)))
         parts.append(kb)
-    parts.append(struct.pack(">I", len(payload)))
+    parts.append(_pack_u32(len(payload)))
     parts.append(payload)
     return b"".join(parts)
 
@@ -176,7 +183,7 @@ def derive_object_id(encoded: bytes) -> ObjectId:
 def make_object(type_tag: str, index_keys, payload: bytes) -> DistObject:
     """Build a fresh version-0 object with its content-derived id."""
     keys = tuple(sorted(set(index_keys)))
-    oid = derive_object_id(canonical_encode(type_tag, keys, payload))
+    oid = derive_object_id(_encode_sorted(type_tag, keys, payload))
     return DistObject(oid, type_tag, keys, payload, 0)
 
 

@@ -33,7 +33,7 @@ from .lus import LusRegistry
 from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          choose_merge_target, detect_failures, elect_agent,
                          join_select_ragent, split_partition)
-from .sim import SearchAccounting, SendFailed, Simulator, UnknownRequest
+from .sim import ClusterTally, SearchAccounting, SendFailed, Simulator, UnknownRequest
 
 
 @dataclass(frozen=True)
@@ -910,6 +910,7 @@ class SearchState:
     results: list = field(default_factory=list)
     holder: NodeId | None = None
     max_hop: int = 0
+    tally: ClusterTally | None = None    # this cluster's steps, set by _search
 
 
 @dataclass
@@ -1369,7 +1370,7 @@ class RAgentNode(BaseNode):
         # cluster came in
         for rid, st in sorted(self.searches.items()):
             if st.holder is None:
-                self._fetch_groups(sim, rid, self._look_up(sim, rid, st, msg.catalogue),
+                self._fetch_groups(sim, rid, self._look_up(st, msg.catalogue),
                                    st, st.max_hop + 1)
         for rid, rs in sorted(self.resolutions.items()):
             if rs.oid in msg.catalogue and not rs.forwarded:
@@ -1403,11 +1404,10 @@ class RAgentNode(BaseNode):
 
     # -- search ------------------------------------------------------------
 
-    def _look_up(self, sim, rid: str, st: SearchState, catalogue: MetaCatalogue):
+    def _look_up(self, st: SearchState, catalogue: MetaCatalogue):
         """``st``'s matches in ``catalogue``; search-first keeps one."""
         matches, key_steps = catalogue.lookup(st.criterion)
-        sim.steps.on_lookup(rid, self.node_id, catalogue.key_count,
-                            key_steps, len(matches))
+        st.tally.lookup(catalogue.key_count, key_steps, len(matches))
         if st.mode == "first" and matches:
             matches = matches[:1]
             st.holder = matches[0][1]
@@ -1424,7 +1424,7 @@ class RAgentNode(BaseNode):
         # answers), so each owner's ids are too
         for owner in sorted(by_owner):
             ids = tuple(by_owner[owner])
-            sim.steps.on_fetch_request(request_id, self.node_id, owner, len(ids))
+            st.tally.fetch(owner, len(ids))
             st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
             sim.send(self.node_id, owner, FetchObjects(
                 request_id=request_id, ids=ids, hop=hop))
@@ -1453,8 +1453,11 @@ class RAgentNode(BaseNode):
         (the origin cluster), also ask every peer: always for
         search-all, only on a local miss for search-first."""
         self.searches[rid] = st
+        # opened once; a re-ask or a merge target's second look charges
+        # the same (request, cluster) tally
+        st.tally = sim.steps.tally(rid, self.node_id)
         hop = st.max_hop + 1
-        matches = self._look_up(sim, rid, st, self.catalogue)
+        matches = self._look_up(st, self.catalogue)
         if fan_out and st.holder is None:
             st.awaiting_peers = dict.fromkeys(self.peers, 1)
             sim.multicast(self.node_id, self.peers.ordered, RemoteSearch(
@@ -1472,16 +1475,17 @@ class RAgentNode(BaseNode):
         if st is None:
             return  # request already answered
         if msg.objects:
-            sim.steps.on_probe(msg.request_id, self.node_id,
-                               msg.store_size, len(msg.objects))
+            st.tally.probe(msg.store_size, len(msg.objects))
             if st.mode == "first":
                 st.holder = src  # after a refetch, not the owner looked up
-        st.results.extend(msg.objects)
-        st.max_hop = max(st.max_hop, msg.hop)
+            st.results.extend(msg.objects)
+        if msg.hop > st.max_hop:
+            st.max_hop = msg.hop
         _answered(st.awaiting_agents, src)
         if msg.missing:  # fetch at once from the next holder, as after a bounce
             self._refetch(sim, msg.request_id, st, msg.missing)
-        self._maybe_finish_search(sim, msg.request_id)
+        if not st.awaiting_agents and not st.awaiting_peers:
+            self._finish_search(sim, msg.request_id)
 
     def _refetch(self, sim, rid: str, st: SearchState, ids) -> None:
         matches = [(oid, self.catalogue.owner_of(oid))

@@ -42,6 +42,10 @@ at once, so anything queued later into its bucket has a larger seq than
 the whole run. A zero-delay timer set while its bucket drains joins the
 end of that bucket.
 
+Step accounting keeps one ``ClusterTally`` per (request, cluster), which
+holds the charging rules; the super-peer search that owns a tally
+charges it directly (see ``StepCounter``).
+
 The trace is opt-in: ``Simulator(trace=True)`` records one
 ``TraceRecord`` per event; without it the engine builds no record and
 ``trace_lines()`` raises ``SimError``. Tracing never changes what is
@@ -54,7 +58,7 @@ import hashlib
 import heapq
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .catalogue import clog2
@@ -106,19 +110,51 @@ class SendFailed:
 # Step accounting
 
 
-@dataclass
 class ClusterTally:
-    """Per-cluster observation for one search request."""
+    """One cluster's share of one search request, and the rules that
+    charge it. The super-peer search that owns the tally charges it
+    directly; ``measured`` sums every charge apart from the decomposed
+    fields, so ``account_search`` can check that the two agree."""
 
-    m_keys: int = 0        # keys in the catalogue at lookup time
-    key_steps: int = 0     # comparisons actually charged for the lookup
-    p: int = 0             # matches in this cluster
-    id_steps: int = 0      # id + owner retrievals (2 per match)
-    fetch_steps: int = 0   # request/response shares (2 per object fetched)
-    probe_steps: int = 0   # per-object hash probe at the serving agent
-    l_max: int = 0         # largest replica store touched
-    fetch_requests: int = 0
-    agents_contacted: set = field(default_factory=set)
+    __slots__ = ("m_keys", "key_steps", "p", "id_steps", "fetch_steps",
+                 "probe_steps", "l_max", "fetch_requests", "agents_contacted",
+                 "measured")
+
+    def __init__(self):
+        self.m_keys = 0        # keys in the catalogue at lookup time
+        self.key_steps = 0     # comparisons actually charged for the lookup
+        self.p = 0             # matches in this cluster
+        self.id_steps = 0      # id + owner retrievals (2 per match)
+        self.fetch_steps = 0   # request/response shares (2 per object fetched)
+        self.probe_steps = 0   # per-object hash probe at the serving agent
+        self.l_max = 0         # largest replica store touched
+        self.fetch_requests = 0
+        self.agents_contacted = set()
+        self.measured = 0      # every step charged here
+
+    def lookup(self, m_keys: int, key_steps: int, matches: int) -> None:
+        """A catalogue lookup of ``m_keys`` keys that found ``matches``."""
+        if m_keys > self.m_keys:
+            self.m_keys = m_keys
+        self.key_steps += key_steps
+        self.p += matches
+        self.id_steps += 2 * matches
+        self.measured += key_steps + 2 * matches
+
+    def fetch(self, agent: NodeId, n_objects: int) -> None:
+        """One batched fetch of ``n_objects`` from ``agent``."""
+        self.fetch_requests += 1
+        self.agents_contacted.add(agent)
+        self.fetch_steps += 2 * n_objects
+        self.measured += 2 * n_objects
+
+    def probe(self, store_size: int, n_objects: int) -> None:
+        """``n_objects`` found in a replica store of ``store_size``."""
+        if store_size > self.l_max:
+            self.l_max = store_size
+        steps = n_objects * clog2(store_size)
+        self.probe_steps += steps
+        self.measured += steps
 
 
 @dataclass
@@ -131,39 +167,33 @@ class SearchAccounting:
 
 
 class StepCounter:
-    """Per-request tallies of the accounted operation classes. The
-    catalogue's derived owner cache costs zero steps; only key
-    comparisons, id/owner retrievals, fetch messages and replica probes
-    are charged."""
+    """Per-request tallies of the accounted operation classes, one
+    ``ClusterTally`` per (request, cluster). The catalogue's derived
+    owner cache costs zero steps; only key comparisons, id/owner
+    retrievals, fetch messages and replica probes are charged.
+
+    A super-peer's search opens its cluster's tally once with ``tally``
+    and charges it directly. ``on_lookup``, ``on_fetch_request`` and
+    ``on_probe`` charge the same rules by request id and cluster."""
 
     def __init__(self):
         # a request's tallies, and a cluster's tally, open on first use
         self.requests: dict[str, dict[str, ClusterTally]] = defaultdict(
             partial(defaultdict, ClusterTally))
         self.messages: dict[str, int] = {}
-        self.totals: dict[str, int] = {}
+
+    def tally(self, request_id: str, cluster: str) -> ClusterTally:
+        """The tally of ``request_id`` at ``cluster``, opened on first use."""
+        return self.requests[request_id][cluster]
 
     def on_lookup(self, request_id: str, cluster: str, m_keys: int, key_steps: int, matches: int) -> None:
-        t = self.requests[request_id][cluster]
-        t.m_keys = max(t.m_keys, m_keys)
-        t.key_steps += key_steps
-        t.p += matches
-        t.id_steps += 2 * matches
-        self.totals[request_id] = self.totals.get(request_id, 0) + key_steps + 2 * matches
+        self.requests[request_id][cluster].lookup(m_keys, key_steps, matches)
 
     def on_fetch_request(self, request_id: str, cluster: str, agent: NodeId, n_objects: int) -> None:
-        t = self.requests[request_id][cluster]
-        t.fetch_requests += 1
-        t.agents_contacted.add(agent)
-        t.fetch_steps += 2 * n_objects
-        self.totals[request_id] = self.totals.get(request_id, 0) + 2 * n_objects
+        self.requests[request_id][cluster].fetch(agent, n_objects)
 
     def on_probe(self, request_id: str, cluster: str, store_size: int, n_objects: int) -> None:
-        t = self.requests[request_id][cluster]
-        t.l_max = max(t.l_max, store_size)
-        steps = n_objects * clog2(store_size)
-        t.probe_steps += steps
-        self.totals[request_id] = self.totals.get(request_id, 0) + steps
+        self.requests[request_id][cluster].probe(store_size, n_objects)
 
     def on_message(self, request_id: str) -> None:
         self.messages[request_id] = self.messages.get(request_id, 0) + 1
@@ -175,16 +205,16 @@ class StepCounter:
         if request_id not in self.requests:
             raise UnknownRequest(request_id)
         clusters = self.requests[request_id]
-        decomposed = m = p = l = 0
+        measured = decomposed = m = p = l = 0
         applicable = bool(clusters)
         for t in clusters.values():
+            measured += t.measured
             decomposed += t.key_steps + t.id_steps + t.fetch_steps + t.probe_steps
             m, p, l = max(m, t.m_keys), max(p, t.p), max(l, t.l_max)
             applicable = applicable and t.m_keys >= 1 and t.p >= 1
         # formula_bound of the clusters' (M, P, L), from the same pass
         bound = len(clusters) * m * (4 * p + clog2(l))
-        return SearchAccounting(self.totals.get(request_id, 0), bound, decomposed,
-                                applicable, len(clusters))
+        return SearchAccounting(measured, bound, decomposed, applicable, len(clusters))
 
 
 def formula_bound(per_cluster: list[tuple[int, int, int]]) -> int:

@@ -264,6 +264,39 @@ def test_fetch_requests_list_their_ids_in_ascending_order(source):
         assert all(x < y for x, y in zip(ids, ids[1:])), ids
 
 
+def test_a_search_charges_the_one_tally_of_its_request_and_cluster(monkeypatch):
+    """After each ``_search`` the search state holds the tally the step
+    counter keeps for (request, cluster), and a merge target that looks
+    its in-flight searches up again charges that same tally."""
+    searched, relooked = [], []
+
+    def spy_search(self, sim, rid, st, fan_out):
+        search(self, sim, rid, st, fan_out)
+        assert st.tally is sim.steps.requests[rid][self.node_id]
+        searched.append((rid, self.node_id))
+
+    def spy_merge(self, sim, msg, src):
+        before = {rid: (st, st.tally, st.tally.key_steps)
+                  for rid, st in self.searches.items() if st.holder is None}
+        merge(self, sim, msg, src)
+        for rid, (st, tally, key_steps) in before.items():
+            assert st.tally is tally is sim.steps.requests[rid][self.node_id]
+            assert tally.key_steps > key_steps
+            relooked.append(rid)
+
+    search, merge = RAgentNode._search, RAgentNode._on["MergeRequest"]
+    monkeypatch.setattr(RAgentNode, "_search", spy_search)
+    monkeypatch.setitem(RAgentNode._on, "MergeRequest", spy_merge)
+    texts = [p.read_text() for p in sorted(SCENARIOS.glob("*.txt"))]
+    texts += [v for v in globals().values() if isinstance(v, str) and "[nodes]" in v]
+    texts.append(with_events(SEARCH_ACROSS_A_MERGE, "3000 search c1 d2 exact sensor"))
+    for text in texts:
+        build(text)
+    assert searched and relooked
+    # a re-ask reaches a cluster that searched the request before
+    assert len(searched) > len(set(searched))
+
+
 def test_update_bumps_version_on_every_replica():
     text = ONE_CLUSTER + "900 update c1 a2 obj1 beef\n"
     res = build(text)

@@ -4,7 +4,10 @@ import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from disthash.catalogue import clog2
 from disthash.core import LocalityDescriptor, NodeId
 from disthash.sim import (MS, NetworkModel, NotCrashed, SendFailed,
                           SimError, Simulator, StepCounter, UnknownNode,
@@ -375,9 +378,10 @@ def test_worked_example_measured_and_bound():
     # measured = 3 key scans + 2*2 id steps + 2*2 fetch + 2*ceil(log2 8)
     steps = StepCounter()
     rid = "q1"
-    steps.on_lookup(rid, "c1", m_keys=3, key_steps=3, matches=2)
-    steps.on_fetch_request(rid, "c1", NodeId("a1"), n_objects=2)
-    steps.on_probe(rid, "c1", store_size=8, n_objects=2)
+    tally = steps.tally(rid, "c1")
+    tally.lookup(m_keys=3, key_steps=3, matches=2)
+    tally.fetch(NodeId("a1"), n_objects=2)
+    tally.probe(store_size=8, n_objects=2)
     acct = steps.account_search(rid)
     assert acct.measured == 17
     assert acct.decomposed == 17
@@ -387,14 +391,15 @@ def test_worked_example_measured_and_bound():
 
 def test_repeated_calls_share_one_tally_per_request_and_cluster():
     steps = StepCounter()
-    steps.on_lookup("q1", "c1", m_keys=3, key_steps=3, matches=1)
-    tally = steps.requests["q1"]["c1"]
-    steps.on_lookup("q1", "c1", m_keys=5, key_steps=5, matches=2)
+    tally = steps.tally("q1", "c1")
+    tally.lookup(m_keys=3, key_steps=3, matches=1)
+    assert steps.tally("q1", "c1") is tally
+    steps.tally("q1", "c1").lookup(m_keys=5, key_steps=5, matches=2)
     for agent, n in (("a1", 2), ("a2", 1), ("a1", 1)):
-        steps.on_fetch_request("q1", "c1", NodeId(agent), n_objects=n)
-    steps.on_probe("q1", "c1", store_size=8, n_objects=2)
-    steps.on_probe("q1", "c1", store_size=4, n_objects=1)
-    steps.on_lookup("q2", "c1", m_keys=1, key_steps=1, matches=0)
+        tally.fetch(NodeId(agent), n_objects=n)
+    tally.probe(store_size=8, n_objects=2)
+    tally.probe(store_size=4, n_objects=1)
+    steps.tally("q2", "c1").lookup(m_keys=1, key_steps=1, matches=0)
     assert list(steps.requests["q1"]) == ["c1"] and steps.requests["q1"]["c1"] is tally
     assert steps.requests["q2"]["c1"] is not tally
     assert (tally.m_keys, tally.key_steps, tally.p, tally.id_steps) == (5, 8, 3, 6)
@@ -405,6 +410,60 @@ def test_repeated_calls_share_one_tally_per_request_and_cluster():
     assert acct.measured == acct.decomposed == 8 + 6 + 8 + 8
     assert acct.bound == 1 * 5 * (4 * 3 + 3)
     assert acct.bound_applicable and acct.clusters == 1
+
+
+_charges = st.lists(st.tuples(
+    st.sampled_from(["q1", "q2", "q3"]), st.sampled_from(["c1", "c2", "c3"]),
+    st.one_of(
+        st.tuples(st.just("lookup"), st.integers(0, 60), st.integers(0, 60), st.integers(0, 20)),
+        st.tuples(st.just("fetch"), st.sampled_from(["a1", "a2", "a3"]), st.integers(0, 20)),
+        st.tuples(st.just("probe"), st.integers(0, 300), st.integers(0, 20)))),
+    max_size=40)
+
+
+def _scratch_accounting(charges, rid):
+    """``account_search(rid)`` recomputed from the charges alone."""
+    per = {}
+    for r, cluster, (kind, *args) in charges:
+        if r != rid:
+            continue
+        c = per.setdefault(cluster, {"m": 0, "p": 0, "l": 0, "steps": 0})
+        if kind == "lookup":
+            m_keys, key_steps, matches = args
+            c["m"] = max(c["m"], m_keys)
+            c["p"] += matches
+            c["steps"] += key_steps + 2 * matches
+        elif kind == "fetch":
+            c["steps"] += 2 * args[1]
+        else:
+            store_size, n = args
+            c["l"] = max(c["l"], store_size)
+            c["steps"] += n * clog2(store_size)
+    steps = sum(c["steps"] for c in per.values())
+    return (steps, steps, formula_bound([(c["m"], c["p"], c["l"]) for c in per.values()]),
+            bool(per) and all(c["m"] >= 1 and c["p"] >= 1 for c in per.values()), len(per))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_charges)
+def test_tally_charges_and_by_id_charges_account_alike(charges):
+    direct, by_id = StepCounter(), StepCounter()
+    delegate = {"lookup": by_id.on_lookup, "fetch": by_id.on_fetch_request,
+                "probe": by_id.on_probe}
+    for rid, cluster, (kind, *args) in charges:
+        if kind == "fetch":
+            args[0] = NodeId(args[0])
+        getattr(direct.tally(rid, cluster), kind)(*args)
+        delegate[kind](rid, cluster, *args)
+    for rid in ("q1", "q2", "q3"):
+        if not any(r == rid for r, _, _ in charges):
+            for counter in (direct, by_id):
+                with pytest.raises(UnknownRequest):
+                    counter.account_search(rid)
+            continue
+        got = [(a.measured, a.decomposed, a.bound, a.bound_applicable, a.clusters)
+               for a in (direct.account_search(rid), by_id.account_search(rid))]
+        assert got[0] == got[1] == _scratch_accounting(charges, rid)
 
 
 def test_no_match_charges_key_scans_only():
