@@ -1,6 +1,6 @@
 """The per-super-peer meta-data catalogue: pattern keys -> object ids ->
-ordered holder lists (owner first), plus the per-agent load table used
-for replica placement.
+ordered holder lists (owner first), plus the count of replicas each
+agent holds, kept with the holder lists and read by replica placement.
 
 A catalogue is owned by exactly one RAgent state machine; mutation only
 happens inside that machine's event handler, so no locking is needed.
@@ -63,15 +63,16 @@ class MetaCatalogue:
     to ``[]`` starts recording; it is ``None`` (nothing recorded) on every
     other catalogue.
 
-    ``under_replicated`` is the set of ids with fewer than
-    ``REPLICATION_FACTOR`` holders, kept by every method that changes the
-    length of a holder list."""
+    ``under_replicated`` holds the ids with fewer than ``REPLICATION_FACTOR``
+    holders and ``loads`` counts the holder lists naming each agent; every
+    method that changes a holder list keeps both."""
 
     def __init__(self):
         self.entries: dict[PatternKey, set[ObjectId]] = {}
         self.holders: dict[ObjectId, list[NodeId]] = {}
         self.meta: dict[ObjectId, ObjectMeta] = {}
         self.under_replicated: set[ObjectId] = set()
+        self.loads = AgentLoadTable()
         self.journal: list[tuple] | None = None
 
     # -- introspection -------------------------------------------------
@@ -114,6 +115,8 @@ class MetaCatalogue:
         self.meta[oid] = meta
         if len(holders) < REPLICATION_FACTOR:
             self.under_replicated.add(oid)
+        for a in holders:
+            self.loads.bump(a)
         entries = self.entries
         for key in meta.pattern_keys():
             ids = entries.get(key)
@@ -139,7 +142,8 @@ class MetaCatalogue:
                 ids.discard(oid)
                 if not ids:
                     del self.entries[key]
-        del self.holders[oid]
+        for a in self.holders.pop(oid):
+            self.loads.bump(a, -1)
         del self.meta[oid]
         self.under_replicated.discard(oid)
 
@@ -161,6 +165,7 @@ class MetaCatalogue:
             raise ValueError(f"{agent} already holds {oid}")
         hl = self.holders[oid]
         hl.append(agent)
+        self.loads.bump(agent)
         if len(hl) >= REPLICATION_FACTOR:
             self.under_replicated.discard(oid)
         if self.journal is not None:
@@ -176,6 +181,7 @@ class MetaCatalogue:
         if hl[0] == agent:
             raise ValueError(f"{agent} owns {oid}; reassign the owner first")
         hl.remove(agent)
+        self.loads.bump(agent, -1)
         if len(hl) < REPLICATION_FACTOR:
             self.under_replicated.add(oid)
         if self.journal is not None:
@@ -197,6 +203,7 @@ class MetaCatalogue:
                 self._unlist(oid)
             elif len(hl) < REPLICATION_FACTOR:
                 self.under_replicated.add(oid)
+        self.loads.drop_agent(failed)
         if self.journal is not None:
             self.journal.append(("remove_agent", failed))
         return orphans
@@ -277,8 +284,8 @@ class MetaCatalogue:
 
 
 class AgentLoadTable:
-    """Replica counts per connected agent, maintained by the RAgent and
-    consulted for balanced placement."""
+    """Replica counts per agent, kept by a ``MetaCatalogue`` for placement.
+    An unseen agent counts 0, and a count that falls to 0 is dropped."""
 
     def __init__(self, agents=()):
         self.counts: dict[NodeId, int] = {a: 0 for a in agents}
@@ -290,10 +297,13 @@ class AgentLoadTable:
         self.counts.pop(agent, None)
 
     def bump(self, agent: NodeId, delta: int = 1) -> None:
-        value = self.counts[agent] + delta
+        value = self.counts.get(agent, 0) + delta
         if value < 0:
             raise ValueError(f"negative load for {agent}")
-        self.counts[agent] = value
+        if value:
+            self.counts[agent] = value
+        else:
+            self.counts.pop(agent, None)
 
     def get(self, agent: NodeId) -> int:
         return self.counts[agent]

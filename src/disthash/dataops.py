@@ -33,11 +33,13 @@ def merge_results(partials: list[list[DistObject]]) -> list[DistObject]:
     return [seen[oid] for oid in sorted(seen)]
 
 
-def select_replica_holders(loads: AgentLoadTable, k: int = REPLICATION_FACTOR,
+def select_replica_holders(members, loads: AgentLoadTable, k: int = REPLICATION_FACTOR,
                            exclude=()) -> tuple[NodeId, ...]:
-    """The k distinct least-loaded agents, ties by smallest node id.
-    The first of the pair becomes the owner."""
-    pool = [(c, a) for a, c in loads.counts.items() if a not in exclude]
+    """The k distinct least-loaded ``members`` by ``loads`` (one it does
+    not list holds none), ties by smallest node id; the first becomes the
+    owner. Members in ascending order give a pool that is nearly sorted."""
+    count = loads.counts.get
+    pool = [(count(a, 0), a) for a in members if a not in exclude]
     if len(pool) < k:
         raise InsufficientAgents(f"need {k} agents, have {len(pool)}")
     pool.sort()

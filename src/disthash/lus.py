@@ -20,7 +20,6 @@ class AccessDenied(Exception):
 class LusEntry:
     locality: LocalityDescriptor
     connected_count: int
-    last_update: int  # sim-time
 
 
 class LusRegistry:
@@ -28,9 +27,9 @@ class LusRegistry:
         self.entries: dict[NodeId, LusEntry] = {}
 
     def register(self, ragent: NodeId, locality: LocalityDescriptor,
-                 count: int, now: int = 0) -> None:
+                 count: int) -> None:
         """Insert or replace; idempotent."""
-        self.entries[ragent] = LusEntry(locality, count, now)
+        self.entries[ragent] = LusEntry(locality, count)
 
     def deregister(self, ragent: NodeId) -> None:
         """Remove if present; idempotent."""

@@ -16,14 +16,14 @@ Conventions used throughout:
    shares one object among its destinations: a relay sends a ``_copy``;
  - a timer belongs to the node object that set it: the engine runs no
    timer of an object that a role change or a rejoin has replaced;
- - catalogues and load tables are copied when sent, except that a merge
-   hands its catalogue over whole, as the sender stops using it.
+ - catalogues, with their replica counts, are copied when sent, except
+   that a merge hands its catalogue over whole, as the sender stops using it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalogue import AgentLoadTable, DuplicateObject, MetaCatalogue
+from .catalogue import DuplicateObject, MetaCatalogue
 from .core import (DistObject, LocalityDescriptor, NodeId, NodeSet, ObjectId,
                    PatternKey, Role)
 from .dataops import (DEFAULT_MIGRATION_THRESHOLD, REPLICATION_FACTOR,
@@ -136,7 +136,6 @@ class ReassignCluster:
 @dataclass(kw_only=True)
 class AssumeRAgent:
     catalogue: MetaCatalogue
-    loads: dict
     members: tuple
     peers: tuple
 
@@ -145,13 +144,13 @@ class AssumeRAgent:
 class CatalogueSync:
     """Primary to secondary: a full ``snapshot``, or (``snapshot`` None)
     the journal ``ops`` recorded since sync number ``base``. ``seq``
-    numbers this sync; loads, members and peers are always whole."""
+    numbers this sync; members and peers are always whole. The replica
+    counts come with the catalogue, in a snapshot or by replay."""
 
     snapshot: MetaCatalogue | None
     ops: tuple
     base: int
     seq: int
-    loads: dict
     members: tuple
     peers: tuple
 
@@ -167,7 +166,6 @@ class PeerUpdate:
 class MergeRequest:
     from_ragent: NodeId
     catalogue: MetaCatalogue
-    loads: dict
     members: tuple
     peers: tuple  # with the rest, to head the cluster again if it comes back
     hop: int = 0
@@ -516,7 +514,7 @@ class LusNode(BaseNode):
         self.siblings: tuple[NodeId, ...] = tuple(siblings)
 
     def _on_LusRegister(self, sim, msg: LusRegister, src):
-        self.registry.register(msg.ragent, msg.locality, msg.count, sim.clock)
+        self.registry.register(msg.ragent, msg.locality, msg.count)
         sim.multicast(self.node_id, self.siblings, LusSync(
             action="register", ragent=msg.ragent,
             locality=msg.locality, count=msg.count))
@@ -528,7 +526,7 @@ class LusNode(BaseNode):
 
     def _on_LusSync(self, sim, msg: LusSync, src):
         if msg.action == "register":
-            self.registry.register(msg.ragent, msg.locality, msg.count, sim.clock)
+            self.registry.register(msg.ragent, msg.locality, msg.count)
         else:
             self.registry.deregister(msg.ragent)
 
@@ -567,7 +565,6 @@ class AgentNode(BaseNode):
         self.sync_source: NodeId | None = None
         self.sync_seq = 0
         self.sync_stale = False
-        self.sync_loads: dict | None = None
         self.sync_members: tuple = ()
         self.sync_peers: tuple = ()
         self._suspected_ragent: NodeId | None = None
@@ -627,8 +624,8 @@ class AgentNode(BaseNode):
         # replicas and secondary state are stale: re-enter as a fresh agent
         self._become_agent(sim)._begin_join(sim)
 
-    def _become_ragent(self, sim, catalogue: MetaCatalogue, loads: dict,
-                       members, peers, replacing: NodeId | None = None) -> None:
+    def _become_ragent(self, sim, catalogue: MetaCatalogue, members, peers,
+                       replacing: NodeId | None = None) -> None:
         """Install a super-peer under this node's id over the given
         cluster state: the synced copy when the secondary takes
         over the dead ``replacing``, a split's hand-off otherwise. Then
@@ -638,8 +635,6 @@ class AgentNode(BaseNode):
         ragent = RAgentNode(self.node_id, self.locality, self.config)
         ragent.catalogue = catalogue
         ragent.members = NodeSet(set(members) - gone)
-        for a in ragent.members.ordered:
-            ragent.loads.counts[a] = loads.get(a, 0)
         ragent.peers = NodeSet(set(peers) - gone)
         sim.nodes[self.node_id] = ragent
         if replacing is None:
@@ -726,7 +721,6 @@ class AgentNode(BaseNode):
         else:
             self.sync_catalogue.replay(msg.ops)
         self.sync_seq = msg.seq
-        self.sync_loads = msg.loads
         self.sync_members = msg.members
         self.sync_peers = msg.peers
 
@@ -734,8 +728,8 @@ class AgentNode(BaseNode):
         """Secondary backup takes over the crashed super-peer's role,
         using the synced catalogue copy."""
         self._become_ragent(sim, self.sync_catalogue or MetaCatalogue(),
-                            self.sync_loads or {}, self.sync_members,
-                            self.sync_peers, replacing=self.ragent)
+                            self.sync_members, self.sync_peers,
+                            replacing=self.ragent)
 
     # -- replica store -----------------------------------------------------
 
@@ -836,7 +830,7 @@ class AgentNode(BaseNode):
         back by a target that merged into this node in turn, makes it
         head the cluster again."""
         if isinstance(msg, MergeRequest) and msg.from_ragent == self.node_id:
-            self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
+            self._become_ragent(sim, msg.catalogue, msg.members, msg.peers)
         elif self.joined and self.ragent is not None:
             sim.send(self.node_id, self.ragent, _copy(msg, hop=msg.hop + 1))
         else:
@@ -862,7 +856,7 @@ class AgentNode(BaseNode):
             request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
 
     def _on_AssumeRAgent(self, sim, msg: AssumeRAgent, src):
-        self._become_ragent(sim, msg.catalogue, msg.loads, msg.members, msg.peers)
+        self._become_ragent(sim, msg.catalogue, msg.members, msg.peers)
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         orig = msg.original
@@ -879,7 +873,7 @@ class AgentNode(BaseNode):
         elif isinstance(orig, MergeRequest) and orig.from_ragent == self.node_id:
             # the merge target died: head the cluster again at once, before
             # the bounces of what this node passed on come back
-            self._become_ragent(sim, orig.catalogue, orig.loads, orig.members, orig.peers)
+            self._become_ragent(sim, orig.catalogue, orig.members, orig.peers)
         elif isinstance(orig, MergeRequest) and msg.dead != orig.from_ragent:
             # passed on to a target that died: back to its sender, which
             # heads its cluster again (a dead one's secondary takes over)
@@ -944,7 +938,6 @@ class RAgentNode(BaseNode):
         self.catalogue = MetaCatalogue()
         # NodeSets: the sweep and the fan-outs read their ascending tuples
         self.members = NodeSet()
-        self.loads = AgentLoadTable()
         self.secondary: NodeId | None = None
         self.peers = NodeSet()
         self.peer_sizes: dict[NodeId, int] = {}
@@ -1018,7 +1011,6 @@ class RAgentNode(BaseNode):
         return CatalogueSync(
             snapshot=snapshot, ops=ops, base=self._sync_seq - 1,
             seq=self._sync_seq,
-            loads=dict(self.loads.counts),
             members=self.members.ordered,
             peers=tuple(sorted(self.peers | {self.node_id})))
 
@@ -1139,7 +1131,6 @@ class RAgentNode(BaseNode):
             # membership first, then admit as a fresh agent
             self._handle_agent_failure(sim, joiner, "transient-rejoin")
         self.members.add(joiner)
-        self.loads.add_agent(joiner)
         self.member_last_seen[joiner] = sim.clock
         if self.secondary is None:
             self.secondary = joiner
@@ -1155,7 +1146,6 @@ class RAgentNode(BaseNode):
         """Remove ``node`` from every holder list, promoting survivors to
         owners and re-replicating from them onto the least-loaded members."""
         orphans = self.catalogue.remove_agent(node)
-        self.loads.drop_agent(node)
         for oid, survivors in sorted(orphans):
             if not survivors:
                 sim.record_loss(oid, "all-holders-gone")
@@ -1169,7 +1159,8 @@ class RAgentNode(BaseNode):
         if any(p[0] == oid for p in self.pending_copies.values()):
             return  # a copy for this object is already in flight
         try:
-            extra = select_replica_holders(self.loads, k=1, exclude=survivors)
+            extra = select_replica_holders(self.members.ordered, self.catalogue.loads,
+                                           k=1, exclude=survivors)
         except InsufficientAgents:
             return  # transiently under-replicated; too few agents left
         new_holder = extra[0]
@@ -1197,7 +1188,6 @@ class RAgentNode(BaseNode):
             return
         if dest not in self.catalogue.holders_of(oid):
             self.catalogue.add_holder(oid, dest)
-            self.loads.bump(dest)
         self._sync_secondary(sim)
 
     def _on_CopyFailed(self, sim, msg: CopyFailed, src):
@@ -1214,7 +1204,6 @@ class RAgentNode(BaseNode):
         cat = self.catalogue
         listed = [oid for oid in ids if oid in cat and holder in cat.holders_of(oid)]
         for oid in listed:
-            self.loads.bump(holder, -1)
             hl = cat.holders_of(oid)
             if len(hl) == 1:
                 cat.remove_object(oid)
@@ -1261,14 +1250,12 @@ class RAgentNode(BaseNode):
         keep_list, move_list = split_partition(self.members)
         keep_set, move_set = set(keep_list), set(move_list)
         keep_cat, move_cat = self.catalogue.split(keep_set, move_set)
-        # replicas stranded on the other side are dropped while this node
-        # still has the global load view; each side's redundancy sweep
-        # then copies them back in through the acknowledged protocol
+        # replicas stranded on the other side are dropped; each side's
+        # redundancy sweep copies them back in through acknowledged copies
         self._rehome_across(sim, keep_cat, keep_set)
         self._rehome_across(sim, move_cat, move_set)
-        move_loads = {a: self.loads.counts[a] for a in move_list}
         sim.send(self.node_id, new_r, AssumeRAgent(
-            catalogue=move_cat, loads=move_loads, members=tuple(move_list),
+            catalogue=move_cat, members=tuple(move_list),
             peers=tuple(sorted((self.peers | {self.node_id}) - {new_r}))))
         sim.multicast(self.node_id, move_list, ReassignCluster(ragent=new_r))
         # shrink self to the keep side
@@ -1280,11 +1267,6 @@ class RAgentNode(BaseNode):
             _oid, dest, source = self.pending_copies[cid]
             if dest not in keep_set or source not in keep_set:
                 del self.pending_copies[cid]
-        keep_loads = AgentLoadTable(keep_list)
-        for oid in sorted(keep_cat.object_ids()):
-            for h in keep_cat.holders_of(oid):
-                keep_loads.bump(h)
-        self.loads = keep_loads
         self.member_last_seen = {a: sim.clock for a in keep_list}
         if self.secondary not in keep_set:
             self._elect_secondary(sim)
@@ -1305,7 +1287,6 @@ class RAgentNode(BaseNode):
         for oid in sorted(cat.object_ids()):
             for stray in [a for a in cat.holders_of(oid) if a not in member_set]:
                 cat.remove_holder(oid, stray)
-                self.loads.bump(stray, -1)
                 sim.send(self.node_id, stray, DropReplica(ids=(oid,)))
 
     # -- merge ------------------------------------------------------------
@@ -1344,8 +1325,7 @@ class RAgentNode(BaseNode):
         self._forget_sync()
         sim.send(self.node_id, target, MergeRequest(
             from_ragent=self.node_id, catalogue=self.catalogue,
-            loads=dict(self.loads.counts), members=self.members.ordered,
-            peers=self.peers.ordered))
+            members=self.members.ordered, peers=self.peers.ordered))
         sim.record_member_event("demote", self.node_id, self.node_id,
                                 f"merged_into={target}")
         if self.config.lus_ids:
@@ -1364,7 +1344,6 @@ class RAgentNode(BaseNode):
         for a in newcomers:
             if a not in self.members:
                 self.members.add(a)
-                self.loads.counts[a] = msg.loads.get(a, 0)
                 self.member_last_seen[a] = sim.clock
         # a search or owner resolution in flight here looked before the
         # cluster came in
@@ -1568,13 +1547,11 @@ class RAgentNode(BaseNode):
             reply("duplicate")
             return
         try:
-            owner, second = select_replica_holders(self.loads)
+            owner, second = select_replica_holders(self.members.ordered, self.catalogue.loads)
         except InsufficientAgents:
             reply("insufficient_agents")
             return
         self.catalogue.insert(obj.id, obj.type_tag, obj.index_keys, [owner, second])
-        self.loads.bump(owner)
-        self.loads.bump(second)
         sim.multicast(self.node_id, (owner, second),
                       StoreReplica(obj=obj, request_id=rid, hop=hop + 1))
         self._sync_secondary(sim)
@@ -1771,7 +1748,7 @@ class RAgentNode(BaseNode):
         obj = msg.obj
         self.hot.reset(obj.id)
         try:
-            owner, second = select_replica_holders(self.loads)
+            owner, second = select_replica_holders(self.members.ordered, self.catalogue.loads)
             self.catalogue.insert(obj.id, obj.type_tag, obj.index_keys,
                                   [owner, second])
         except (InsufficientAgents, DuplicateObject) as exc:
@@ -1780,8 +1757,6 @@ class RAgentNode(BaseNode):
             answer = MigrateDenied if isinstance(exc, InsufficientAgents) else MigrateAck
             sim.send(self.node_id, src, answer(request_id=msg.request_id, oid=obj.id))
             return
-        self.loads.bump(owner)
-        self.loads.bump(second)
         sim.multicast(self.node_id, (owner, second), StoreReplica(obj=obj))
         self._sync_secondary(sim)
         sim.send(self.node_id, src, MigrateAck(request_id=msg.request_id, oid=obj.id))
@@ -1795,7 +1770,6 @@ class RAgentNode(BaseNode):
         oid, _ = entry
         if oid in self.catalogue:
             for h in self.catalogue.holders_of(oid):
-                self.loads.bump(h, -1)
                 sim.send(self.node_id, h, DropReplica(ids=(oid,)))
             self.catalogue.remove_object(oid)
             self._sync_secondary(sim)

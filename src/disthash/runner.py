@@ -111,7 +111,6 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
         choice = by_id[least_loaded([(r.node_id, r.locality, len(r.members))
                                      for r in near])]
         choice.members.add(a.node_id)
-        choice.loads.add_agent(a.node_id)
         a.joined = True
         a.ragent = choice.node_id
 
@@ -126,7 +125,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
             # as journal batches
             sim.nodes[r.secondary]._on_CatalogueSync(sim, r.next_sync(), r.node_id)
         for lus in lus_nodes:
-            lus.registry.register(r.node_id, r.locality, len(r.members), 0)
+            lus.registry.register(r.node_id, r.locality, len(r.members))
 
     for node in [*agents, *ragents]:
         node.start(sim)
@@ -220,7 +219,7 @@ def check_invariants(result: RunResult) -> list[str]:
         # catalogue: owner-first holder lists over live members, fully
         # replicated whenever enough members exist
         want = 2 if len(r.members) >= 2 else 1
-        truth = {m: 0 for m in r.members}
+        truth: dict[NodeId, int] = {}
         holders = r.catalogue.holders
         for oid in sorted(holders):
             hl = holders[oid]
@@ -229,18 +228,19 @@ def check_invariants(result: RunResult) -> list[str]:
             if len(hl) < want:
                 issues.append(f"{tag}: {oid.hex()[:12]} has {len(hl)} holders, want {want}")
             for h in hl:
+                truth[h] = truth.get(h, 0) + 1
                 if h not in r.members:
                     issues.append(f"{tag}: holder {h} of {oid.hex()[:12]} not a member")
                     continue
-                truth[h] += 1
                 holder_node = sim.nodes[h]
                 if oid not in holder_node.store:
                     issues.append(f"{tag}: {h} listed for {oid.hex()[:12]} but does not store it")
-        # load table matches ground truth
-        for m in r.members.ordered:
-            if r.loads.counts.get(m) != truth[m]:
-                issues.append(f"{tag}: load table says {r.loads.counts.get(m)} "
-                              f"for {m}, catalogue says {truth[m]}")
+        # the catalogue's replica counts match its holder lists
+        counts = r.catalogue.loads.counts
+        for a in sorted(counts.keys() | truth.keys()):
+            if counts.get(a, 0) != truth.get(a, 0):
+                issues.append(f"{tag}: replica count says {counts.get(a, 0)} "
+                              f"for {a}, holder lists say {truth.get(a, 0)}")
         # secondary backup freshness
         if r.secondary is not None:
             sec = sim.nodes[r.secondary]

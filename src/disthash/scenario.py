@@ -165,10 +165,13 @@ def _hex_payload(raw: str, lineno: int) -> bytes:
         raise ScenarioError(lineno, f"payload must be hex or '-': {raw!r}")
 
 
-def _keys(raw: str) -> tuple[str, ...]:
+def _keys(raw: str, lineno: int) -> tuple[str, ...]:
     if raw == "-":
         return ()
-    return tuple(sorted(set(raw.split(","))))
+    keys = raw.split(",")
+    if "" in keys:
+        raise ScenarioError(lineno, f"empty index key in {raw!r}")
+    return tuple(sorted(set(keys)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -247,7 +250,7 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
             raise ScenarioError(lineno, f"duplicate object label {label!r}")
         labels.add(label)
         return InsertEvent(t, client, agent, label, type_tag,
-                           _keys(keys), _hex_payload(payload, lineno))
+                           _keys(keys, lineno), _hex_payload(payload, lineno))
     if kind in ("search", "search_first"):
         if len(args) != 4:
             raise ScenarioError(lineno, f"{kind}: client agent exact|pattern key")

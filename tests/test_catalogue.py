@@ -1,6 +1,7 @@
 """Meta-data catalogue behavior checked against an independent
 linear-scan oracle, plus the split/merge conservation rules."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -303,26 +304,37 @@ def short_by_scan(cat: MetaCatalogue) -> set:
     return {o for o, hl in cat.holders.items() if len(hl) < REPLICATION_FACTOR}
 
 
+def loads_by_scan(cat: MetaCatalogue) -> dict:
+    return dict(Counter(a for hl in cat.holders.values() for a in hl))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_under_replicated_set_matches_a_scan_after_every_mutation(data):
+    # and so do the replica counts
     cat = MetaCatalogue()
     cat.journal = []
     start = cat.copy()
     for serial in range(data.draw(st.integers(0, 40))):
         draw_mutation(data, cat, serial)
         assert cat.under_replicated == short_by_scan(cat)
+        assert cat.loads.counts == loads_by_scan(cat)
     # replay, copy, split and merge go through the same methods
     start.replay(cat.take_journal())
     assert start.under_replicated == short_by_scan(start) == cat.under_replicated
+    assert start.loads.counts == loads_by_scan(start) == cat.loads.counts
     dup = cat.copy()
     assert dup.under_replicated == cat.under_replicated
+    assert dup.loads.counts == cat.loads.counts
     keep, move = cat.split(set(AGENTS[:2]), set(AGENTS[2:]))
     assert keep.under_replicated == short_by_scan(keep)
     assert move.under_replicated == short_by_scan(move)
     assert keep.under_replicated | move.under_replicated == cat.under_replicated
+    assert keep.loads.counts == loads_by_scan(keep)
+    assert move.loads.counts == loads_by_scan(move)
     move.merge(keep)
     assert move.under_replicated == short_by_scan(move) == cat.under_replicated
+    assert move.loads.counts == loads_by_scan(move) == cat.loads.counts
 
 
 def test_merge_into_a_journaled_catalogue_logs_inserts():

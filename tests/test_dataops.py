@@ -34,13 +34,19 @@ def test_merge_results_first_occurrence_wins():
 
 
 def test_select_replica_holders():
-    loads = AgentLoadTable([nid("a1"), nid("a2"), nid("a3")])
-    assert select_replica_holders(loads) == (nid("a1"), nid("a2"))
+    members = {nid("a3"), nid("a1"), nid("a2")}
+    loads = AgentLoadTable()
+    assert select_replica_holders(members, loads) == (nid("a1"), nid("a2"))
     loads.counts.update({nid("a1"): 5, nid("a2"): 1, nid("a3"): 3})
-    assert select_replica_holders(loads) == (nid("a2"), nid("a3"))
-    assert select_replica_holders(loads, k=1, exclude=(nid("a2"),)) == (nid("a3"),)
+    assert select_replica_holders(members, loads) == (nid("a2"), nid("a3"))
+    assert select_replica_holders(members, loads, k=1,
+                                  exclude=(nid("a2"),)) == (nid("a3"),)
+    # the pool is the members: an agent the table does not list holds
+    # none, and one the members lack is not a candidate
+    loads.counts = {nid("a1"): 2, nid("a9"): 0}
+    assert select_replica_holders(members, loads) == (nid("a2"), nid("a3"))
     with pytest.raises(InsufficientAgents):
-        select_replica_holders(AgentLoadTable([nid("a1")]))
+        select_replica_holders({nid("a1")}, loads)
 
 
 def test_lock_table_fifo():

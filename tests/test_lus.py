@@ -11,9 +11,9 @@ def loc(net="n1"):
 
 def test_register_is_idempotent_upsert():
     reg = LusRegistry()
-    reg.register(NodeId("r1"), loc(), 3, now=1)
+    reg.register(NodeId("r1"), loc(), 3)
     assert len(reg) == 1
-    reg.register(NodeId("r1"), loc(), 7, now=2)
+    reg.register(NodeId("r1"), loc(), 7)
     assert len(reg) == 1
     assert reg.entries[NodeId("r1")].connected_count == 7
 

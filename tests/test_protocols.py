@@ -1267,14 +1267,15 @@ def test_rejoined_secondary_starts_without_its_old_secondary_state():
     new = res.sim.nodes[NodeId("a1")]
     assert new is not old and isinstance(new, AgentNode) and new.joined
     assert ragent(res, "r1").secondary != new.node_id
-    assert new.sync_catalogue is None and new.sync_loads is None
+    assert new.sync_catalogue is None
     assert new.sync_members == () and new.sync_peers == () and new.sync_seq == 0
 
 
 def handoffs(res, monkeypatch):
     """Run ``res`` to the end. For each event that turned an agent into a
     super-peer, the state right after it: (old node, new super-peer, its
-    members, peers, load-table keys, the super-peer it replaced or None).
+    members, peers, its catalogue's replica counts, the same counted from
+    the catalogue's holder lists, the super-peer it replaced or None).
     The engine enters a node only through these four methods, so the spy
     wraps each class's own copy of them."""
     sim = res.sim
@@ -1289,8 +1290,9 @@ def handoffs(res, monkeypatch):
                     detail = next(e[4] for e in sim.member_events[events:]
                                   if e[3] == nid and e[1] in ("promote", "assume_ragent"))
                     replaced = detail.split("=", 1)[1] if detail.startswith("replacing=") else None
+                    scanned = Counter(a for hl in node.catalogue.holders.values() for a in hl)
                     out.append((before[nid], node, set(node.members), set(node.peers),
-                                set(node.loads.counts), replaced))
+                                dict(node.catalogue.loads.counts), dict(scanned), replaced))
             return result
         return entered
 
@@ -1310,12 +1312,12 @@ def test_a_new_super_peer_starts_from_a_clean_hand_off(text, kind, monkeypatch):
     res = staged(text)
     seen = handoffs(res, monkeypatch)
     assert seen and res.issues == []
-    for old, new, members, peers, loaded, replaced in seen:
+    for old, new, members, peers, counts, scanned, replaced in seen:
         assert isinstance(old, AgentNode)
         assert (replaced is not None) == (kind == "promote")
         gone = {new.node_id, replaced}
         assert not gone & members and not gone & peers
-        assert loaded == members
+        assert counts.keys() <= members and counts == scanned
 
 
 def test_a_rejoined_agent_beats_on_its_own_timer_only():
@@ -1504,7 +1506,7 @@ def test_a_copy_whose_source_lacks_the_object_unlists_it_and_the_sweep_copies_ag
     sim.run_until(220 * MS)
     assert [m for s, _, m, _ in log if s == owner] == [CopyFailed(oid=oid, copy_id="r1.cp9")]
     assert r1.pending_copies == {} and r1.catalogue.holders_of(oid) == [second]
-    assert r1.loads.counts[owner] == 0
+    assert owner not in r1.catalogue.loads.counts
     log.clear()
     sim.run_until(600 * MS)  # the sweep at 500 ms
     assert [(d, m.oid) for s, d, m, _ in log if isinstance(m, CopyReplica)] == [(second, oid)]
@@ -1538,11 +1540,10 @@ def test_a_sole_holder_that_lacks_its_object_loses_it(says):
     sim = res.sim
     r1, oid, owner, second = wipe(res, 200)
     r1.catalogue.remove_holder(oid, second)
-    r1.loads.bump(second, -1)
     sim.send(owner, r1.node_id, says(oid))
     sim.run_until(220 * MS)
     assert [(d[1], d[2]) for d in sim.loss_records] == [(oid, "all-holders-gone")]
-    assert oid not in r1.catalogue and r1.loads.counts[owner] == 0
+    assert oid not in r1.catalogue and owner not in r1.catalogue.loads.counts
     assert sim.nodes[r1.secondary].sync_catalogue == r1.catalogue
 
 
@@ -2178,7 +2179,7 @@ def copied_messages():
         UpdateRetry(request_id="q1", oid=obj.id, payload=b"y", route=route, hop=4),
         nodes.JoinRequest(joiner=NodeId("a9"), locality=LocalityDescriptor("n1", "as1", "ro", "eu")),
         nodes.MergeRequest(from_ragent=NodeId("r1"), catalogue=MetaCatalogue(),
-                           loads={NodeId("a1"): 2}, members=(NodeId("a1"),),
+                           members=(NodeId("a1"),),
                            peers=(NodeId("r2"),)),
     ]
 

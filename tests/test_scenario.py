@@ -83,6 +83,7 @@ def test_round_trip():
     (MINIMAL + "[events]\n0 insert ghost a1 o t - -", "undeclared node"),
     (MINIMAL + "[events]\n5 crash a1\n1 crash a2", "non-decreasing"),
     (MINIMAL + "[events]\n0 read a1 obj1", "unknown object label"),
+    (MINIMAL + "[events]\n0 insert a1 a1 o1 t k1,,k2 00", "empty index key"),
     (MINIMAL + "[events]\n0 dance a1", "unknown event kind"),
     ("[nodes]\na1 agent net as ro eu", "at least one ragent"),
 ])
