@@ -65,7 +65,13 @@ class MetaCatalogue:
 
     ``under_replicated`` holds the ids with fewer than ``REPLICATION_FACTOR``
     holders and ``loads`` counts the holder lists naming each agent; every
-    method that changes a holder list keeps both."""
+    method that changes a holder list keeps both.
+
+    ``_matches`` caches, per key looked up, the key's ``(id, owner)``
+    pairs in ascending id order and the same ids grouped per owner, in
+    ascending owner order. A key's entry is dropped when an object is
+    listed under it or unlisted, or when one of its objects changes
+    owner; replicas joining or leaving keep it."""
 
     def __init__(self):
         self.entries: dict[PatternKey, set[ObjectId]] = {}
@@ -74,6 +80,7 @@ class MetaCatalogue:
         self.under_replicated: set[ObjectId] = set()
         self.loads = AgentLoadTable()
         self.journal: list[tuple] | None = None
+        self._matches: dict[PatternKey, tuple[tuple, tuple]] = {}
 
     # -- introspection -------------------------------------------------
 
@@ -117,8 +124,9 @@ class MetaCatalogue:
             self.under_replicated.add(oid)
         for a in holders:
             self.loads.bump(a)
-        entries = self.entries
+        entries, forget = self.entries, self._matches.pop
         for key in meta.pattern_keys():
+            forget(key, None)
             ids = entries.get(key)
             if ids is None:
                 entries[key] = {oid}
@@ -136,7 +144,9 @@ class MetaCatalogue:
             self.journal.append(("remove_object", oid))
 
     def _unlist(self, oid: ObjectId) -> None:
+        forget = self._matches.pop
         for key in self.meta[oid].pattern_keys():
+            forget(key, None)
             ids = self.entries.get(key)
             if ids is not None:
                 ids.discard(oid)
@@ -153,8 +163,10 @@ class MetaCatalogue:
         hl = self.holders[oid]
         if new_owner not in hl:
             raise NotAHolder((oid, new_owner))
-        hl.remove(new_owner)
-        hl.insert(0, new_owner)
+        if hl[0] != new_owner:
+            self._forget(oid)
+            hl.remove(new_owner)
+            hl.insert(0, new_owner)
         if self.journal is not None:
             self.journal.append(("set_owner", oid, new_owner))
 
@@ -197,6 +209,8 @@ class MetaCatalogue:
             hl = self.holders[oid]
             if failed not in hl:
                 continue
+            if hl[0] == failed:
+                self._forget(oid)
             hl.remove(failed)
             orphans.append((oid, list(hl)))
             if not hl:
@@ -207,6 +221,12 @@ class MetaCatalogue:
         if self.journal is not None:
             self.journal.append(("remove_agent", failed))
         return orphans
+
+    def _forget(self, oid: ObjectId) -> None:
+        """Drop the cached matches of every key ``oid`` is listed under."""
+        forget = self._matches.pop
+        for key in self.meta[oid].pattern_keys():
+            forget(key, None)
 
     # -- log shipping --------------------------------------------------
 
@@ -233,9 +253,29 @@ class MetaCatalogue:
         if m == 0:
             return [], 0
         steps = m if criterion.kind is KeyKind.PATTERN else clog2(m)
-        ids = self.entries.get(criterion, ())
-        result = [(oid, self.holders[oid][0]) for oid in sorted(ids)]
-        return result, steps
+        return list(self._matched(criterion)[0]), steps
+
+    def owner_groups(self, criterion: PatternKey
+                     ) -> tuple[tuple[NodeId, tuple[ObjectId, ...]], ...]:
+        """The ids ``lookup`` returns, grouped per owner: ``(owner, ids)``
+        in ascending owner order, each owner's ids ascending."""
+        return self._matched(criterion)[1]
+
+    def _matched(self, criterion: PatternKey) -> tuple[tuple, tuple]:
+        hit = self._matches.get(criterion)
+        if hit is not None:
+            return hit
+        ids = self.entries.get(criterion)
+        if not ids:
+            return (), ()
+        holders = self.holders
+        pairs = tuple([(oid, holders[oid][0]) for oid in sorted(ids)])
+        by_owner: dict[NodeId, list[ObjectId]] = {}
+        for oid, owner in pairs:
+            by_owner.setdefault(owner, []).append(oid)
+        groups = tuple([(owner, tuple(by_owner[owner])) for owner in sorted(by_owner)])
+        hit = self._matches[criterion] = pairs, groups
+        return hit
 
     # -- reconfiguration -----------------------------------------------
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .catalogue import REPLICATION_FACTOR, AgentLoadTable
 from .core import DistObject, NodeId, ObjectId
@@ -21,16 +22,16 @@ class InsufficientAgents(Exception):
     pass
 
 
+_by_id = attrgetter("id")
+
+
 def merge_results(partials: list[list[DistObject]]) -> list[DistObject]:
     """Union of partial result lists with duplicates removed by object
     id; deterministic ascending-id order. The first occurrence of an id
     wins, so replicas of the same object collapse to one entry."""
-    seen: dict[ObjectId, DistObject] = {}
-    for part in partials:
-        for obj in part:
-            if obj.id not in seen:
-                seen[obj.id] = obj
-    return [seen[oid] for oid in sorted(seen)]
+    # built back to front, so the first occurrence is the one kept
+    merged = {obj.id: obj for part in reversed(partials) for obj in reversed(part)}
+    return sorted(merged.values(), key=_by_id)
 
 
 def select_replica_holders(members, loads: AgentLoadTable, k: int = REPLICATION_FACTOR,

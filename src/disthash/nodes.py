@@ -1384,25 +1384,19 @@ class RAgentNode(BaseNode):
     # -- search ------------------------------------------------------------
 
     def _look_up(self, st: SearchState, catalogue: MetaCatalogue):
-        """``st``'s matches in ``catalogue``; search-first keeps one."""
+        """``st``'s matches in ``catalogue`` as ``(owner, ids)`` groups;
+        search-first keeps one."""
         matches, key_steps = catalogue.lookup(st.criterion)
         st.tally.lookup(catalogue.key_count, key_steps, len(matches))
         if st.mode == "first" and matches:
-            matches = matches[:1]
-            st.holder = matches[0][1]
-        return matches
+            oid, st.holder = matches[0]
+            return ((st.holder, (oid,)),)
+        return catalogue.owner_groups(st.criterion)
 
-    def _fetch_groups(self, sim, request_id: str, matches, st: SearchState, hop: int):
+    def _fetch_groups(self, sim, request_id: str, groups, st: SearchState, hop: int):
         """Fetch matched objects from their owners, one batched request
-        per distinct owner agent."""
-        by_owner: dict[NodeId, list[ObjectId]] = {}
-        for oid, owner in matches:
-            by_owner.setdefault(owner, []).append(oid)
-        # ``matches`` is in ascending id order (``MetaCatalogue.lookup``,
-        # or a ``FetchReply.missing`` that keeps the order of the ids it
-        # answers), so each owner's ids are too
-        for owner in sorted(by_owner):
-            ids = tuple(by_owner[owner])
+        per ``(owner, ids)`` group, in the groups' order."""
+        for owner, ids in groups:
             st.tally.fetch(owner, len(ids))
             st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
             sim.send(self.node_id, owner, FetchObjects(
@@ -1467,9 +1461,15 @@ class RAgentNode(BaseNode):
             self._finish_search(sim, msg.request_id)
 
     def _refetch(self, sim, rid: str, st: SearchState, ids) -> None:
-        matches = [(oid, self.catalogue.owner_of(oid))
-                   for oid in ids if oid in self.catalogue]
-        self._fetch_groups(sim, rid, matches, st, st.max_hop + 1)
+        # ``ids`` are a fetch's ids, or those its reply lacked, in the
+        # fetch's ascending order, so each owner's ids ascend too
+        by_owner: dict[NodeId, list[ObjectId]] = {}
+        for oid in ids:
+            if oid in self.catalogue:
+                by_owner.setdefault(self.catalogue.owner_of(oid), []).append(oid)
+        self._fetch_groups(sim, rid, [(owner, tuple(by_owner[owner]))
+                                      for owner in sorted(by_owner)],
+                           st, st.max_hop + 1)
 
     def _on_RemoteSearchReply(self, sim, msg: RemoteSearchReply, src):
         st = self.searches.get(msg.request_id)

@@ -24,7 +24,9 @@ Three sections::
 
 Event times are milliseconds of simulated time. ``-`` stands for an
 empty key list or payload. ``parse_scenario(format_scenario(s))`` is the
-identity on the parsed structure.
+identity on the parsed structure; ``format_scenario`` raises
+``ValueError`` for a text field that would not read back equal, such as
+a label with a space or ``#`` or an index key ``-`` or with a comma.
 """
 from __future__ import annotations
 
@@ -127,6 +129,7 @@ class Scenario:
 
 
 _BOOL = {"true": True, "false": False}
+_LOCALITY_FIELDS = ("network_domain", "as_domain", "country", "continent")
 
 
 def _parse_config_value(name: str, raw: str, lineno: int):
@@ -295,7 +298,9 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
 
 
 def format_scenario(sc: Scenario) -> str:
-    """Render back to text; ``parse_scenario`` round-trips the result."""
+    """Render back to text; ``parse_scenario`` round-trips the result.
+    ``ValueError``, naming the node or event and the field, for a text
+    field that would not read back equal."""
     out = ["[config]"]
     defaults = ScenarioConfig()
     for f in fields(ScenarioConfig):
@@ -307,8 +312,13 @@ def format_scenario(sc: Scenario) -> str:
     out.append("[nodes]")
     for d in sc.nodes:
         loc = d.locality
-        out.append(f"{d.name} {d.role.value} {loc.network_domain} "
-                   f"{loc.as_domain} {loc.country} {loc.continent}")
+        values = [d.name, d.role.value, loc.network_domain, loc.as_domain,
+                  loc.country, loc.continent]
+        line = " ".join(values)
+        # a line that starts with "[" and ends with "]" reads as a section
+        if "#" in line or line.split() != values or (line[0] == "[" and line[-1] == "]"):
+            raise _unreadable(d, values)
+        out.append(line)
     out.append("")
     out.append("[events]")
     for ev in sc.events:
@@ -317,26 +327,66 @@ def format_scenario(sc: Scenario) -> str:
     return "\n".join(out)
 
 
+_FIELDS = {
+    NodeDecl: ("name", "role", *_LOCALITY_FIELDS),
+    InsertEvent: ("time_ms", "event", "client", "agent", "label", "type_tag",
+                  "keys", "payload"),
+    SearchEvent: ("time_ms", "event", "client", "agent", "kind", "key"),
+    UpdateEvent: ("time_ms", "event", "client", "agent", "label", "payload"),
+    ReadEvent: ("time_ms", "event", "client", "label"),
+    CrashEvent: ("time_ms", "event", "node"),
+    RejoinEvent: ("time_ms", "event", "node"),
+    JoinEvent: ("time_ms", "event", "name", *_LOCALITY_FIELDS),
+}
+
+
+def _unreadable(item, values: list[str]) -> ValueError:
+    """The error naming ``item`` and the first of ``values``, its line's
+    fields, that would not read back as one field: it is empty, holds
+    whitespace or starts a comment."""
+    what = (f"node {item.name!r}" if isinstance(item, NodeDecl)
+            else f"{type(item).__name__} at {item.time_ms} ms")
+    for field, value in zip(_FIELDS[type(item)], values):
+        if "#" in value or value.split() != [value]:
+            return ValueError(f"{what}: {field} {value!r} would not read back as one field")
+    return ValueError(f"{what}: its line would read as a section header")
+
+
 def _format_event(ev) -> str:
+    """One event line; ``ValueError`` for a field that ``parse_scenario``
+    would read back differently or reject."""
     if isinstance(ev, InsertEvent):
-        keys = ",".join(ev.keys) if ev.keys else "-"
-        payload = ev.payload.hex() if ev.payload else "-"
-        return (f"{ev.time_ms} insert {ev.client} {ev.agent} {ev.label} "
-                f"{ev.type_tag} {keys} {payload}")
-    if isinstance(ev, SearchEvent):
-        kind = "search" if ev.mode == "all" else "search_first"
-        return f"{ev.time_ms} {kind} {ev.client} {ev.agent} {ev.kind} {ev.key}"
-    if isinstance(ev, UpdateEvent):
-        payload = ev.payload.hex() if ev.payload else "-"
-        return f"{ev.time_ms} update {ev.client} {ev.agent} {ev.label} {payload}"
-    if isinstance(ev, ReadEvent):
-        return f"{ev.time_ms} read {ev.client} {ev.label}"
-    if isinstance(ev, CrashEvent):
-        return f"{ev.time_ms} crash {ev.node}"
-    if isinstance(ev, RejoinEvent):
-        return f"{ev.time_ms} rejoin {ev.node}"
-    if isinstance(ev, JoinEvent):
+        k = ev.keys
+        keys = ",".join(k) if k else "-"
+        if k and (keys == "-" or "" in k or keys.count(",") != len(k) - 1
+                  or (len(k) > 1 and list(k) != sorted(set(k)))):
+            raise ValueError(f"InsertEvent at {ev.time_ms} ms: keys {k!r} would not "
+                             "read back as the same sorted, distinct, non-empty keys "
+                             "without commas")
+        values = [str(ev.time_ms), "insert", ev.client, ev.agent, ev.label,
+                  ev.type_tag, keys, ev.payload.hex() if ev.payload else "-"]
+    elif isinstance(ev, SearchEvent):
+        if ev.kind not in ("exact", "pattern") or ev.mode not in ("all", "first"):
+            raise ValueError(f"SearchEvent at {ev.time_ms} ms: kind {ev.kind!r} and mode "
+                             f"{ev.mode!r} are not exact or pattern, and all or first")
+        values = [str(ev.time_ms), "search" if ev.mode == "all" else "search_first",
+                  ev.client, ev.agent, ev.kind, ev.key]
+    elif isinstance(ev, UpdateEvent):
+        values = [str(ev.time_ms), "update", ev.client, ev.agent, ev.label,
+                  ev.payload.hex() if ev.payload else "-"]
+    elif isinstance(ev, ReadEvent):
+        values = [str(ev.time_ms), "read", ev.client, ev.label]
+    elif isinstance(ev, CrashEvent):
+        values = [str(ev.time_ms), "crash", ev.node]
+    elif isinstance(ev, RejoinEvent):
+        values = [str(ev.time_ms), "rejoin", ev.node]
+    elif isinstance(ev, JoinEvent):
         loc = ev.locality
-        return (f"{ev.time_ms} join {ev.name} {loc.network_domain} "
-                f"{loc.as_domain} {loc.country} {loc.continent}")
-    raise TypeError(f"unknown event {ev!r}")
+        values = [str(ev.time_ms), "join", ev.name, loc.network_domain,
+                  loc.as_domain, loc.country, loc.continent]
+    else:
+        raise TypeError(f"unknown event {ev!r}")
+    line = " ".join(values)
+    if "#" in line or line.split() != values:
+        raise _unreadable(ev, values)
+    return line

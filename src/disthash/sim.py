@@ -168,9 +168,11 @@ class SearchAccounting:
 
 class StepCounter:
     """Per-request tallies of the accounted operation classes, one
-    ``ClusterTally`` per (request, cluster). The catalogue's derived
-    owner cache costs zero steps; only key comparisons, id/owner
-    retrievals, fetch messages and replica probes are charged.
+    ``ClusterTally`` per (request, cluster). Only key comparisons,
+    id/owner retrievals, fetch messages and replica probes are charged.
+    The catalogue's per-key cache of matches and owner groups lives on
+    the host only: a lookup charges the same steps whether it hits it
+    or not.
 
     A super-peer's search opens its cluster's tally once with ``tally``
     and charges it directly. ``on_lookup``, ``on_fetch_request`` and

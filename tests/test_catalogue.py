@@ -308,33 +308,70 @@ def loads_by_scan(cat: MetaCatalogue) -> dict:
     return dict(Counter(a for hl in cat.holders.values() for a in hl))
 
 
+CRITERIA = [exact("A"), exact("B"), pattern("k1"), pattern("k2"), pattern("k3")]
+
+
+def assert_lookups_match_a_scan(cat: MetaCatalogue) -> None:
+    """Every key's lookup and owner groups, against ``holders``/``meta``."""
+    for criterion in CRITERIA:
+        want = sorted((o, hl[0]) for o, hl in cat.holders.items()
+                      if criterion in cat.meta[o].pattern_keys())
+        assert cat.lookup(criterion)[0] == want
+        by_owner = {}
+        for o, owner in want:
+            by_owner.setdefault(owner, []).append(o)
+        assert cat.owner_groups(criterion) == tuple(
+            (owner, tuple(by_owner[owner])) for owner in sorted(by_owner))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_under_replicated_set_matches_a_scan_after_every_mutation(data):
-    # and so do the replica counts
+    # and so do the replica counts and every key's cached matches, looked
+    # up before each mutation so that it lands on a warm cache
     cat = MetaCatalogue()
     cat.journal = []
     start = cat.copy()
     for serial in range(data.draw(st.integers(0, 40))):
+        assert_lookups_match_a_scan(cat)
         draw_mutation(data, cat, serial)
         assert cat.under_replicated == short_by_scan(cat)
         assert cat.loads.counts == loads_by_scan(cat)
+        assert_lookups_match_a_scan(cat)
     # replay, copy, split and merge go through the same methods
+    assert_lookups_match_a_scan(start)
     start.replay(cat.take_journal())
     assert start.under_replicated == short_by_scan(start) == cat.under_replicated
     assert start.loads.counts == loads_by_scan(start) == cat.loads.counts
+    assert_lookups_match_a_scan(start)
     dup = cat.copy()
     assert dup.under_replicated == cat.under_replicated
     assert dup.loads.counts == cat.loads.counts
+    assert_lookups_match_a_scan(dup)
     keep, move = cat.split(set(AGENTS[:2]), set(AGENTS[2:]))
     assert keep.under_replicated == short_by_scan(keep)
     assert move.under_replicated == short_by_scan(move)
     assert keep.under_replicated | move.under_replicated == cat.under_replicated
     assert keep.loads.counts == loads_by_scan(keep)
     assert move.loads.counts == loads_by_scan(move)
+    assert_lookups_match_a_scan(keep)
+    assert_lookups_match_a_scan(move)
     move.merge(keep)
     assert move.under_replicated == short_by_scan(move) == cat.under_replicated
     assert move.loads.counts == loads_by_scan(move) == cat.loads.counts
+    assert_lookups_match_a_scan(move)
+
+
+def test_changing_a_lookup_result_leaves_the_next_lookup_as_it_was():
+    cat = MetaCatalogue()
+    cat.insert(oid(1), "A", ("k",), [nid("a1"), nid("a2")])
+    cat.insert(oid(2), "A", ("k",), [nid("a2"), nid("a1")])
+    found, _ = cat.lookup(exact("A"))
+    want = list(found)
+    found.pop()
+    found.append((oid(3), nid("a9")))
+    found.reverse()
+    assert cat.lookup(exact("A"))[0] == want
 
 
 def test_merge_into_a_journaled_catalogue_logs_inserts():

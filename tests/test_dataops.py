@@ -31,6 +31,9 @@ def test_merge_results_first_occurrence_wins():
     newer = o.with_payload(b"other", 5)
     merged = merge_results([[o], [newer]])
     assert merged == [o] and merged[0].version == 0
+    # within one partial too
+    other = obj(2)
+    assert merge_results([[newer, other, o], [o]]) == sorted([newer, other], key=lambda x: x.id)
 
 
 def test_select_replica_holders():

@@ -1165,6 +1165,96 @@ def test_split_leaves_no_replica_that_no_catalogue_lists():
     assert unlisted_replicas(res) == []
 
 
+def spy_fetches(res):
+    """Request id -> [(super-peer, agent, ids)], one entry for each
+    ``FetchObjects`` sent from now on."""
+    sent = {}
+    send = res.sim.send
+
+    def spy(src, dst, msg):
+        if isinstance(msg, FetchObjects):
+            sent.setdefault(msg.request_id, []).append((src, dst, msg.ids))
+        send(src, dst, msg)
+
+    res.sim.send = spy
+    return sent
+
+
+def bounced(res, rid):
+    return [r for r in res.sim.trace if r.request_id == rid
+            and (r.kind == "drop" or r.msg_type == "SendFailed")]
+
+
+WARM_THEN_CRASH = """
+[config]
+min_cluster = 2
+drain_ms = 3000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a1 obj2 sensor k1 02
+300 insert c1 a1 obj3 sensor k1 03
+1000 search c1 a3 exact sensor
+1500 crash a1
+6000 search c1 a3 exact sensor
+"""
+
+
+def test_a_search_looked_up_before_an_owner_crashed_fetches_from_the_survivor():
+    # the first search looks the key up; a1's crash must reach the
+    # catalogue's answer for that key, or the second fetches from a1
+    res = staged(WARM_THEN_CRASH, trace=True)
+    sent = spy_fetches(res)
+    res.sim.run_until(1400 * MS)
+    cat = ragent(res, "r1").catalogue
+    before = {oid: cat.holders_of(oid) for oid in cat.object_ids()}
+    finish(res)
+    assert res.issues == []
+    recs = completions(res)
+    everything = sorted(obj.id for obj in res.labels.values())
+    for rid in ("q0004", "q0005"):
+        assert recs[rid]["outcome"] == "ok"
+        assert [o.id for o in recs[rid]["objects"]] == everything
+    a1 = NodeId("a1")
+    assert any(dst == a1 for _, dst, _ in sent["q0004"])
+    fetched_from = {oid: dst for _, dst, ids in sent["q0005"] for oid in ids}
+    assert sorted(fetched_from) == everything
+    for oid, hl in before.items():
+        assert fetched_from[oid] == (hl[1] if hl[0] == a1 else hl[0])
+    assert bounced(res, "q0005") == []
+
+
+def test_the_moved_half_of_a_split_answers_a_search_looked_up_before_it():
+    res = staged(with_events(SPLIT_ACROSS, "1000 search c1 a3 exact sensor",
+                             "4000 search c1 a3 exact sensor"), trace=True)
+    sent = spy_fetches(res)
+    finish(res)
+    assert res.issues == []
+    recs = completions(res)
+    everything = sorted(obj.id for obj in res.labels.values())
+    for rid in ("q0006", "q0007"):
+        assert recs[rid]["outcome"] == "ok"
+        assert [o.id for o in recs[rid]["objects"]] == everything
+    assert {src for src, _, _ in sent["q0006"]} == {NodeId("r1")}
+    # after the split each super-peer fetches what its own catalogue lists
+    by_cluster = {}
+    for src, _, ids in sent["q0007"]:
+        by_cluster.setdefault(src, []).extend(ids)
+    moved = ragent(res, "a2")
+    assert set(by_cluster) == {NodeId("r1"), moved.node_id}
+    for src, ids in by_cluster.items():
+        assert sorted(ids) == sorted(ragent(res, src).catalogue.object_ids())
+    assert bounced(res, "q0007") == []
+
+
 # -- roles and link latency across role changes ----------------------------
 
 

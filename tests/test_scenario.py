@@ -5,10 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disthash.scenario import (CrashEvent, InsertEvent, JoinEvent,
-                               ScenarioError, SearchEvent, format_scenario,
-                               parse_scenario)
+from disthash.core import LocalityDescriptor, Role
+from disthash.scenario import (CrashEvent, InsertEvent, JoinEvent, NodeDecl,
+                               ReadEvent, Scenario, ScenarioError, SearchEvent,
+                               UpdateEvent, format_scenario, parse_scenario)
 
 MINIMAL = """
 [nodes]
@@ -68,6 +71,60 @@ def test_round_trip():
     again = parse_scenario(text)
     assert again == sc
     assert format_scenario(again) == text
+
+
+HERE = LocalityDescriptor("net1", "as1", "ro", "eu")
+
+
+def one_insert(client="c1", label="o1", type_tag="t", keys=("k",), key="k"):
+    """A scenario of one insert, then a search, an update and a read of
+    it, with the given text fields."""
+    return Scenario(
+        nodes=[NodeDecl("r1", Role.RAGENT, HERE), NodeDecl(client, Role.CLIENT, HERE)],
+        events=[InsertEvent(0, client, "r1", label, type_tag, keys, b"\x01"),
+                SearchEvent(10, client, "r1", "pattern", key, "all"),
+                UpdateEvent(20, client, "r1", label, b""),
+                ReadEvent(30, client, label)])
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    ({"keys": ("-",)}, "InsertEvent at 0 ms: keys ('-',)"),
+    ({"keys": ("a,b",)}, "InsertEvent at 0 ms: keys ('a,b',)"),
+    ({"keys": ("k#1",)}, "InsertEvent at 0 ms: keys 'k#1'"),
+    ({"keys": ("a b",)}, "InsertEvent at 0 ms: keys 'a b'"),
+    ({"label": "o 1"}, "InsertEvent at 0 ms: label 'o 1'"),
+    ({"label": "o#1"}, "InsertEvent at 0 ms: label 'o#1'"),
+])
+def test_format_rejects_fields_that_do_not_read_back(fields, fragment):
+    with pytest.raises(ValueError) as err:
+        format_scenario(one_insert(**fields))
+    assert fragment in str(err.value)
+
+
+def test_format_rejects_a_node_line_that_reads_as_a_section_header():
+    sc = one_insert()
+    sc.nodes.append(NodeDecl("[a1", Role.AGENT, LocalityDescriptor("n", "a", "c", "eu]")))
+    with pytest.raises(ValueError, match="node '\\[a1': its line would read as a section header"):
+        format_scenario(sc)
+    sc.nodes[-1] = NodeDecl("[a1", Role.AGENT, HERE)
+    assert parse_scenario(format_scenario(sc)) == sc
+
+
+# half the draws are fields that read back
+WORD = st.sampled_from(["a", "b-", "a,b", "-"]) | st.text("ab,- #\t", max_size=4)
+KEYS = st.lists(WORD, max_size=3).map(lambda ks: tuple(sorted(set(ks)))) | \
+    st.lists(WORD, max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(client=WORD, label=WORD, type_tag=WORD, key=WORD, keys=KEYS)
+def test_format_raises_or_round_trips(client, label, type_tag, key, keys):
+    sc = one_insert(client, label, type_tag, keys, key)
+    try:
+        text = format_scenario(sc)
+    except ValueError:
+        return
+    assert parse_scenario(text) == sc
 
 
 @pytest.mark.parametrize("text,fragment", [
