@@ -33,7 +33,7 @@ from .lus import LusRegistry
 from .membership import (HeartbeatConfig, NoMergeTarget, Thresholds,
                          choose_merge_target, detect_failures, elect_agent,
                          join_select_ragent, split_partition)
-from .sim import ClusterTally, SearchAccounting, SendFailed, Simulator, UnknownRequest
+from .sim import ClusterTally, SearchAccounting, SendFailed, Simulator
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,9 @@ class RemoteSearchReply:
     hop: int = 0
 
 
-@dataclass(kw_only=True)
+# the fetch round trip is most of a search's messages: slotted records,
+# built positionally, never relayed, so never passed to ``_copy``
+@dataclass(slots=True)
 class FetchObjects:
     request_id: str
     ids: tuple
@@ -277,7 +279,7 @@ class FetchObjects:
     hop: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(slots=True)
 class FetchReply:
     request_id: str
     objects: tuple
@@ -772,9 +774,8 @@ class AgentNode(BaseNode):
             else:
                 objects.append(obj)
         sim.send(self.node_id, src, FetchReply(
-            request_id=msg.request_id, objects=tuple(objects),
-            missing=tuple(missing), store_size=len(store),
-            purpose=msg.purpose, hop=msg.hop + 1))
+            msg.request_id, tuple(objects), tuple(missing), len(store),
+            msg.purpose, msg.hop + 1))
 
     def _on_ApplyUpdate(self, sim, msg: ApplyUpdate, src):
         obj = self.store.get(msg.oid)
@@ -892,7 +893,7 @@ def _answered(awaiting: dict, node: NodeId) -> None:
         awaiting[node] = n - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchState:
     mode: str
     criterion: PatternKey
@@ -1399,8 +1400,7 @@ class RAgentNode(BaseNode):
         for owner, ids in groups:
             st.tally.fetch(owner, len(ids))
             st.awaiting_agents[owner] = st.awaiting_agents.get(owner, 0) + 1
-            sim.send(self.node_id, owner, FetchObjects(
-                request_id=request_id, ids=ids, hop=hop))
+            sim.send(self.node_id, owner, FetchObjects(request_id, ids, "search", hop))
 
     def _on_CSearch(self, sim, msg: CSearch, src):
         msg = self._routed(msg, src)
@@ -1454,10 +1454,13 @@ class RAgentNode(BaseNode):
             st.results.extend(msg.objects)
         if msg.hop > st.max_hop:
             st.max_hop = msg.hop
-        _answered(st.awaiting_agents, src)
+        awaiting = st.awaiting_agents  # _answered, inline on this hot path
+        n = awaiting.pop(src, 0)
+        if n > 1:
+            awaiting[src] = n - 1
         if msg.missing:  # fetch at once from the next holder, as after a bounce
             self._refetch(sim, msg.request_id, st, msg.missing)
-        if not st.awaiting_agents and not st.awaiting_peers:
+        if not awaiting and not st.awaiting_peers:
             self._finish_search(sim, msg.request_id)
 
     def _refetch(self, sim, rid: str, st: SearchState, ids) -> None:
@@ -1725,7 +1728,7 @@ class RAgentNode(BaseNode):
             return
         self.out_migrations[pu.request_id] = (oid, requester)
         sim.send(self.node_id, self.catalogue.owner_of(oid), FetchObjects(
-            request_id=pu.request_id, ids=(oid,), purpose="migrate"))
+            pu.request_id, (oid,), "migrate"))
 
     def _migrate_fetched(self, sim, mid: str, objects: tuple) -> None:
         """Send the fetched object to the requester. With none (the owner
@@ -1905,10 +1908,8 @@ class ClientNode(BaseNode):
 
     def _record(self, sim, rid, op, outcome, hop, objects=(), version=None):
         self.pending.pop(rid, None)
-        try:
-            acct = sim.steps.account_search(rid)
-        except UnknownRequest:
-            acct = _NOT_A_SEARCH
+        steps = sim.steps
+        acct = steps.account_search(rid) if rid in steps.requests else _NOT_A_SEARCH
         rec = {
             "time": sim.clock,
             "op": op,
@@ -1918,7 +1919,7 @@ class ClientNode(BaseNode):
             "decomposed": acct.decomposed,
             "bound_applicable": acct.bound_applicable,
             "clusters": acct.clusters,
-            "messages": sim.steps.message_count(rid),
+            "messages": steps.message_count(rid),
             "hops": hop,
             "outcome": outcome,
             "results": len(objects),

@@ -25,8 +25,12 @@ Three sections::
 Event times are milliseconds of simulated time. ``-`` stands for an
 empty key list or payload. ``parse_scenario(format_scenario(s))`` is the
 identity on the parsed structure; ``format_scenario`` raises
-``ValueError`` for a text field that would not read back equal, such as
-a label with a space or ``#`` or an index key ``-`` or with a comma.
+``ValueError`` for a scenario that would not read back equal or that
+``parse_scenario`` would reject: a text field such as a label with a
+space or ``#`` or an index key ``-`` or with a comma, a config value
+such as a float for an int field, a node declared twice, or an event out
+of time order, naming an undeclared node, or reading or updating a label
+no insert made before it.
 """
 from __future__ import annotations
 
@@ -185,10 +189,11 @@ def parse_scenario(text: str) -> Scenario:
     localities: dict[tuple, LocalityDescriptor] = {}
     last_time = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # most lines hold no comment: split only those that do
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1]
             if section not in ("config", "nodes", "events"):
                 raise ScenarioError(lineno, f"unknown section {section!r}")
@@ -226,20 +231,30 @@ def parse_scenario(text: str) -> Scenario:
                                           localities, lineno))
         else:
             raise ScenarioError(lineno, "content before any section header")
-    if not any(d.role is Role.RAGENT for d in sc.nodes):
-        raise ScenarioError(0, "at least one ragent node is required")
-    c = sc.config
-    if c.min_cluster < 1 or c.min_cluster >= c.max_cluster:
-        raise ScenarioError(0, "need 1 <= min_cluster < max_cluster")
-    if c.heartbeat_period_ms <= 0 or c.failure_timeout_ms < 2 * c.heartbeat_period_ms:
-        raise ScenarioError(0, "failure timeout must be at least twice the heartbeat period")
+    error = _whole_scenario_error(sc)
+    if error:
+        raise ScenarioError(0, error)
     return sc
 
 
-def _require_node(name: str, names: set[str], lineno: int) -> str:
-    if name not in names:
-        raise ScenarioError(lineno, f"undeclared node {name!r}")
-    return name
+def _whole_scenario_error(sc: Scenario) -> str | None:
+    """What is wrong with ``sc`` as a whole, or None: no super-peer, or
+    cluster bounds or failure timing out of range."""
+    if not any(d.role is Role.RAGENT for d in sc.nodes):
+        return "at least one ragent node is required"
+    c = sc.config
+    if c.min_cluster < 1 or c.min_cluster >= c.max_cluster:
+        return "need 1 <= min_cluster < max_cluster"
+    if c.heartbeat_period_ms <= 0 or c.failure_timeout_ms < 2 * c.heartbeat_period_ms:
+        return "failure timeout must be at least twice the heartbeat period"
+    return None
+
+
+def _undeclared(nodes: tuple[str, ...], names: set[str], lineno: int) -> ScenarioError:
+    """The error for the first of ``nodes`` that is not among ``names``;
+    the caller has already seen that one is not, with set lookups."""
+    name = next(n for n in nodes if n not in names)
+    return ScenarioError(lineno, f"undeclared node {name!r}")
 
 
 def _parse_event(t, kind, args, names, labels, localities, lineno):
@@ -247,8 +262,8 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
         if len(args) != 6:
             raise ScenarioError(lineno, "insert: client agent label type keys payload")
         client, agent, label, type_tag, keys, payload = args
-        _require_node(client, names, lineno)
-        _require_node(agent, names, lineno)
+        if client not in names or agent not in names:
+            raise _undeclared((client, agent), names, lineno)
         if label in labels:
             raise ScenarioError(lineno, f"duplicate object label {label!r}")
         labels.add(label)
@@ -258,8 +273,8 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
         if len(args) != 4:
             raise ScenarioError(lineno, f"{kind}: client agent exact|pattern key")
         client, agent, crit, key = args
-        _require_node(client, names, lineno)
-        _require_node(agent, names, lineno)
+        if client not in names or agent not in names:
+            raise _undeclared((client, agent), names, lineno)
         if crit not in ("exact", "pattern"):
             raise ScenarioError(lineno, f"criterion must be exact or pattern, got {crit!r}")
         return SearchEvent(t, client, agent, crit, key,
@@ -268,8 +283,8 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
         if len(args) != 4:
             raise ScenarioError(lineno, "update: client agent label payload")
         client, agent, label, payload = args
-        _require_node(client, names, lineno)
-        _require_node(agent, names, lineno)
+        if client not in names or agent not in names:
+            raise _undeclared((client, agent), names, lineno)
         if label not in labels:
             raise ScenarioError(lineno, f"unknown object label {label!r}")
         return UpdateEvent(t, client, agent, label, _hex_payload(payload, lineno))
@@ -277,15 +292,17 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
         if len(args) != 2:
             raise ScenarioError(lineno, "read: client label")
         client, label = args
-        _require_node(client, names, lineno)
+        if client not in names:
+            raise _undeclared((client,), names, lineno)
         if label not in labels:
             raise ScenarioError(lineno, f"unknown object label {label!r}")
         return ReadEvent(t, client, label)
     if kind in ("crash", "rejoin"):
         if len(args) != 1:
             raise ScenarioError(lineno, f"{kind}: node")
-        node = _require_node(args[0], names, lineno)
-        return (CrashEvent if kind == "crash" else RejoinEvent)(t, node)
+        if args[0] not in names:
+            raise _undeclared((args[0],), names, lineno)
+        return (CrashEvent if kind == "crash" else RejoinEvent)(t, args[0])
     if kind == "join":
         if len(args) != 5:
             raise ScenarioError(lineno, "join: name net as country continent")
@@ -299,17 +316,25 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
 
 def format_scenario(sc: Scenario) -> str:
     """Render back to text; ``parse_scenario`` round-trips the result.
-    ``ValueError``, naming the node or event and the field, for a text
-    field that would not read back equal."""
+    ``ValueError``, naming the config field, node or event, for a
+    scenario that would not read back equal or that ``parse_scenario``
+    would reject."""
     out = ["[config]"]
     defaults = ScenarioConfig()
     for f in fields(ScenarioConfig):
         value = getattr(sc.config, f.name)
         if value != getattr(defaults, f.name):
             text = str(value).lower() if isinstance(value, bool) else str(value)
+            try:
+                same = _parse_config_value(f.name, text, 0) == value
+            except ScenarioError:
+                same = False
+            if not same:
+                raise ValueError(f"config {f.name}: {value!r} would not read back")
             out.append(f"{f.name} = {text}")
     out.append("")
     out.append("[nodes]")
+    names: set[str] = set()
     for d in sc.nodes:
         loc = d.locality
         values = [d.name, d.role.value, loc.network_domain, loc.as_domain,
@@ -318,12 +343,25 @@ def format_scenario(sc: Scenario) -> str:
         # a line that starts with "[" and ends with "]" reads as a section
         if "#" in line or line.split() != values or (line[0] == "[" and line[-1] == "]"):
             raise _unreadable(d, values)
+        if d.name in names:
+            raise ValueError(f"node {d.name!r}: declared twice")
+        names.add(d.name)
         out.append(line)
     out.append("")
     out.append("[events]")
+    labels: set[str] = set()
+    last = 0
     for ev in sc.events:
-        out.append(_format_event(ev))
+        t = ev.time_ms
+        if type(t) is not int or t < last:
+            raise ValueError(f"{type(ev).__name__} at {t} ms: time_ms {t!r} is not "
+                             f"a whole number of ms at or after {last}")
+        last = t
+        out.append(_format_event(ev, names, labels))
     out.append("")
+    error = _whole_scenario_error(sc)
+    if error:
+        raise ValueError(error)
     return "\n".join(out)
 
 
@@ -352,10 +390,32 @@ def _unreadable(item, values: list[str]) -> ValueError:
     return ValueError(f"{what}: its line would read as a section header")
 
 
-def _format_event(ev) -> str:
-    """One event line; ``ValueError`` for a field that ``parse_scenario``
-    would read back differently or reject."""
+def _misplaced(ev, names: set[str]) -> ValueError:
+    """The error naming the field of ``ev`` that ``parse_scenario`` would
+    reject where the event stands, given the node ``names`` declared
+    before it: an undeclared node, a node or label declared again, or a
+    label no insert made before it."""
+    what = f"{type(ev).__name__} at {ev.time_ms} ms"
+    for field in ("client", "agent", "node"):
+        name = getattr(ev, field, None)
+        if name is not None and name not in names:
+            return ValueError(f"{what}: {field} {name!r} is not a declared node")
+    if isinstance(ev, JoinEvent):
+        return ValueError(f"{what}: name {ev.name!r} is declared already")
     if isinstance(ev, InsertEvent):
+        return ValueError(f"{what}: label {ev.label!r} is inserted already")
+    return ValueError(f"{what}: label {ev.label!r} names no object inserted before it")
+
+
+def _format_event(ev, names: set[str], labels: set[str]) -> str:
+    """One event line; ``ValueError`` for a field that ``parse_scenario``
+    would read back differently or reject. ``names`` and ``labels`` are
+    the nodes declared and the objects inserted before ``ev``; an insert
+    or a join adds to them."""
+    if isinstance(ev, InsertEvent):
+        if ev.client not in names or ev.agent not in names or ev.label in labels:
+            raise _misplaced(ev, names)
+        labels.add(ev.label)
         k = ev.keys
         keys = ",".join(k) if k else "-"
         if k and (keys == "-" or "" in k or keys.count(",") != len(k) - 1
@@ -366,21 +426,30 @@ def _format_event(ev) -> str:
         values = [str(ev.time_ms), "insert", ev.client, ev.agent, ev.label,
                   ev.type_tag, keys, ev.payload.hex() if ev.payload else "-"]
     elif isinstance(ev, SearchEvent):
+        if ev.client not in names or ev.agent not in names:
+            raise _misplaced(ev, names)
         if ev.kind not in ("exact", "pattern") or ev.mode not in ("all", "first"):
             raise ValueError(f"SearchEvent at {ev.time_ms} ms: kind {ev.kind!r} and mode "
                              f"{ev.mode!r} are not exact or pattern, and all or first")
         values = [str(ev.time_ms), "search" if ev.mode == "all" else "search_first",
                   ev.client, ev.agent, ev.kind, ev.key]
     elif isinstance(ev, UpdateEvent):
+        if ev.client not in names or ev.agent not in names or ev.label not in labels:
+            raise _misplaced(ev, names)
         values = [str(ev.time_ms), "update", ev.client, ev.agent, ev.label,
                   ev.payload.hex() if ev.payload else "-"]
     elif isinstance(ev, ReadEvent):
+        if ev.client not in names or ev.label not in labels:
+            raise _misplaced(ev, names)
         values = [str(ev.time_ms), "read", ev.client, ev.label]
-    elif isinstance(ev, CrashEvent):
-        values = [str(ev.time_ms), "crash", ev.node]
-    elif isinstance(ev, RejoinEvent):
-        values = [str(ev.time_ms), "rejoin", ev.node]
+    elif isinstance(ev, (CrashEvent, RejoinEvent)):
+        if ev.node not in names:
+            raise _misplaced(ev, names)
+        values = [str(ev.time_ms), "crash" if isinstance(ev, CrashEvent) else "rejoin", ev.node]
     elif isinstance(ev, JoinEvent):
+        if ev.name in names:
+            raise _misplaced(ev, names)
+        names.add(ev.name)
         loc = ev.locality
         values = [str(ev.time_ms), "join", ev.name, loc.network_domain,
                   loc.as_domain, loc.country, loc.continent]

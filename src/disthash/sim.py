@@ -12,9 +12,17 @@ depend on the interpreter's hash seed.
 The event queue is bucketed by simulated time, after Brown's calendar
 queue (CACM 1988): a heap of distinct times, and for each time a FIFO of
 flat event tuples with the event's ``seq`` first, so only a new instant
-pays for the heap. A delivery is ``(seq, src, dsts, msg)``: one message
-to a run of destinations that arrive at the same time, the i-th
-destination taking ``seq + i``. ``send`` queues a run of one;
+pays for the heap. Entries are told apart by length:
+
+- ``(seq, src, dst, msg)``, 4: a unicast delivery, queued by ``send``;
+- ``(seq, node, owner, tag, payload)``, 5: a timer, ``owner`` being the
+  node object that set it;
+- ``(seq, (src, dsts, msg))``, 2: a multicast run, one message to a run
+  of destinations that arrive at the same time, the i-th destination
+  taking ``seq + i``;
+- ``(seq, node, "crash"|"rejoin")``, 3: a fault, rare, so it takes the
+  shape left over and the last branch.
+
 ``multicast`` is ``send`` to each destination in order, with the same
 seqs and arrival times, but queues each run of consecutive destinations
 with one arrival time as one entry, so a super-peer's beat round to
@@ -23,14 +31,13 @@ a destination list are memoized per ``(src, dsts)``, beside the latency
 memo: a list sent again queues one entry per run with no work per
 destination, and the memo grows by one entry per distinct list. One
 message object serves every destination of a multicast, so a node never
-assigns to a message it receives; a relay sends a copy. A timer is
-``(seq, node, owner, tag, payload)``, ``owner`` being the node object
-that set it, and a crash or rejoin ``(seq, node, "crash"|"rejoin")``.
+assigns to a message it receives; a relay sends a copy.
 ``send``, ``multicast`` and ``set_timer`` append straight to their
 bucket, which the first lookup of a time opens; crash, rejoin and the
-``SendFailed`` bounce go through ``_push``. ``run_until`` drains each bucket in one local loop that
-delivers each run in place and runs timers inline, and hands the rare
-faults to ``_fault``.
+``SendFailed`` bounce, itself a unicast, go through ``_push``.
+``run_until`` drains each bucket in one local loop that delivers a
+unicast in its own branch, a run in place, and timers inline, and hands
+the rare faults to ``_fault``.
 
 No event is scheduled before the clock: ``_push`` checks the time,
 ``set_timer`` rejects a negative delay, and ``_latency`` admits only a
@@ -345,16 +352,18 @@ class Simulator:
         self._seq += 1
 
     def send(self, src: NodeId, dst: NodeId, msg) -> None:
-        """``multicast(src, (dst,), msg)`` without the run bookkeeping.
-        Most messages are unicast: sending them through ``multicast``
-        measured 10% fewer messages per second on ``insert_search`` and
-        ``churn`` and 18% on ``heartbeat`` (Python 3.11, 2-core VM)."""
+        """``multicast(src, (dst,), msg)`` as one flat entry,
+        ``(seq, src, dst, msg)``, which ``run_until`` delivers in its own
+        branch, with no destination tuple and no run loop. Most messages
+        are unicast: sending them through ``multicast`` measured 10% fewer
+        messages per second on ``insert_search`` and ``churn`` and 18% on
+        ``heartbeat`` (Python 3.11, 2-core VM)."""
         if src in self.crashed:
             return
         # the memo holds no negative latency, so this is not before the
         # clock; a memoized 0 is falsy and reaches _latency, which returns it
         time = self.clock + (self._latencies.get((src, dst)) or self._latency(src, dst))
-        self._buckets[time].append((self._seq, src, (dst,), msg))
+        self._buckets[time].append((self._seq, src, dst, msg))
         self._seq += 1
 
     def multicast(self, src: NodeId, dsts, msg) -> None:
@@ -372,7 +381,7 @@ class Simulator:
             runs = self._split_runs(src, dsts)
         buckets, clock, seq0 = self._buckets, self.clock, self._seq
         for i, lat, run in runs:
-            buckets[clock + lat].append((seq0 + i, src, run, msg))
+            buckets[clock + lat].append((seq0 + i, (src, run, msg)))
         self._seq = seq0 + len(dsts)
 
     def _split_runs(self, src: NodeId, dsts: tuple) -> tuple:
@@ -461,7 +470,34 @@ class Simulator:
                 ev = popleft()
                 n = len(ev)
                 if n == 4:
-                    seq0, src, dsts, msg = ev
+                    seq, src, dst, msg = ev
+                    rid = getattr(msg, "request_id", None)
+                    if dst in crashed:
+                        if tracing:
+                            trace.append(TraceRecord(time, seq, "drop", dst, src, type(msg).__name__,
+                                                     rid, getattr(msg, "hop", None)))
+                        self._bounce(time, src, dst, msg, rid)
+                        continue
+                    if tracing:
+                        rec = TraceRecord(time, seq, "deliver", dst, src, type(msg).__name__,
+                                          rid, getattr(msg, "hop", None))
+                        trace.append(rec)
+                    self.deliver_count += 1
+                    if rid is not None:
+                        steps.on_message(rid)
+                    # a node whose role has no handler for the type returns False
+                    if nodes[dst].on_message(self, msg, src) is False and tracing:
+                        trace.append(replace(rec, kind="ignored"))
+                elif n == 5:
+                    seq, node, owner, tag, payload = ev
+                    if node in crashed:
+                        continue
+                    if tracing:
+                        trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
+                    if nodes[node] is owner:
+                        owner.on_timer(self, tag, payload)
+                elif n == 2:
+                    seq0, (src, dsts, msg) = ev
                     rid = getattr(msg, "request_id", None)
                     seq = seq0
                     try:
@@ -472,17 +508,11 @@ class Simulator:
                                                   type(msg).__name__, rid, getattr(msg, "hop", None))
                                 trace.append(rec)
                             if dead:
-                                # bounce a failure notice to a live, non-engine
-                                # sender; pushed directly as the nominal source is dead
-                                if src not in crashed and not isinstance(msg, SendFailed):
-                                    self._push(time + self._latency(dst, src), dst, (src,), SendFailed(
-                                        original=msg, dead=dst, request_id=rid,
-                                        hop=getattr(msg, "hop", 0)))
+                                self._bounce(time, src, dst, msg, rid)
                             else:
                                 self.deliver_count += 1
                                 if rid is not None:
                                     steps.on_message(rid)
-                                # a node whose role has no handler for the type returns False
                                 if nodes[dst].on_message(self, msg, src) is False and tracing:
                                     trace.append(replace(rec, kind="ignored"))
                             seq += 1
@@ -491,21 +521,21 @@ class Simulator:
                         # bucket, with its seqs, and the error propagates
                         rest = dsts[seq - seq0 + 1:]
                         if rest:
-                            bucket.appendleft((seq + 1, src, rest, msg))
+                            bucket.appendleft((seq + 1, (src, rest, msg)))
                         raise
-                elif n == 5:
-                    seq, node, owner, tag, payload = ev
-                    if node in crashed:
-                        continue
-                    if tracing:
-                        trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
-                    if nodes[node] is owner:
-                        owner.on_timer(self, tag, payload)
                 else:
                     self._fault(*ev)
             heapq.heappop(heap)
             del buckets[time]
         self.clock = t
+
+    def _bounce(self, time: int, src: NodeId, dead: NodeId, msg, rid) -> None:
+        """``msg`` was dropped at the crashed ``dead``: bounce a failure
+        notice, a unicast, to a live, non-engine sender. Pushed directly,
+        as its nominal source is dead."""
+        if src not in self.crashed and not isinstance(msg, SendFailed):
+            self._push(time + self._latency(dead, src), dead, src, SendFailed(
+                original=msg, dead=dead, request_id=rid, hop=getattr(msg, "hop", 0)))
 
     def _fault(self, seq: int, node: NodeId, kind: str) -> None:
         """Crash or rejoin ``node``; rare, so kept out of the drain loop."""

@@ -2343,3 +2343,36 @@ def test_member_and_peer_order_and_short_ids_stay_current_at_every_sweep(monkeyp
         run_scenario(sc)
     # super-peers made by a split or a promotion swept too
     assert swept - declared
+
+
+def test_fetch_records_built_positionally_equal_those_built_by_keyword():
+    # the fetch round trip builds its records positionally: a reordered
+    # field would put a value in the wrong slot and compare unequal
+    obj, other = make_object("sensor", ["k1"], b"x"), make_object("camera", ["k2"], b"y")
+    assert FetchObjects("q1", (obj.id,), "migrate", 3) == FetchObjects(
+        request_id="q1", ids=(obj.id,), purpose="migrate", hop=3)
+    assert FetchObjects("q1", (obj.id,)) == FetchObjects(
+        request_id="q1", ids=(obj.id,), purpose="search", hop=0)
+    assert FetchReply("q1", (obj,), (other.id,), 7, "search", 2) == FetchReply(
+        request_id="q1", objects=(obj,), missing=(other.id,), store_size=7,
+        purpose="search", hop=2)
+    assert FetchReply("q1", (), (), 0, "migrate") == FetchReply(
+        request_id="q1", objects=(), missing=(), store_size=0, purpose="migrate", hop=0)
+    # slotted: never relayed, so never given to ``_copy``, which needs a dict
+    assert not hasattr(FetchObjects("q1", ()), "__dict__")
+    assert not hasattr(FetchReply("q1", (), (), 0, "search"), "__dict__")
+
+
+def test_a_stored_replica_is_looked_up_at_its_own_super_peer_then_at_every_other():
+    res = finish(staged(TWO_CLUSTERS))
+    assert res.issues == []
+    a1, r2 = res.sim.nodes[NodeId("a1")], ragent(res, "r2")
+    obj3, stray = res.labels["obj3"], make_object("stray", ["k1"], b"s")
+    a1.store[obj3.id] = obj3  # r2's object, on a member of r1
+    a1.store[stray.id] = stray
+    assert check_invariants(res) == [f"a1: stores {oid.hex()[:12]} that no super-peer lists"
+                                     for oid in sorted((obj3.id, stray.id))]
+    # listed by another super-peer than its own: that one is found too
+    r2.catalogue.add_holder(obj3.id, a1.node_id)
+    assert [i for i in check_invariants(res) if i.startswith("a1:")] == [
+        f"a1: stores {stray.id.hex()[:12]} that no super-peer lists"]

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from disthash.core import LocalityDescriptor, Role
 from disthash.scenario import (CrashEvent, InsertEvent, JoinEvent, NodeDecl,
-                               ReadEvent, Scenario, ScenarioError, SearchEvent,
-                               UpdateEvent, format_scenario, parse_scenario)
+                               ReadEvent, Scenario, ScenarioConfig, ScenarioError,
+                               SearchEvent, UpdateEvent, format_scenario,
+                               parse_scenario)
 
 MINIMAL = """
 [nodes]
@@ -99,6 +100,79 @@ def test_format_rejects_fields_that_do_not_read_back(fields, fragment):
     with pytest.raises(ValueError) as err:
         format_scenario(one_insert(**fields))
     assert fragment in str(err.value)
+
+
+def test_format_rejects_a_config_value_that_does_not_read_back():
+    sc = one_insert()
+    sc.config = ScenarioConfig(min_cluster=2.5)
+    with pytest.raises(ValueError, match=r"config min_cluster: 2\.5 would not read back"):
+        format_scenario(sc)
+    for name, value in (("max_cluster", True), ("expect_loss", 1),
+                        ("delegation_factor", "x")):
+        sc.config = ScenarioConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"config {name}: "):
+            format_scenario(sc)
+    # values that read back equal are written as before
+    sc.config = ScenarioConfig(min_cluster=2, delegation_factor=3, expect_loss=True)
+    text = format_scenario(sc)
+    assert "delegation_factor = 3\n" in text and parse_scenario(text) == sc
+
+
+def test_format_rejects_a_node_declared_twice():
+    sc = one_insert()
+    sc.nodes.append(NodeDecl("c1", Role.AGENT, HERE))
+    with pytest.raises(ValueError, match="node 'c1': declared twice"):
+        format_scenario(sc)
+    sc.nodes.pop()
+    sc.events.append(JoinEvent(40, "r1", HERE))
+    with pytest.raises(ValueError, match="JoinEvent at 40 ms: name 'r1' is declared already"):
+        format_scenario(sc)
+
+
+@pytest.mark.parametrize("event,fragment", [
+    (ReadEvent(40, "c1", "nope"), "ReadEvent at 40 ms: label 'nope' names no object"),
+    (UpdateEvent(40, "c1", "r1", "nope", b""), "UpdateEvent at 40 ms: label 'nope'"),
+    (InsertEvent(40, "c1", "r1", "o1", "t", (), b""), "InsertEvent at 40 ms: label 'o1' is inserted"),
+    (SearchEvent(40, "c1", "ghost", "exact", "t", "all"), "SearchEvent at 40 ms: agent 'ghost'"),
+    (ReadEvent(40, "ghost", "o1"), "ReadEvent at 40 ms: client 'ghost'"),
+    (CrashEvent(40, "ghost"), "CrashEvent at 40 ms: node 'ghost'"),
+    (CrashEvent(25, "r1"), "CrashEvent at 25 ms: time_ms 25 is not a whole number of ms at or after 30"),
+    (CrashEvent(40.0, "r1"), "CrashEvent at 40.0 ms: time_ms 40.0"),
+])
+def test_format_rejects_an_event_that_parse_would_reject_where_it_stands(event, fragment):
+    sc = one_insert()
+    sc.events.append(event)
+    with pytest.raises(ValueError) as err:
+        format_scenario(sc)
+    assert fragment in str(err.value)
+
+
+def test_format_reads_an_event_against_the_nodes_and_labels_before_it():
+    sc = one_insert()
+    # a label read before its insert, and a node named before its join
+    sc.events.insert(0, ReadEvent(0, "c1", "o1"))
+    with pytest.raises(ValueError, match="ReadEvent at 0 ms: label 'o1' names no object"):
+        format_scenario(sc)
+    sc = one_insert()
+    sc.events += [CrashEvent(40, "a9"), JoinEvent(40, "a9", HERE)]
+    with pytest.raises(ValueError, match="CrashEvent at 40 ms: node 'a9'"):
+        format_scenario(sc)
+    sc.events.reverse()
+    sc.events.sort(key=lambda ev: ev.time_ms)  # stable: the join first
+    assert parse_scenario(format_scenario(sc)) == sc
+
+
+@pytest.mark.parametrize("change,fragment", [
+    (lambda sc: sc.nodes.pop(0), "at least one ragent"),
+    (lambda sc: setattr(sc.config, "max_cluster", 5), "min_cluster < max_cluster"),
+    (lambda sc: setattr(sc.config, "failure_timeout_ms", 900), "twice the heartbeat"),
+])
+def test_format_rejects_a_scenario_parse_rejects_as_a_whole(change, fragment):
+    sc = one_insert()
+    sc.events = []
+    change(sc)
+    with pytest.raises(ValueError, match=fragment):
+        format_scenario(sc)
 
 
 def test_format_rejects_a_node_line_that_reads_as_a_section_header():

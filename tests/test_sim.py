@@ -554,8 +554,12 @@ def fan_out(multicast: bool, crashed=(), extra=()):
 
 def test_multicast_is_a_send_to_each_destination_in_order():
     sim, nodes = fan_out(multicast=True)
-    # runs of consecutive destinations with one arrival time share an entry
-    assert [len(e[2]) for e in sim._buckets[5 * MS] if len(e) == 4] == [2, 1, 1, 1]
+    # runs of consecutive destinations with one arrival time share an
+    # entry, (seq, (src, dsts, msg)); the send is a flat (seq, src, dst, msg)
+    bucket = sim._buckets[5 * MS]
+    assert [(e[0], e[1][1]) for e in bucket if len(e) == 2] == [
+        (1, ("b", "c")), (4, ("d",)), (6, ("b",))]
+    assert [e for e in bucket if len(e) == 4] == [(7, "a", "c", "later")]
     sim.run_until(100 * MS)
     ref, ref_nodes = fan_out(multicast=False)
     ref.run_until(100 * MS)
@@ -567,6 +571,67 @@ def test_multicast_is_a_send_to_each_destination_in_order():
         n: node.log for n, node in ref_nodes.items()}
     order = [(r.time, r.seq) for r in sim.trace]
     assert order == sorted(set(order)) and sim._seq == ref._seq
+
+
+def unicast_traffic(multicast: bool):
+    """a sends to b, to d and to the crashed c, one destination at a time,
+    by ``send`` or by a one-destination ``multicast``. b answers ``m1``
+    the same way and raises on ``boom`` in the middle of its bucket; the
+    run is resumed after the error."""
+    def out(sim, src, dst, msg):
+        if multicast:
+            sim.multicast(NodeId(src), [NodeId(dst)], msg)
+        else:
+            sim.send(NodeId(src), NodeId(dst), msg)
+
+    def boom(sim):
+        raise RuntimeError("boom")
+
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=True)
+    nodes = {"a": Recorder(NodeId("a"), loc()),
+             "b": Scripted(NodeId("b"), loc(), {
+                 "m1": lambda s: out(s, "b", "a", Ping("q2", hop=2)), "boom": boom}),
+             "c": Recorder(NodeId("c"), loc()),
+             "d": Recorder(NodeId("d"), loc(net="x"))}
+    for node in nodes.values():
+        sim.add_node(node)
+    sim.inject_crash(NodeId("c"), 0)
+    sim.run_until(0)
+    for dst, msg in (("d", Ping("q1", hop=1)), ("c", Ping("q3")), ("b", "m1"),
+                     ("b", "boom"), ("b", "m2"), ("c", "gone"), ("d", "last")):
+        out(sim, "a", dst, msg)
+    sim.set_timer(NodeId("b"), "t", 5 * MS)
+    shapes = {len(e) for e in sim._buckets[5 * MS]}
+    with pytest.raises(RuntimeError):
+        sim.run_until(100 * MS)
+    assert sim.clock == 5 * MS
+    del nodes["b"].react["boom"]
+    sim.run_until(100 * MS)
+    return sim, nodes, shapes
+
+
+def test_a_send_and_a_one_destination_multicast_are_the_same_traffic():
+    sim, nodes, shapes = unicast_traffic(multicast=False)
+    ref, ref_nodes, ref_shapes = unicast_traffic(multicast=True)
+    # a send is one flat entry; a multicast queues a run of one
+    assert shapes == {4, 5} and ref_shapes == {2, 5}
+    assert sim.trace_lines() == ref.trace_lines()
+    assert sim.trace_lines("jsonl") == ref.trace_lines("jsonl")
+    assert [r.seq for r in sim.trace] == [r.seq for r in ref.trace]
+    assert sim._seq == ref._seq and sim.deliver_count == ref.deliver_count == 8
+    assert sim.steps.messages == ref.steps.messages == {"q1": 1, "q2": 1, "q3": 1}
+    assert {n: node.log for n, node in nodes.items()} == {
+        n: node.log for n, node in ref_nodes.items()}
+    # both drops bounced, a unicast each; b took m2 after the error
+    kinds = [(r.kind, r.node, r.detail) for r in sim.trace if r.kind in ("deliver", "drop")]
+    assert kinds == [
+        ("drop", "c", "Ping:q3"), ("deliver", "b", "str::a"),
+        ("deliver", "b", "str::a"), ("deliver", "b", "str::a"), ("drop", "c", "str:"),
+        ("deliver", "a", "SendFailed:q3:c"), ("deliver", "a", "Ping:q2:b"),
+        ("deliver", "a", "SendFailed::c"), ("deliver", "d", "Ping:q1:a"),
+        ("deliver", "d", "str::a")]
+    assert seen(nodes["b"]) == [(5 * MS, "m1"), (5 * MS, "boom"), (5 * MS, "m2"),
+                                (5 * MS, "t")]
 
 
 def test_a_crashed_destination_in_a_run_is_dropped_and_bounced_alone():
