@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DistObject, KeyKind, NodeId, ObjectId, PatternKey
+from .core import KeyKind, NodeId, ObjectId, PatternKey
 
 # holders every object should have: its owner and one replica
 REPLICATION_FACTOR = 2
@@ -44,12 +44,20 @@ def clog2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectMeta:
+    """An object's type tag, its sorted distinct index keys and the
+    pattern keys it is listed under. Built once, by ``insert``; every
+    copy, split, merge and journal replay of the catalogue shares it."""
+
     type_tag: str
     index_keys: tuple[str, ...]
+    pattern_keys: tuple[PatternKey, ...] = field(init=False, repr=False, compare=False)
 
-    pattern_keys = DistObject.pattern_keys
+    def __post_init__(self):
+        object.__setattr__(self, "pattern_keys", (
+            PatternKey(KeyKind.EXACT_TYPE, self.type_tag),
+            *[PatternKey(KeyKind.PATTERN, k) for k in self.index_keys]))
 
 
 class MetaCatalogue:
@@ -58,10 +66,11 @@ class MetaCatalogue:
     keeps the per-key holder lists identical by construction.
 
     A live super-peer's catalogue also keeps a journal: every mutation
-    method appends one value-only entry ``(method, *args)``, and
-    ``replay`` applies such entries to another copy. Setting ``journal``
-    to ``[]`` starts recording; it is ``None`` (nothing recorded) on every
-    other catalogue.
+    method appends one entry ``(method, *args)`` of values and immutable
+    metas (``insert`` logs the ``install`` of the meta it built), and
+    ``replay`` applies such entries to another copy, which then shares
+    the metas. Setting ``journal`` to ``[]`` starts recording; it is
+    ``None`` (nothing recorded) on every other catalogue.
 
     ``under_replicated`` holds the ids with fewer than ``REPLICATION_FACTOR``
     holders and ``loads`` counts the holder lists naming each agent; every
@@ -111,13 +120,19 @@ class MetaCatalogue:
 
     def insert(self, oid: ObjectId, type_tag: str, index_keys, holders) -> None:
         holders = list(holders)
-        if oid in self.holders:
-            raise DuplicateObject(oid)
         if not holders:
             raise ValueError("holder list must be non-empty")
         if len(set(holders)) != len(holders):
             raise ValueError("holder list must not contain duplicates")
-        meta = ObjectMeta(type_tag, tuple(sorted(set(index_keys))))
+        self.install(oid, ObjectMeta(type_tag, tuple(sorted(set(index_keys)))), holders)
+
+    def install(self, oid: ObjectId, meta: ObjectMeta, holders) -> None:
+        """List ``oid`` under a meta already built, by ``insert`` here or
+        in the catalogue this one copies, with a holder list taken as
+        valid (non-empty, distinct, owner first)."""
+        if oid in self.holders:
+            raise DuplicateObject(oid)
+        holders = list(holders)
         self.holders[oid] = holders
         self.meta[oid] = meta
         if len(holders) < REPLICATION_FACTOR:
@@ -125,7 +140,7 @@ class MetaCatalogue:
         for a in holders:
             self.loads.bump(a)
         entries, forget = self.entries, self._matches.pop
-        for key in meta.pattern_keys():
+        for key in meta.pattern_keys:
             forget(key, None)
             ids = entries.get(key)
             if ids is None:
@@ -133,8 +148,7 @@ class MetaCatalogue:
             else:
                 ids.add(oid)
         if self.journal is not None:
-            self.journal.append(("insert", oid, type_tag, meta.index_keys,
-                                 tuple(holders)))
+            self.journal.append(("install", oid, meta, tuple(holders)))
 
     def remove_object(self, oid: ObjectId) -> None:
         if oid not in self.holders:
@@ -145,7 +159,7 @@ class MetaCatalogue:
 
     def _unlist(self, oid: ObjectId) -> None:
         forget = self._matches.pop
-        for key in self.meta[oid].pattern_keys():
+        for key in self.meta[oid].pattern_keys:
             forget(key, None)
             ids = self.entries.get(key)
             if ids is not None:
@@ -225,7 +239,7 @@ class MetaCatalogue:
     def _forget(self, oid: ObjectId) -> None:
         """Drop the cached matches of every key ``oid`` is listed under."""
         forget = self._matches.pop
-        for key in self.meta[oid].pattern_keys():
+        for key in self.meta[oid].pattern_keys:
             forget(key, None)
 
     # -- log shipping --------------------------------------------------
@@ -293,8 +307,7 @@ class MetaCatalogue:
         keep, move = MetaCatalogue(), MetaCatalogue()
         for oid, hl in self.holders.items():
             side = keep if hl[0] in keep_agents else move
-            m = self.meta[oid]
-            side.insert(oid, m.type_tag, m.index_keys, hl)
+            side.install(oid, self.meta[oid], hl)
         return keep, move
 
     def merge(self, other: "MetaCatalogue") -> None:
@@ -304,14 +317,13 @@ class MetaCatalogue:
         if clash:
             raise ConflictingObject(sorted(clash)[0])
         for oid, hl in other.holders.items():
-            m = other.meta[oid]
-            self.insert(oid, m.type_tag, m.index_keys, hl)
+            self.install(oid, other.meta[oid], hl)
 
     def copy(self) -> "MetaCatalogue":
         dup = MetaCatalogue()
+        meta = self.meta
         for oid, hl in self.holders.items():
-            m = self.meta[oid]
-            dup.insert(oid, m.type_tag, m.index_keys, hl)
+            dup.install(oid, meta[oid], hl)
         return dup
 
     def __eq__(self, other):

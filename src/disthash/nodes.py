@@ -1502,16 +1502,19 @@ class RAgentNode(BaseNode):
         st = self.searches.pop(rid, None)
         if st is None:
             return
-        results = merge_results([st.results])
         if st.remote_origin is not None:
+            # a search-all answer goes as fetched: the origin's one merge
+            # dedupes and sorts every cluster's. A search-first answer is
+            # merged here, as the origin's hot-object tally reads its first
             sim.send(self.node_id, st.remote_origin, RemoteSearchReply(
-                request_id=rid, objects=tuple(results), holder=st.holder,
-                hop=st.max_hop + 1))
+                request_id=rid, objects=tuple(st.results if st.mode == "all"
+                                              else merge_results([st.results])),
+                holder=st.holder, hop=st.max_hop + 1))
             return
         self._reply(sim, st.route, request_id=rid,
                     op="search" if st.mode == "all" else "search_first",
-                    outcome="ok", objects=tuple(results), holder=st.holder,
-                    hop=st.max_hop + 1)
+                    outcome="ok", objects=tuple(merge_results([st.results])),
+                    holder=st.holder, hop=st.max_hop + 1)
 
     # -- insert ------------------------------------------------------------
 
@@ -1925,9 +1928,10 @@ class ClientNode(BaseNode):
             "results": len(objects),
             "version": version,
             "progress": self.progress.get(rid, 0),
+            "objects": tuple(objects),
         }
         sim.op_records.append(rec)
-        self.completions.append({**rec, "objects": tuple(objects)})
+        self.completions.append(rec)
 
     def _complete_op(self, sim, msg: OpReply):
         if msg.holder is not None:

@@ -205,6 +205,9 @@ class StepCounter:
         self.requests[request_id][cluster].probe(store_size, n_objects)
 
     def on_message(self, request_id: str) -> None:
+        """Count one delivery of a request's message. ``run_until`` makes
+        the same count inline; this method is the named entry point a
+        tracer wraps and a unit test calls."""
         self.messages[request_id] = self.messages.get(request_id, 0) + 1
 
     def message_count(self, request_id: str) -> int:
@@ -457,7 +460,9 @@ class Simulator:
         if t < self.clock:
             raise ValueError("cannot run backwards")
         heap, buckets, nodes, crashed = self._heap, self._buckets, self.nodes, self.crashed
-        tracing, trace, steps = self.tracing, self.trace, self.steps
+        # request deliveries are counted here, inline, not through
+        # StepCounter.on_message: one dict update per delivery
+        tracing, trace, messages = self.tracing, self.trace, self.steps.messages
         while heap and heap[0] <= t:
             # the time leaves the heap only once its bucket is empty, so
             # an event a handler adds at this time is drained here, and a
@@ -484,7 +489,7 @@ class Simulator:
                         trace.append(rec)
                     self.deliver_count += 1
                     if rid is not None:
-                        steps.on_message(rid)
+                        messages[rid] = messages.get(rid, 0) + 1
                     # a node whose role has no handler for the type returns False
                     if nodes[dst].on_message(self, msg, src) is False and tracing:
                         trace.append(replace(rec, kind="ignored"))
@@ -512,7 +517,7 @@ class Simulator:
                             else:
                                 self.deliver_count += 1
                                 if rid is not None:
-                                    steps.on_message(rid)
+                                    messages[rid] = messages.get(rid, 0) + 1
                                 if nodes[dst].on_message(self, msg, src) is False and tracing:
                                     trace.append(replace(rec, kind="ignored"))
                             seq += 1

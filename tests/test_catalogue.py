@@ -2,6 +2,7 @@
 linear-scan oracle, plus the split/merge conservation rules."""
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from disthash.catalogue import (REPLICATION_FACTOR, AgentLoadTable,
                                 ConflictingObject, DuplicateObject,
-                                MetaCatalogue, NotAHolder, UnknownObject,
-                                clog2)
+                                MetaCatalogue, NotAHolder, ObjectMeta,
+                                UnknownObject, clog2)
 from disthash.core import KeyKind, NodeId, PatternKey, derive_object_id
 
 
@@ -315,7 +316,7 @@ def assert_lookups_match_a_scan(cat: MetaCatalogue) -> None:
     """Every key's lookup and owner groups, against ``holders``/``meta``."""
     for criterion in CRITERIA:
         want = sorted((o, hl[0]) for o, hl in cat.holders.items()
-                      if criterion in cat.meta[o].pattern_keys())
+                      if criterion in cat.meta[o].pattern_keys)
         assert cat.lookup(criterion)[0] == want
         by_owner = {}
         for o, owner in want:
@@ -380,8 +381,44 @@ def test_merge_into_a_journaled_catalogue_logs_inserts():
     other = MetaCatalogue()
     other.insert(oid(1), "A", ("k",), [nid("a1"), nid("a2")])
     cat.merge(other)
-    assert cat.take_journal() == (
-        ("insert", oid(1), "A", ("k",), (nid("a1"), nid("a2"))),)
+    # an insert is logged as the install of the meta it built, shared
+    ops = cat.take_journal()
+    assert ops == (("install", oid(1), ObjectMeta("A", ("k",)), (nid("a1"), nid("a2"))),)
+    assert ops[0][2] is other.meta[oid(1)]
+
+
+def test_object_meta_is_frozen_and_shared_by_every_derived_catalogue():
+    cat = MetaCatalogue()
+    cat.journal = []
+    cat.insert(oid(1), "A", ("k2", "k1", "k2"), [nid("a1"), nid("a2")])
+    cat.insert(oid(2), "B", (), [nid("a3")])
+    meta = cat.meta[oid(1)]
+    assert meta == ObjectMeta("A", ("k1", "k2"))
+    assert meta.pattern_keys == (exact("A"), pattern("k1"), pattern("k2"))
+    with pytest.raises(FrozenInstanceError):
+        meta.type_tag = "B"
+    with pytest.raises(FrozenInstanceError):
+        meta.pattern_keys = ()
+    replayed = MetaCatalogue()
+    replayed.replay(cat.take_journal())
+    dup = cat.copy()
+    keep, move = cat.split({nid("a1"), nid("a2")}, {nid("a3")})
+    merged = MetaCatalogue()
+    merged.merge(keep)
+    merged.merge(move)
+    for derived in (replayed, dup, merged):
+        assert derived == cat
+        assert derived.entries == cat.entries
+        for o in (oid(1), oid(2)):
+            assert derived.meta[o] is cat.meta[o]
+    assert keep.meta[oid(1)] is meta and move.meta[oid(2)] is cat.meta[oid(2)]
+    # a lookup, a removal and an owner change read the stored keys
+    assert [o for o, _ in merged.lookup(pattern("k1"))[0]] == [oid(1)]
+    merged.set_owner(oid(1), nid("a2"))
+    assert merged.lookup(exact("A"))[0] == [(oid(1), nid("a2"))]
+    merged.remove_object(oid(1))
+    assert merged.lookup(pattern("k2"))[0] == []
+    assert merged.entries == {exact("B"): {oid(2)}}
 
 
 def test_load_table():

@@ -234,6 +234,46 @@ def test_step_accounting_is_decomposable_and_bounded():
                 assert rec["steps"] <= rec["bound"]
 
 
+def test_the_origin_merges_remote_search_all_answers_once():
+    """A remote cluster answers a search-all with its objects as fetched;
+    the origin's one merge keeps the first-arrived copy of each id and
+    sorts. A remote search-first answer is still merged before it goes."""
+    res = staged(TWO_CLUSTERS)
+    sim = res.sim
+    sim.run_until(50 * MS)
+    r1, r2 = ragent(res, "r1"), ragent(res, "r2")
+    o1, o2, o3 = sorted((make_object("sensor", ("k1",), bytes([i])) for i in range(3)),
+                        key=lambda o: o.id)
+    o1_new = o1.with_payload(b"new", 1)
+    criterion = PatternKey(KeyKind.PATTERN, "k1")
+    log = spy_sends(sim)
+
+    # at a remote cluster: search-all as fetched, search-first merged
+    for rid, mode in (("qa", "all"), ("qf", "first")):
+        r2.searches[rid] = nodes.SearchState(
+            mode=mode, criterion=criterion, remote_origin=r1.node_id,
+            results=[o3, o1, o2, o1_new])
+        r2._maybe_finish_search(sim, rid)
+    answers = {msg.request_id: msg.objects for src, dst, msg, _ in log
+               if isinstance(msg, RemoteSearchReply)}
+    assert answers == {"qa": (o3, o1, o2, o1_new), "qf": (o1, o2, o3)}
+
+    # at the origin: two answers out of id order, o1 in both, newer second
+    r1.searches["qx"] = nodes.SearchState(
+        mode="all", criterion=criterion, route=(NodeId("c1"),),
+        awaiting_peers={r2.node_id: 1, NodeId("r3"): 1})
+    r1.on_message(sim, RemoteSearchReply(request_id="qx", objects=(o3, o1), hop=2),
+                  r2.node_id)
+    assert "qx" in r1.searches
+    r1.on_message(sim, RemoteSearchReply(request_id="qx", objects=(o1_new, o2, o3),
+                                         hop=2), NodeId("r3"))
+    assert "qx" not in r1.searches
+    sim.run_until(60 * MS)
+    rec = completions(res)["qx"]
+    assert rec["outcome"] == "ok" and rec["results"] == 3
+    assert rec["objects"] == (o1, o2, o3)  # o1 as first arrived, not o1_new
+
+
 def test_fetch_requests_batched_per_holder():
     res = build(TWO_CLUSTERS)
     for rid, clusters in res.sim.steps.requests.items():

@@ -1,7 +1,9 @@
 """The discrete-event engine: ordering, latency, fault injection and the
 search step accounting with its closed-form bound."""
 import json
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,11 @@ from disthash.core import LocalityDescriptor, NodeId
 from disthash.sim import (MS, NetworkModel, NotCrashed, SendFailed,
                           SimError, Simulator, StepCounter, UnknownNode,
                           UnknownRequest, formula_bound, ideal_search_steps)
+from disthash.runner import run_scenario
+from disthash.scenario import parse_scenario
+from test_acceptance import random_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def loc(net="n1", asd="as1", country="ro", continent="eu"):
@@ -486,6 +493,38 @@ def test_message_counter():
     steps.on_message("q")
     steps.on_message("q")
     assert steps.message_count("q") == 2
+
+
+_REJOIN = (SCENARIOS / "rejoin_before_detection.txt").read_text()
+# r1 has not yet seen a1 crash: its fetch from a1, and the client's
+# search sent to a1, are dropped there and bounce
+BOUNCED_AT_A_CRASHED_AGENT = _REJOIN[:_REJOIN.index("[events]")] + """[events]
+100  insert c1 a3 obj1 sensor k1,k2 deadbeef
+1006 crash a1
+1101 search_first c1 a3 exact sensor
+1102 search c1 a1 exact sensor
+"""
+
+
+@pytest.mark.parametrize("source",
+                         [pytest.param(p.read_text(), id=p.name) for p in sorted(SCENARIOS.glob("*.txt"))]
+                         + [pytest.param(s, id=f"random_scenario({s})") for s in range(5)]
+                         + [pytest.param(BOUNCED_AT_A_CRASHED_AGENT, id="bounced")])
+def test_each_request_is_charged_one_message_per_traced_delivery(source):
+    # run_until counts a request's deliveries inline, in its unicast and
+    # its multicast branch; a message dropped at a crashed node is not one
+    sc = parse_scenario(source) if isinstance(source, str) else random_scenario(source)
+    sim = run_scenario(sc, trace=True).sim
+    delivered = Counter(r.request_id for r in sim.trace
+                        if r.kind == "deliver" and r.request_id is not None)
+    assert sim.steps.messages == dict(delivered)
+    # both branches carry requests: a fan-out or a replica store is a
+    # multicast, a fetch or a reply a unicast
+    kinds = {r.msg_type for r in sim.trace if r.kind == "deliver" and r.request_id}
+    assert kinds & {"RemoteSearch", "StoreReplica"} and kinds & {"FetchObjects", "OpReply"}
+    if source == BOUNCED_AT_A_CRASHED_AGENT:
+        dropped = {(r.msg_type, r.request_id) for r in sim.trace if r.kind == "drop"}
+        assert {("FetchObjects", "q0002"), ("CSearch", "q0003")} <= dropped
 
 
 def test_formula_bound_multi_cluster_takes_maxima():
