@@ -123,5 +123,8 @@ def detect_failures(
     now: int, last_seen: dict[NodeId, int], timeout_us: int
 ) -> list[NodeId]:
     """Nodes whose last heartbeat is older than the failure timeout,
-    in ascending id order."""
+    in ascending id order. A table with none overdue, the common case,
+    costs one pass of ``min`` over its times."""
+    if min(last_seen.values(), default=now) >= now - timeout_us:
+        return []
     return sorted(n for n, t in last_seen.items() if now - t > timeout_us)

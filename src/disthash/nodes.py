@@ -580,7 +580,7 @@ class AgentNode(BaseNode):
     def start(self, sim: Simulator) -> None:
         if self.joined:
             self.last_ragent_seen = sim.clock
-            sim.set_timer(self.node_id, "hb", self.hb.period_us)
+            sim.every(self.node_id, "hb", self.hb.period_us)
         else:
             self._begin_join(sim)
 
@@ -612,7 +612,7 @@ class AgentNode(BaseNode):
         self.secondary_id = msg.secondary
         self.last_ragent_seen = sim.clock
         self._suspected_ragent = None
-        sim.set_timer(self.node_id, "hb", self.hb.period_us)
+        sim.every(self.node_id, "hb", self.hb.period_us)
 
     # -- role changes: the only two places a node object is replaced ----
 
@@ -660,17 +660,12 @@ class AgentNode(BaseNode):
     # -- heartbeats and failover ------------------------------------------
 
     def _tick_hb(self, sim, payload):
-        hb = self.config.hb
         if self.joined and self.ragent is not None:
             sim.send(self.node_id, self.ragent,
                      AGENT_HEARTBEAT_RESYNC if self.sync_stale else AGENT_HEARTBEAT)
             silent = sim.clock - self.last_ragent_seen
-            if silent > hb.failure_timeout_us and self._suspected_ragent != self.ragent:
+            if silent > self.config.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
-        # a promotion has replaced this node; the new super-peer beats on
-        # its own timers
-        if sim.nodes[self.node_id] is self:
-            sim.set_timer(self.node_id, "hb", hb.period_us)
 
     def _suspect_ragent(self, sim):
         # the secondary promotes on its own timeout; any other member gives
@@ -979,7 +974,7 @@ class RAgentNode(BaseNode):
             self.member_last_seen.setdefault(a, now)
         for p in self.peers.ordered:
             self.peer_last_seen.setdefault(p, now)
-        sim.set_timer(self.node_id, "sweep", self.hb.period_us)
+        sim.every(self.node_id, "sweep", self.hb.period_us)
 
     def on_crash(self, sim):
         self._forget_sync()
@@ -1056,7 +1051,6 @@ class RAgentNode(BaseNode):
         if len(self.members) >= REPLICATION_FACTOR:
             for oid in sorted(self.catalogue.under_replicated):
                 self._restore_redundancy(sim, oid)
-        sim.set_timer(self.node_id, "sweep", self.hb.period_us)
 
     def _check_thresholds(self, sim):
         if len(self.members) > self.thresholds.max_cluster:

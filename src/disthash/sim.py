@@ -17,6 +17,13 @@ pays for the heap. Entries are told apart by length:
 - ``(seq, src, dst, msg)``, 4: a unicast delivery, queued by ``send``;
 - ``(seq, node, owner, tag, payload)``, 5: a timer, ``owner`` being the
   node object that set it;
+- ``(seq, node, owner, tag, None, period)``, 6: a periodic timer, queued
+  by ``every``. After its handler returns, ``run_until`` queues it again
+  at ``time + period`` with the next seq, so behind everything the
+  handler queued, but only if ``owner`` is still the object installed
+  under ``node``: a promotion or a merge demotion replaces it, and the
+  new object runs on its own timers. A crashed node's timer is dropped
+  and not queued again, and neither is one whose handler raised;
 - ``(seq, (src, dsts, msg))``, 2: a multicast run, one message to a run
   of destinations that arrive at the same time, the i-th destination
   taking ``seq + i``;
@@ -32,15 +39,17 @@ memo: a list sent again queues one entry per run with no work per
 destination, and the memo grows by one entry per distinct list. One
 message object serves every destination of a multicast, so a node never
 assigns to a message it receives; a relay sends a copy.
-``send``, ``multicast`` and ``set_timer`` append straight to their
+``send``, ``multicast``, ``set_timer`` and ``every`` append straight to their
 bucket, which the first lookup of a time opens; crash, rejoin and the
 ``SendFailed`` bounce, itself a unicast, go through ``_push``.
 ``run_until`` drains each bucket in one local loop that delivers a
 unicast in its own branch, a run in place, and timers inline, and hands
-the rare faults to ``_fault``.
+the rare faults to ``_fault``. It counts deliveries in a local and
+writes the count back to ``deliver_count`` when it returns or raises.
 
 No event is scheduled before the clock: ``_push`` checks the time,
-``set_timer`` rejects a negative delay, and ``_latency`` admits only a
+``set_timer`` rejects a negative delay, ``every`` a period that is not
+positive, and ``_latency`` admits only a
 non-negative latency to the memo that ``send`` reads. As ``seq`` only
 grows, every event pushed to a time lands behind all those already
 there: draining buckets in time order and each bucket front to back is
@@ -314,7 +323,7 @@ class _Buckets(dict):
 
 class Simulator:
     """Single-threaded engine. Nodes are registered state machines; all
-    interaction between them goes through ``send``/``multicast``/``set_timer``."""
+    interaction between them goes through ``send``/``multicast``/``set_timer``/``every``."""
 
     def __init__(self, network: NetworkModel | None = None, trace: bool = False):
         self.network = network or NetworkModel()
@@ -429,6 +438,20 @@ class Simulator:
         self._buckets[self.clock + delay].append((self._seq, node, owner, tag, payload))
         self._seq += 1
 
+    def every(self, node: NodeId, tag: str, period: int) -> None:
+        """Fire ``tag`` at ``node`` every ``period``, first ``period``
+        from now, for as long as the object now installed under ``node``
+        stays installed and the node does not crash. ``run_until``
+        queues each next firing after the handler returns, so it takes
+        the seq a ``set_timer`` at the end of the handler would take."""
+        owner = self.nodes.get(node)
+        if owner is None:
+            raise UnknownNode(node)
+        if period <= 0:
+            raise SimError(f"periodic timer {tag!r} at {node} has period {period}")
+        self._buckets[self.clock + period].append((self._seq, node, owner, tag, None, period))
+        self._seq += 1
+
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
             raise UnknownNode(node)
@@ -463,75 +486,95 @@ class Simulator:
         # request deliveries are counted here, inline, not through
         # StepCounter.on_message: one dict update per delivery
         tracing, trace, messages = self.tracing, self.trace, self.steps.messages
-        while heap and heap[0] <= t:
-            # the time leaves the heap only once its bucket is empty, so
-            # an event a handler adds at this time is drained here, and a
-            # handler that raises leaves the rest of the bucket queued
-            time = heap[0]
-            bucket = buckets[time]
-            popleft = bucket.popleft
-            self.clock = time
-            while bucket:
-                ev = popleft()
-                n = len(ev)
-                if n == 4:
-                    seq, src, dst, msg = ev
-                    rid = getattr(msg, "request_id", None)
-                    if dst in crashed:
-                        if tracing:
-                            trace.append(TraceRecord(time, seq, "drop", dst, src, type(msg).__name__,
-                                                     rid, getattr(msg, "hop", None)))
-                        self._bounce(time, src, dst, msg, rid)
-                        continue
-                    if tracing:
-                        rec = TraceRecord(time, seq, "deliver", dst, src, type(msg).__name__,
-                                          rid, getattr(msg, "hop", None))
-                        trace.append(rec)
-                    self.deliver_count += 1
-                    if rid is not None:
-                        messages[rid] = messages.get(rid, 0) + 1
-                    # a node whose role has no handler for the type returns False
-                    if nodes[dst].on_message(self, msg, src) is False and tracing:
-                        trace.append(replace(rec, kind="ignored"))
-                elif n == 5:
-                    seq, node, owner, tag, payload = ev
-                    if node in crashed:
-                        continue
-                    if tracing:
-                        trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
-                    if nodes[node] is owner:
-                        owner.on_timer(self, tag, payload)
-                elif n == 2:
-                    seq0, (src, dsts, msg) = ev
-                    rid = getattr(msg, "request_id", None)
-                    seq = seq0
-                    try:
-                        for dst in dsts:
-                            dead = dst in crashed
+        delivered = self.deliver_count
+        try:
+            while heap and heap[0] <= t:
+                # the time leaves the heap only once its bucket is empty, so
+                # an event a handler adds at this time is drained here, and a
+                # handler that raises leaves the rest of the bucket queued
+                time = heap[0]
+                bucket = buckets[time]
+                popleft = bucket.popleft
+                self.clock = time
+                while bucket:
+                    ev = popleft()
+                    n = len(ev)
+                    if n == 4:
+                        seq, src, dst, msg = ev
+                        rid = getattr(msg, "request_id", None)
+                        if dst in crashed:
                             if tracing:
-                                rec = TraceRecord(time, seq, "drop" if dead else "deliver", dst, src,
-                                                  type(msg).__name__, rid, getattr(msg, "hop", None))
-                                trace.append(rec)
-                            if dead:
-                                self._bounce(time, src, dst, msg, rid)
-                            else:
-                                self.deliver_count += 1
-                                if rid is not None:
-                                    messages[rid] = messages.get(rid, 0) + 1
-                                if nodes[dst].on_message(self, msg, src) is False and tracing:
-                                    trace.append(replace(rec, kind="ignored"))
-                            seq += 1
-                    except BaseException:
-                        # the rest of the run stays at the front of the
-                        # bucket, with its seqs, and the error propagates
-                        rest = dsts[seq - seq0 + 1:]
-                        if rest:
-                            bucket.appendleft((seq + 1, (src, rest, msg)))
-                        raise
-                else:
-                    self._fault(*ev)
-            heapq.heappop(heap)
-            del buckets[time]
+                                trace.append(TraceRecord(time, seq, "drop", dst, src,
+                                                         type(msg).__name__, rid,
+                                                         getattr(msg, "hop", None)))
+                            self._bounce(time, src, dst, msg, rid)
+                            continue
+                        if tracing:
+                            rec = TraceRecord(time, seq, "deliver", dst, src, type(msg).__name__,
+                                              rid, getattr(msg, "hop", None))
+                            trace.append(rec)
+                        delivered += 1
+                        if rid is not None:
+                            messages[rid] = messages.get(rid, 0) + 1
+                        # a node whose role has no handler for the type returns False
+                        if nodes[dst].on_message(self, msg, src) is False and tracing:
+                            trace.append(replace(rec, kind="ignored"))
+                    elif n == 6:
+                        seq, node, owner, tag, _, period = ev
+                        if node in crashed:
+                            continue
+                        if tracing:
+                            trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
+                        if nodes[node] is owner:
+                            owner.on_timer(self, tag, None)
+                            # a handler that replaced its owner (a promotion,
+                            # a merge demotion) ends the chain
+                            if nodes[node] is owner:
+                                buckets[time + period].append(
+                                    (self._seq, node, owner, tag, None, period))
+                                self._seq += 1
+                    elif n == 5:
+                        seq, node, owner, tag, payload = ev
+                        if node in crashed:
+                            continue
+                        if tracing:
+                            trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
+                        if nodes[node] is owner:
+                            owner.on_timer(self, tag, payload)
+                    elif n == 2:
+                        seq0, (src, dsts, msg) = ev
+                        rid = getattr(msg, "request_id", None)
+                        seq = seq0
+                        try:
+                            for dst in dsts:
+                                dead = dst in crashed
+                                if tracing:
+                                    rec = TraceRecord(time, seq, "drop" if dead else "deliver",
+                                                      dst, src, type(msg).__name__, rid,
+                                                      getattr(msg, "hop", None))
+                                    trace.append(rec)
+                                if dead:
+                                    self._bounce(time, src, dst, msg, rid)
+                                else:
+                                    delivered += 1
+                                    if rid is not None:
+                                        messages[rid] = messages.get(rid, 0) + 1
+                                    if nodes[dst].on_message(self, msg, src) is False and tracing:
+                                        trace.append(replace(rec, kind="ignored"))
+                                seq += 1
+                        except BaseException:
+                            # the rest of the run stays at the front of the
+                            # bucket, with its seqs, and the error propagates
+                            rest = dsts[seq - seq0 + 1:]
+                            if rest:
+                                bucket.appendleft((seq + 1, (src, rest, msg)))
+                            raise
+                    else:
+                        self._fault(*ev)
+                heapq.heappop(heap)
+                del buckets[time]
+        finally:
+            self.deliver_count = delivered
         self.clock = t
 
     def _bounce(self, time: int, src: NodeId, dead: NodeId, msg, rid) -> None:

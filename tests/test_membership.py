@@ -217,3 +217,15 @@ def test_detect_failures():
     assert detect_failures(100, {nid("a1"): 100}, timeout) == []
     overdue = {nid("b"): 0, nid("a"): 0}
     assert detect_failures(10_000, overdue, timeout) == [nid("a"), nid("b")]
+
+
+@given(st.dictionaries(st.sampled_from([f"a{i}" for i in range(12)]),
+                       st.integers(min_value=0, max_value=5_000)),
+       st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=5_000))
+def test_detect_failures_equals_the_brute_force_scan(times, now, timeout):
+    # a table with none overdue takes the one-pass shortcut; the answer
+    # must be the full scan's either way, the empty table included
+    last_seen = {nid(n): t for n, t in times.items()}
+    brute = sorted(n for n, t in last_seen.items() if now - t > timeout)
+    assert detect_failures(now, last_seen, timeout) == brute

@@ -1065,9 +1065,50 @@ def test_every_message_has_a_handler_and_every_handler_a_message():
 
 def test_every_timer_tag_has_a_handler_and_every_handler_a_tag():
     source = "".join(p.read_text() for p in Path(nodes.__file__).parent.glob("*.py"))
-    tags = set(re.findall(r'set_timer\([^,()]+,\s*"(\w+)"', source))
+    tags = set(re.findall(r'(?:set_timer|every)\([^,()]+,\s*"(\w+)"', source))
     ticked = set().union(*(cls._tick for cls in (LusNode, AgentNode, RAgentNode, ClientNode)))
     assert tags == ticked
+
+
+def test_each_node_objects_heartbeat_chain_runs_once_per_period(monkeypatch):
+    # promotions, merge demotions and crash-rejoins replace node objects:
+    # each object's hb or sweep handler must run exactly one period apart,
+    # never twice at one instant, and end with exactly one firing queued
+    # while the object is installed and its node up
+    fired = {}
+    on_timer = BaseNode.on_timer
+
+    def spy(self, sim, tag, payload):
+        if tag in ("hb", "sweep"):
+            fired.setdefault((self, tag), []).append(sim.clock)
+        on_timer(self, sim, tag, payload)
+
+    monkeypatch.setattr(BaseNode, "on_timer", spy)
+    runs = [parse_scenario(p.read_text()) for p in sorted(SCENARIOS.glob("*.txt"))]
+    runs += [random_scenario(seed) for seed in range(20)]
+    replaced = 0
+    for sc in runs:
+        fired.clear()
+        sim = run_scenario(sc).sim
+        queued = {}
+        for time, bucket in sim._buckets.items():
+            for ev in bucket:
+                if len(ev) >= 5 and ev[3] in ("hb", "sweep"):  # a timer
+                    queued.setdefault((ev[2], ev[3]), []).append(time)
+        for (node, tag), times in fired.items():
+            period = node.config.hb.period_us
+            chain = times + sorted(queued.get((node, tag), []))
+            assert all(b - a == period for a, b in zip(chain, chain[1:])), (node.node_id, tag)
+            replaced += sim.nodes[node.node_id] is not node
+        for node_id, node in sim.nodes.items():
+            if not sim.is_alive(node_id):
+                continue
+            tag = ("sweep" if isinstance(node, RAgentNode)
+                   else "hb" if isinstance(node, AgentNode) and node.joined else None)
+            if tag is not None:
+                assert len(queued.get((node, tag), [])) == 1, (node_id, tag)
+        assert all(len(times) == 1 for times in queued.values())
+    assert replaced >= 3  # promotion, demotion and rejoin each ended a chain
 
 
 def test_client_ops_reach_the_merge_target_after_a_demotion():

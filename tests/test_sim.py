@@ -377,6 +377,159 @@ def test_an_event_before_the_clock_is_rejected():
     assert seen(b) == [(5 * MS, None), (10 * MS, None)]
 
 
+# -- periodic timers ---------------------------------------------------------
+
+
+def test_a_periodic_timer_fires_each_period_behind_what_its_handler_queued():
+    # b's beat sends to a and sets a zero-delay timer; the beat comes back
+    # one period later with the seq after both, as a set_timer at the end
+    # of the handler would give it
+    def beat(s):
+        s.send(NodeId("b"), NodeId("a"), "x")
+        s.set_timer(NodeId("b"), "z", 0)
+
+    sim, a, b = scripted_pair({"beat": beat})
+    sim.every(b.node_id, "beat", 3 * MS)
+    sim.run_until(10 * MS)
+    # the same beat re-armed by hand at the end of its handler
+    ref, ra, rb = scripted_pair(
+        {"beat": lambda s: (beat(s), s.set_timer(NodeId("b"), "beat", 3 * MS))})
+    ref.set_timer(rb.node_id, "beat", 3 * MS)
+    ref.run_until(10 * MS)
+    assert seen(b) == [(3 * MS, "beat"), (3 * MS, "z"), (6 * MS, "beat"),
+                       (6 * MS, "z"), (9 * MS, "beat"), (9 * MS, "z")]
+    assert [(r.time, r.seq, r.kind) for r in sim.trace if r.detail == "beat"] == [
+        (3 * MS, 0, "timer"), (6 * MS, 3, "timer"), (9 * MS, 6, "timer")]
+    assert sim.trace_lines() == ref.trace_lines() and seen(b) == seen(rb) and a.log == ra.log
+    assert sim._seq == ref._seq == 10  # the fourth beat is queued, at 12 ms
+    assert sorted(sim._buckets) == [11 * MS, 12 * MS, 14 * MS]
+
+
+def test_a_crashed_node_drops_its_periodic_timer_for_good():
+    sim, a, b = two_nodes()
+    sim.every(b.node_id, "beat", 3 * MS)
+    sim.inject_crash(b.node_id, 4 * MS)
+    sim.inject_rejoin(b.node_id, 8 * MS)
+    sim.run_until(30 * MS)
+    assert seen(b) == [(3 * MS, "beat"), (4 * MS, None), (8 * MS, None)]
+    # the beat due at 6 ms found b down: neither traced nor queued again
+    assert [(r.time, r.kind) for r in sim.trace] == [
+        (3 * MS, "timer"), (4 * MS, "crash"), (8 * MS, "rejoin")]
+    assert sim._heap == [] and sim._buckets == {}
+
+
+def test_a_replaced_node_object_gets_no_beat_and_no_next_one():
+    sim, a, b = two_nodes()
+    sim.every(b.node_id, "beat", 3 * MS)
+    sim.run_until(4 * MS)
+    successor = Recorder(b.node_id, b.locality)
+    sim.nodes[b.node_id] = successor
+    sim.every(b.node_id, "beat", 5 * MS)
+    sim.run_until(20 * MS)
+    # the old object's beat at 6 ms is traced, runs nothing and ends its
+    # chain; the successor beats on its own timer
+    assert seen(b) == [(3 * MS, "beat")]
+    assert seen(successor) == [(9 * MS, "beat"), (14 * MS, "beat"), (19 * MS, "beat")]
+    assert [r.time for r in sim.trace] == [3 * MS, 6 * MS, 9 * MS, 14 * MS, 19 * MS]
+    assert list(sim._buckets) == [24 * MS]
+
+
+def test_a_handler_that_replaces_its_own_object_is_not_beaten_again():
+    # as a promotion or a merge demotion does: the new object starts its
+    # own chain inside the handler, the old chain stops
+    def promote(s):
+        successor = Recorder(NodeId("b"), loc())
+        s.nodes[successor.node_id] = successor
+        s.every(successor.node_id, "sweep", 2 * MS)
+        promoted.append(successor)
+
+    promoted = []
+    sim, a, b = scripted_pair({"beat": promote})
+    sim.every(b.node_id, "beat", 3 * MS)
+    sim.run_until(10 * MS)
+    assert seen(b) == [(3 * MS, "beat")]
+    assert seen(promoted[0]) == [(5 * MS, "sweep"), (7 * MS, "sweep"), (9 * MS, "sweep")]
+    assert [(r.time, r.seq, r.tag) for r in sim.trace] == [
+        (3 * MS, 0, "beat"), (5 * MS, 1, "sweep"), (7 * MS, 2, "sweep"), (9 * MS, 3, "sweep")]
+
+
+def test_a_periodic_handler_that_raises_is_not_queued_again():
+    def boom(s):
+        raise RuntimeError("boom")
+
+    sim, a, b = scripted_pair({"beat": boom})
+    sim.every(b.node_id, "beat", 5 * MS)
+    sim.send(a.node_id, b.node_id, "m1")  # lands at 5 ms, behind the beat
+    with pytest.raises(RuntimeError):
+        sim.run_until(30 * MS)
+    assert seen(b) == [(5 * MS, "beat")] and sim.clock == 5 * MS
+    del b.react["beat"]
+    sim.run_until(30 * MS)
+    assert seen(b)[1:] == [(5 * MS, "m1")]
+    assert sim._heap == [] and sim._buckets == {}
+
+
+def test_deliver_count_holds_after_a_handler_raises():
+    def boom(s):
+        raise RuntimeError("boom")
+
+    sim, a, b = scripted_pair({"boom": boom})
+    for msg in ("m1", "boom", "m2"):
+        sim.send(a.node_id, b.node_id, msg)
+    sim.multicast(a.node_id, [b.node_id, a.node_id], "boom")
+    with pytest.raises(RuntimeError):
+        sim.run_until(20 * MS)
+    assert sim.deliver_count == 2  # m1, and boom before its handler raised
+    with pytest.raises(RuntimeError):
+        sim.run_until(20 * MS)  # m2, then the run's boom at b
+    assert sim.deliver_count == 4
+    del b.react["boom"]
+    sim.run_until(20 * MS)
+    assert sim.deliver_count == 5 == len([r for r in sim.trace if r.kind == "deliver"])
+
+
+class Beater(Recorder):
+    """Sends a request to a and a round to a and c on each beat."""
+
+    def on_timer(self, sim, tag, payload):
+        super().on_timer(sim, tag, payload)
+        sim.send(self.node_id, NodeId("a"), Ping("q1"))
+        sim.multicast(self.node_id, [NodeId("a"), NodeId("c")], "round")
+
+
+def periodic_traffic(trace: bool):
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=trace)
+    a, b = Recorder(NodeId("a"), loc()), Beater(NodeId("b"), loc())
+    c = Recorder(NodeId("c"), loc(net="n2"))
+    for node in (a, b, c):
+        sim.add_node(node)
+    sim.every(b.node_id, "beat", 4 * MS)
+    sim.every(c.node_id, "tick", 7 * MS)
+    sim.inject_crash(c.node_id, 15 * MS)
+    sim.inject_rejoin(c.node_id, 30 * MS)
+    sim.run_until(50 * MS)
+    return sim, (a.log, b.log, c.log)
+
+
+def test_traced_and_untraced_periodic_runs_agree():
+    traced, logs = periodic_traffic(True)
+    plain, plain_logs = periodic_traffic(False)
+    assert plain_logs == logs and plain.trace == [] and traced.trace
+    assert plain._seq == traced._seq and plain.deliver_count == traced.deliver_count > 0
+    assert plain.steps.messages == traced.steps.messages
+    assert [r.tag for r in traced.trace if r.kind == "timer"].count("tick") == 2
+
+
+def test_every_rejects_an_unknown_node_and_a_period_not_above_zero():
+    sim, a, _ = two_nodes()
+    with pytest.raises(UnknownNode):
+        sim.every(NodeId("ghost"), "beat", MS)
+    for period in (0, -MS):
+        with pytest.raises(SimError, match="period"):
+            sim.every(a.node_id, "beat", period)
+    assert sim._seq == 0 and sim._heap == [] and sim._buckets == {}
+
+
 # -- step accounting -----------------------------------------------------
 
 
