@@ -1907,6 +1907,7 @@ class ClientNode(BaseNode):
         self.pending.pop(rid, None)
         steps = sim.steps
         acct = steps.account_search(rid) if rid in steps.requests else _NOT_A_SEARCH
+        steps.settle(rid)
         rec = {
             "time": sim.clock,
             "op": op,
@@ -1921,7 +1922,7 @@ class ClientNode(BaseNode):
             "outcome": outcome,
             "results": len(objects),
             "version": version,
-            "progress": self.progress.get(rid, 0),
+            "progress": self.progress.pop(rid, 0),
             "objects": tuple(objects),
         }
         sim.op_records.append(rec)
@@ -1935,7 +1936,12 @@ class ClientNode(BaseNode):
                      objects=msg.objects, version=msg.version)
 
     def _note_progress(self, sim, msg: ProgressNote):
-        self.progress[msg.request_id] = self.progress.get(msg.request_id, 0) + 1
+        # a note travels the reply's route ahead of the reply, so it
+        # arrives first, unless a relay on the route was down for the
+        # note and back up for the reply: such a late note is not kept
+        rid = msg.request_id
+        if rid in self.pending:
+            self.progress[rid] = self.progress.get(rid, 0) + 1
 
     def _on_SendFailed(self, sim, msg: SendFailed, src):
         rid = getattr(msg.original, "request_id", None)

@@ -60,7 +60,8 @@ end of that bucket.
 
 Step accounting keeps one ``ClusterTally`` per (request, cluster), which
 holds the charging rules; the super-peer search that owns a tally
-charges it directly (see ``StepCounter``).
+charges it directly, and the client drops a request's tallies when it
+settles the request (see ``StepCounter``).
 
 The trace is opt-in: ``Simulator(trace=True)`` records one
 ``TraceRecord`` per event; without it the engine builds no record and
@@ -73,9 +74,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .catalogue import clog2
 from .core import LocalityDescriptor, NodeId, proximity_rank
@@ -126,6 +126,9 @@ class SendFailed:
 # Step accounting
 
 
+_NO_AGENTS = frozenset()
+
+
 class ClusterTally:
     """One cluster's share of one search request, and the rules that
     charge it. The super-peer search that owns the tally charges it
@@ -145,7 +148,7 @@ class ClusterTally:
         self.probe_steps = 0   # per-object hash probe at the serving agent
         self.l_max = 0         # largest replica store touched
         self.fetch_requests = 0
-        self.agents_contacted = set()
+        self.agents_contacted = _NO_AGENTS  # a set from the first fetch on
         self.measured = 0      # every step charged here
 
     def lookup(self, m_keys: int, key_steps: int, matches: int) -> None:
@@ -160,7 +163,10 @@ class ClusterTally:
     def fetch(self, agent: NodeId, n_objects: int) -> None:
         """One batched fetch of ``n_objects`` from ``agent``."""
         self.fetch_requests += 1
-        self.agents_contacted.add(agent)
+        if self.agents_contacted:
+            self.agents_contacted.add(agent)
+        else:
+            self.agents_contacted = {agent}
         self.fetch_steps += 2 * n_objects
         self.measured += 2 * n_objects
 
@@ -192,26 +198,49 @@ class StepCounter:
 
     A super-peer's search opens its cluster's tally once with ``tally``
     and charges it directly. ``on_lookup``, ``on_fetch_request`` and
-    ``on_probe`` charge the same rules by request id and cluster."""
+    ``on_probe`` charge the same rules by request id and cluster.
+
+    A tally lives only as long as its request: from the first ``tally``
+    of its (request, cluster) pair until the client reads the request's
+    accounting and calls ``settle``, which drops the request's tallies.
+    A tally opened after that, by a peer that a search reaches after the
+    search was answered, is charged but not kept. So ``requests`` is
+    bounded by the requests in flight, while ``settled``, one id per
+    settled request, and ``messages``, one count per request id, grow
+    with the run."""
 
     def __init__(self):
-        # a request's tallies, and a cluster's tally, open on first use
-        self.requests: dict[str, dict[str, ClusterTally]] = defaultdict(
-            partial(defaultdict, ClusterTally))
+        self.requests: dict[str, dict[str, ClusterTally]] = {}
+        self.settled: set[str] = set()
         self.messages: dict[str, int] = {}
 
     def tally(self, request_id: str, cluster: str) -> ClusterTally:
-        """The tally of ``request_id`` at ``cluster``, opened on first use."""
-        return self.requests[request_id][cluster]
+        """The tally of ``request_id`` at ``cluster``, opened on first
+        use; after ``settle``, a new tally that is not kept."""
+        clusters = self.requests.get(request_id)
+        if clusters is None:
+            if request_id in self.settled:
+                return ClusterTally()
+            clusters = self.requests[request_id] = {}
+        tally = clusters.get(cluster)
+        if tally is None:
+            tally = clusters[cluster] = ClusterTally()
+        return tally
 
     def on_lookup(self, request_id: str, cluster: str, m_keys: int, key_steps: int, matches: int) -> None:
-        self.requests[request_id][cluster].lookup(m_keys, key_steps, matches)
+        self.tally(request_id, cluster).lookup(m_keys, key_steps, matches)
 
     def on_fetch_request(self, request_id: str, cluster: str, agent: NodeId, n_objects: int) -> None:
-        self.requests[request_id][cluster].fetch(agent, n_objects)
+        self.tally(request_id, cluster).fetch(agent, n_objects)
 
     def on_probe(self, request_id: str, cluster: str, store_size: int, n_objects: int) -> None:
-        self.requests[request_id][cluster].probe(store_size, n_objects)
+        self.tally(request_id, cluster).probe(store_size, n_objects)
+
+    def settle(self, request_id: str) -> None:
+        """The request is answered: drop its tallies, and keep none that
+        a late charge opens."""
+        self.requests.pop(request_id, None)
+        self.settled.add(request_id)
 
     def on_message(self, request_id: str) -> None:
         """Count one delivery of a request's message. ``run_until`` makes

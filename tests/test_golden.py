@@ -109,6 +109,23 @@ def test_benchmark_workload_metrics_are_pinned(name, bench_workloads):
     assert hashlib.sha256(lines_bytes(format_metrics(res))).hexdigest() == GOLDEN_WORKLOADS[name]
 
 
+@pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(20), *sorted(GOLDEN_WORKLOADS)])
+def test_no_settled_request_keeps_a_tally_or_a_progress_count(source, bench_workloads):
+    """A request's tallies and its client's count of its progress notes
+    live until the client settles it: what a run keeps of them is
+    bounded by the ops still in flight."""
+    if isinstance(source, int):
+        sc = random_scenario(source)
+    elif source in GOLDEN:
+        sc = parse_scenario((SCENARIOS / source).read_text())
+    else:
+        sc = parse_scenario(bench_workloads.generate(source, 0).text)
+    res = run_scenario(sc)
+    pending = set().union(*(c.pending for c in res.clients.values()))
+    assert res.sim.steps.requests.keys() <= pending
+    assert all(c.progress.keys() <= c.pending.keys() for c in res.clients.values())
+
+
 @pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(5)])
 def test_untraced_run_simulates_the_same(source):
     def load():

@@ -26,8 +26,8 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
 from disthash.runner import (build_simulation, check_invariants, run_scenario,
                              schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
-from disthash.sim import MS, NetworkModel, Simulator
-from test_acceptance import random_scenario
+from disthash.sim import MS, NetworkModel, Simulator, StepCounter
+from test_acceptance import opened_tallies, random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -275,10 +275,62 @@ def test_the_origin_merges_remote_search_all_answers_once():
 
 
 def test_fetch_requests_batched_per_holder():
-    res = build(TWO_CLUSTERS)
-    for rid, clusters in res.sim.steps.requests.items():
-        for tally in clusters.values():
-            assert tally.fetch_requests <= max(1, len(tally.agents_contacted))
+    with opened_tallies() as tallies:
+        build(TWO_CLUSTERS)
+    assert tallies
+    for tally in tallies.values():
+        assert tally.fetch_requests <= max(1, len(tally.agents_contacted))
+
+
+# r1 and r2 share a network, r3 is on another continent: r2 answers a
+# search-first that misses at r1 and the client has it 30 ms after r1
+# asks its peers, before r3 receives the ask at 45 ms
+FAR_PEER = """
+[config]
+min_cluster = 2
+delegation_factor = 0
+drain_ms = 3000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net1 as1 ro eu
+r3 ragent net3 as3 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net3 as3 us na
+a6 agent net3 as3 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a2 obj1 camera k1 01
+200 insert c1 a5 obj2 sensor k2 02
+1500 search_first c1 a1 exact camera
+"""
+
+
+def test_a_peer_asked_after_the_search_was_settled_charges_a_tally_not_kept(monkeypatch):
+    opened = []
+    tally = StepCounter.tally
+
+    def spy(self, request_id, cluster):
+        t = tally(self, request_id, cluster)
+        opened.append((request_id, cluster, request_id in self.settled, t))
+        return t
+
+    monkeypatch.setattr(StepCounter, "tally", spy)
+    res = build(FAR_PEER, trace=True)
+    rec = completions(res)["q0003"]
+    assert (rec["outcome"], rec["results"], rec["clusters"]) == ("ok", 1, 2)
+    [settled_at] = [r.time for r in deliveries(res, "OpReply", "q0003") if r.node == "c1"]
+    [asked_at] = [r.time for r in deliveries(res, "RemoteSearch", "q0003") if r.node == "r3"]
+    assert settled_at < asked_at
+    late = [(cluster, t) for rid, cluster, was_settled, t in opened
+            if rid == "q0003" and was_settled]
+    assert [cluster for cluster, _ in late] == ["r3"]
+    assert late[0][1].key_steps > 0 and late[0][1].measured > 0  # charged
+    assert res.sim.steps.requests == {}  # and not kept
 
 
 @pytest.mark.parametrize("source",
@@ -310,9 +362,17 @@ def test_a_search_charges_the_one_tally_of_its_request_and_cluster(monkeypatch):
     its in-flight searches up again charges that same tally."""
     searched, relooked = [], []
 
+    def assert_kept(sim, rid, cluster, tally):
+        # a search the client has settled keeps no tally: a peer asked
+        # after that charges one the counter does not keep
+        if rid in sim.steps.settled:
+            assert rid not in sim.steps.requests
+        else:
+            assert tally is sim.steps.requests[rid][cluster]
+
     def spy_search(self, sim, rid, st, fan_out):
         search(self, sim, rid, st, fan_out)
-        assert st.tally is sim.steps.requests[rid][self.node_id]
+        assert_kept(sim, rid, self.node_id, st.tally)
         searched.append((rid, self.node_id))
 
     def spy_merge(self, sim, msg, src):
@@ -320,7 +380,8 @@ def test_a_search_charges_the_one_tally_of_its_request_and_cluster(monkeypatch):
                   for rid, st in self.searches.items() if st.holder is None}
         merge(self, sim, msg, src)
         for rid, (st, tally, key_steps) in before.items():
-            assert st.tally is tally is sim.steps.requests[rid][self.node_id]
+            assert st.tally is tally
+            assert_kept(sim, rid, self.node_id, tally)
             assert tally.key_steps > key_steps
             relooked.append(rid)
 
@@ -622,6 +683,42 @@ def test_a_reply_bounced_off_a_dead_relay_still_reaches_its_client(ops, bounced,
     assert [(rec["outcome"], rec["results"], rec["progress"]) for rec in res.ops
             if rec["id"] == "q0002"] == [("ok", results, progress)]
     assert res.issues == []
+
+
+# a1 relays c1's update to r1 from another continent, then is down when
+# the lock note reaches it and back up for the answer: the note bounces
+# and goes straight to c1, slower than the answer through a1
+LATE_NOTE = """
+[config]
+min_cluster = 2
+delegation_factor = 0
+drain_ms = 3000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net9 as9 us na
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net1 as1 ro eu
+c1 client net9 as9 us na
+
+[events]
+100 insert c1 a2 obj0 sensor k1 00
+150 insert c1 a2 obj1 sensor k1 01
+1000 update c1 a1 obj1 ff
+1060 crash a1
+1100 rejoin a1
+"""
+
+
+def test_a_progress_note_that_arrives_after_its_reply_is_not_kept():
+    res = build(LATE_NOTE, trace=True)
+    assert [(r.msg_type, r.kind) for r in res.sim.trace
+            if r.request_id == "q0003" and r.node == "c1"] == [
+        ("OpReply", "deliver"), ("ProgressNote", "deliver")]
+    assert [rec["outcome"] for rec in res.ops if rec["id"] == "q0003"] == ["ok"]
+    assert res.clients["c1"].progress == {}
 
 
 def test_a_quiescent_run_reports_what_is_still_in_flight():

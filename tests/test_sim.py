@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from disthash.catalogue import clog2
 from disthash.core import LocalityDescriptor, NodeId
-from disthash.sim import (MS, NetworkModel, NotCrashed, SendFailed,
+from disthash.sim import (MS, ClusterTally, NetworkModel, NotCrashed, SendFailed,
                           SimError, Simulator, StepCounter, UnknownNode,
                           UnknownRequest, formula_bound, ideal_search_steps)
 from disthash.runner import run_scenario
@@ -624,6 +624,29 @@ def test_tally_charges_and_by_id_charges_account_alike(charges):
         got = [(a.measured, a.decomposed, a.bound, a.bound_applicable, a.clusters)
                for a in (direct.account_search(rid), by_id.account_search(rid))]
         assert got[0] == got[1] == _scratch_accounting(charges, rid)
+
+
+def test_a_settled_request_keeps_no_tally_and_a_late_one_is_charged_not_kept():
+    steps = StepCounter()
+    steps.tally("q1", "c1").lookup(m_keys=3, key_steps=3, matches=1)
+    steps.tally("q2", "c1").lookup(m_keys=1, key_steps=1, matches=0)
+    assert steps.account_search("q1").measured == 5
+    steps.settle("q1")
+    assert list(steps.requests) == ["q2"]
+    with pytest.raises(UnknownRequest):
+        steps.account_search("q1")
+    # a peer asked after the client settled q1 opens a tally: it is
+    # charged like any other, and neither it nor q1 is kept
+    late = steps.tally("q1", "c2")
+    late.lookup(m_keys=4, key_steps=4, matches=1)
+    late.fetch(NodeId("a1"), n_objects=1)
+    assert (late.measured, late.agents_contacted) == (8, {"a1"})
+    assert steps.tally("q1", "c2") is not late
+    steps.on_probe("q1", "c2", store_size=8, n_objects=1)
+    assert list(steps.requests) == ["q2"]
+    # a tally that never fetched holds no set of its own: late's fetch
+    # left the others' empty
+    assert [len(t.agents_contacted) for t in (steps.tally("q2", "c1"), ClusterTally())] == [0, 0]
 
 
 def test_no_match_charges_key_scans_only():
