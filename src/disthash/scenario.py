@@ -23,18 +23,15 @@ Three sections::
     6000 join   a9 net1 as1 ro eu
 
 Event times are milliseconds of simulated time. ``-`` stands for an
-empty key list or payload. ``parse_scenario(format_scenario(s))`` is the
-identity on the parsed structure; ``format_scenario`` raises
-``ValueError`` for a scenario that would not read back equal or that
-``parse_scenario`` would reject: a text field such as a label with a
-space or ``#`` or an index key ``-`` or with a comma, a config value
-such as a float for an int field, a node declared twice, or an event out
-of time order, naming an undeclared node, or reading or updating a label
-no insert made before it.
+empty key list or payload. ``parse_scenario`` alone holds the format's
+rules. ``format_scenario`` writes text that it reads back equal, or
+raises ``ValueError`` naming the config field, node or event that it
+would reject or read back differently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 from .core import LocalityDescriptor, Role
 
@@ -47,6 +44,7 @@ class ScenarioError(Exception):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.reason = message
 
 
 @dataclass
@@ -133,7 +131,6 @@ class Scenario:
 
 
 _BOOL = {"true": True, "false": False}
-_LOCALITY_FIELDS = ("network_domain", "as_domain", "country", "continent")
 
 
 def _parse_config_value(name: str, raw: str, lineno: int):
@@ -175,6 +172,8 @@ def _hex_payload(raw: str, lineno: int) -> bytes:
 def _keys(raw: str, lineno: int) -> tuple[str, ...]:
     if raw == "-":
         return ()
+    if "," not in raw:  # one key, as most inserts have
+        return (raw,)
     keys = raw.split(",")
     if "" in keys:
         raise ScenarioError(lineno, f"empty index key in {raw!r}")
@@ -239,7 +238,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def _whole_scenario_error(sc: Scenario) -> str | None:
     """What is wrong with ``sc`` as a whole, or None: no super-peer, or
-    cluster bounds or failure timing out of range."""
+    cluster bounds, failure timing or drain time out of range."""
     if not any(d.role is Role.RAGENT for d in sc.nodes):
         return "at least one ragent node is required"
     c = sc.config
@@ -247,6 +246,8 @@ def _whole_scenario_error(sc: Scenario) -> str | None:
         return "need 1 <= min_cluster < max_cluster"
     if c.heartbeat_period_ms <= 0 or c.failure_timeout_ms < 2 * c.heartbeat_period_ms:
         return "failure timeout must be at least twice the heartbeat period"
+    if c.drain_ms < 0:
+        return "drain_ms must not be negative"
     return None
 
 
@@ -315,147 +316,76 @@ def _parse_event(t, kind, args, names, labels, localities, lineno):
 
 
 def format_scenario(sc: Scenario) -> str:
-    """Render back to text; ``parse_scenario`` round-trips the result.
-    ``ValueError``, naming the config field, node or event, for a
-    scenario that would not read back equal or that ``parse_scenario``
-    would reject."""
-    out = ["[config]"]
+    """Render ``sc`` as text and check it the one way that cannot drift
+    from the parser: parse it back. ``ValueError`` names the config, node
+    or event that the parser rejects or reads back differently."""
     defaults = ScenarioConfig()
-    for f in fields(ScenarioConfig):
-        value = getattr(sc.config, f.name)
-        if value != getattr(defaults, f.name):
-            text = str(value).lower() if isinstance(value, bool) else str(value)
-            try:
-                same = _parse_config_value(f.name, text, 0) == value
-            except ScenarioError:
-                same = False
-            if not same:
-                raise ValueError(f"config {f.name}: {value!r} would not read back")
-            out.append(f"{f.name} = {text}")
-    out.append("")
-    out.append("[nodes]")
-    names: set[str] = set()
-    for d in sc.nodes:
-        loc = d.locality
-        values = [d.name, d.role.value, loc.network_domain, loc.as_domain,
-                  loc.country, loc.continent]
-        line = " ".join(values)
-        # a line that starts with "[" and ends with "]" reads as a section
-        if "#" in line or line.split() != values or (line[0] == "[" and line[-1] == "]"):
-            raise _unreadable(d, values)
-        if d.name in names:
-            raise ValueError(f"node {d.name!r}: declared twice")
-        names.add(d.name)
-        out.append(line)
-    out.append("")
-    out.append("[events]")
-    labels: set[str] = set()
-    last = 0
-    for ev in sc.events:
-        t = ev.time_ms
-        if type(t) is not int or t < last:
-            raise ValueError(f"{type(ev).__name__} at {t} ms: time_ms {t!r} is not "
-                             f"a whole number of ms at or after {last}")
-        last = t
-        out.append(_format_event(ev, names, labels))
-    out.append("")
-    error = _whole_scenario_error(sc)
-    if error:
-        raise ValueError(error)
-    return "\n".join(out)
+    config = [(f.name, getattr(sc.config, f.name)) for f in fields(ScenarioConfig)
+              if getattr(sc.config, f.name) != getattr(defaults, f.name)]
+    lines = ["[config]",
+             *(f"{name} = {str(v).lower() if isinstance(v, bool) else v}" for name, v in config),
+             "", "[nodes]",
+             *(f"{d.name} {d.role.value} {d.locality.network_domain} {d.locality.as_domain} "
+               f"{d.locality.country} {d.locality.continent}" for d in sc.nodes),
+             "", "[events]", *map(_format_event, sc.events), ""]
+    text = "\n".join(lines)
+    try:
+        back = parse_scenario(text)
+    except ScenarioError as exc:
+        if exc.lineno == 0:
+            raise ValueError(exc.reason) from None
+        # what each of ``lines`` renders; None for a header or a blank
+        items = [None, *[sc.config] * len(config), None, None, *sc.nodes, None, None, *sc.events]
+        item = _item_on_line(lines, items, exc.lineno)
+        raise ValueError(f"{_what(item)}: {exc.reason}") from None
+    if back != sc:  # name the first field that reads back otherwise
+        for item, other in zip_longest([sc.config, *sc.nodes, *sc.events],
+                                       [back.config, *back.nodes, *back.events]):
+            if item != other:
+                for f in fields(item or other):
+                    value, read = getattr(item, f.name, None), getattr(other, f.name, None)
+                    if value != read:
+                        raise ValueError(f"{_what(item or other)}: {f.name} {value!r} "
+                                         f"reads back as {read!r}")
+                raise ValueError(f"{_what(item)}: reads back as {other!r}")
+    return text
 
 
-_FIELDS = {
-    NodeDecl: ("name", "role", *_LOCALITY_FIELDS),
-    InsertEvent: ("time_ms", "event", "client", "agent", "label", "type_tag",
-                  "keys", "payload"),
-    SearchEvent: ("time_ms", "event", "client", "agent", "kind", "key"),
-    UpdateEvent: ("time_ms", "event", "client", "agent", "label", "payload"),
-    ReadEvent: ("time_ms", "event", "client", "label"),
-    CrashEvent: ("time_ms", "event", "node"),
-    RejoinEvent: ("time_ms", "event", "node"),
-    JoinEvent: ("time_ms", "event", "name", *_LOCALITY_FIELDS),
-}
-
-
-def _unreadable(item, values: list[str]) -> ValueError:
-    """The error naming ``item`` and the first of ``values``, its line's
-    fields, that would not read back as one field: it is empty, holds
-    whitespace or starts a comment."""
-    what = (f"node {item.name!r}" if isinstance(item, NodeDecl)
-            else f"{type(item).__name__} at {item.time_ms} ms")
-    for field, value in zip(_FIELDS[type(item)], values):
-        if "#" in value or value.split() != [value]:
-            return ValueError(f"{what}: {field} {value!r} would not read back as one field")
-    return ValueError(f"{what}: its line would read as a section header")
-
-
-def _misplaced(ev, names: set[str]) -> ValueError:
-    """The error naming the field of ``ev`` that ``parse_scenario`` would
-    reject where the event stands, given the node ``names`` declared
-    before it: an undeclared node, a node or label declared again, or a
-    label no insert made before it."""
-    what = f"{type(ev).__name__} at {ev.time_ms} ms"
-    for field in ("client", "agent", "node"):
-        name = getattr(ev, field, None)
-        if name is not None and name not in names:
-            return ValueError(f"{what}: {field} {name!r} is not a declared node")
+def _format_event(ev) -> str:
+    t = ev.time_ms
+    if isinstance(ev, InsertEvent):
+        return (f"{t} insert {ev.client} {ev.agent} {ev.label} {ev.type_tag} "
+                f"{','.join(ev.keys) or '-'} {ev.payload.hex() or '-'}")
+    if isinstance(ev, SearchEvent):
+        kind = "search" if ev.mode == "all" else "search_first"
+        return f"{t} {kind} {ev.client} {ev.agent} {ev.kind} {ev.key}"
+    if isinstance(ev, UpdateEvent):
+        return f"{t} update {ev.client} {ev.agent} {ev.label} {ev.payload.hex() or '-'}"
+    if isinstance(ev, ReadEvent):
+        return f"{t} read {ev.client} {ev.label}"
+    if isinstance(ev, (CrashEvent, RejoinEvent)):
+        return f"{t} {'crash' if isinstance(ev, CrashEvent) else 'rejoin'} {ev.node}"
     if isinstance(ev, JoinEvent):
-        return ValueError(f"{what}: name {ev.name!r} is declared already")
-    if isinstance(ev, InsertEvent):
-        return ValueError(f"{what}: label {ev.label!r} is inserted already")
-    return ValueError(f"{what}: label {ev.label!r} names no object inserted before it")
-
-
-def _format_event(ev, names: set[str], labels: set[str]) -> str:
-    """One event line; ``ValueError`` for a field that ``parse_scenario``
-    would read back differently or reject. ``names`` and ``labels`` are
-    the nodes declared and the objects inserted before ``ev``; an insert
-    or a join adds to them."""
-    if isinstance(ev, InsertEvent):
-        if ev.client not in names or ev.agent not in names or ev.label in labels:
-            raise _misplaced(ev, names)
-        labels.add(ev.label)
-        k = ev.keys
-        keys = ",".join(k) if k else "-"
-        if k and (keys == "-" or "" in k or keys.count(",") != len(k) - 1
-                  or (len(k) > 1 and list(k) != sorted(set(k)))):
-            raise ValueError(f"InsertEvent at {ev.time_ms} ms: keys {k!r} would not "
-                             "read back as the same sorted, distinct, non-empty keys "
-                             "without commas")
-        values = [str(ev.time_ms), "insert", ev.client, ev.agent, ev.label,
-                  ev.type_tag, keys, ev.payload.hex() if ev.payload else "-"]
-    elif isinstance(ev, SearchEvent):
-        if ev.client not in names or ev.agent not in names:
-            raise _misplaced(ev, names)
-        if ev.kind not in ("exact", "pattern") or ev.mode not in ("all", "first"):
-            raise ValueError(f"SearchEvent at {ev.time_ms} ms: kind {ev.kind!r} and mode "
-                             f"{ev.mode!r} are not exact or pattern, and all or first")
-        values = [str(ev.time_ms), "search" if ev.mode == "all" else "search_first",
-                  ev.client, ev.agent, ev.kind, ev.key]
-    elif isinstance(ev, UpdateEvent):
-        if ev.client not in names or ev.agent not in names or ev.label not in labels:
-            raise _misplaced(ev, names)
-        values = [str(ev.time_ms), "update", ev.client, ev.agent, ev.label,
-                  ev.payload.hex() if ev.payload else "-"]
-    elif isinstance(ev, ReadEvent):
-        if ev.client not in names or ev.label not in labels:
-            raise _misplaced(ev, names)
-        values = [str(ev.time_ms), "read", ev.client, ev.label]
-    elif isinstance(ev, (CrashEvent, RejoinEvent)):
-        if ev.node not in names:
-            raise _misplaced(ev, names)
-        values = [str(ev.time_ms), "crash" if isinstance(ev, CrashEvent) else "rejoin", ev.node]
-    elif isinstance(ev, JoinEvent):
-        if ev.name in names:
-            raise _misplaced(ev, names)
-        names.add(ev.name)
         loc = ev.locality
-        values = [str(ev.time_ms), "join", ev.name, loc.network_domain,
-                  loc.as_domain, loc.country, loc.continent]
-    else:
-        raise TypeError(f"unknown event {ev!r}")
-    line = " ".join(values)
-    if "#" in line or line.split() != values:
-        raise _unreadable(ev, values)
-    return line
+        return f"{t} join {ev.name} {loc.network_domain} {loc.as_domain} {loc.country} {loc.continent}"
+    raise TypeError(f"unknown event {ev!r}")
+
+
+def _what(item) -> str:
+    """How an error names ``item``: the config, a node or an event."""
+    if isinstance(item, ScenarioConfig):
+        return "config"
+    if isinstance(item, NodeDecl):
+        return f"node {item.name!r}"
+    return f"{type(item).__name__} at {item.time_ms} ms"
+
+
+def _item_on_line(lines: list[str], items: list, lineno: int):
+    """The entry of ``items`` (one per entry of ``lines``) whose text holds
+    line ``lineno``, or an earlier one broken over more lines than one."""
+    start = 1
+    for line, item in zip(lines, items):
+        n = len(f"{line}\n".splitlines())
+        if start + n > lineno or (n > 1 and item is not None):
+            return item
+        start += n

@@ -1,6 +1,7 @@
 """End-to-end protocol behavior, driven through complete scenarios:
 placement, search, update consistency, delegation, migration, failover
 and cluster reconfiguration."""
+import ast
 import copy
 import dataclasses
 import re
@@ -1165,6 +1166,28 @@ def test_every_timer_tag_has_a_handler_and_every_handler_a_tag():
     tags = set(re.findall(r'(?:set_timer|every)\([^,()]+,\s*"(\w+)"', source))
     ticked = set().union(*(cls._tick for cls in (LusNode, AgentNode, RAgentNode, ClientNode)))
     assert tags == ticked
+
+
+# all that protocol code may read of the engine: the clock, the ways to
+# send and to set timers, step accounting, the records it reports into,
+# and its own node's entry in ``sim.nodes``
+SIM_READS = {"clock", "send", "multicast", "set_timer", "every", "steps", "op_records",
+             "record_member_event", "record_loss", "record_cluster_lost", "nodes",
+             # ground truth, read once: ``_drop_peer`` asks whether a lost
+             # peer crashed before it deregisters it. Registry leases
+             # (ROADMAP item 10) remove this read
+             "crashed"}
+
+
+def test_protocol_code_reads_no_ground_truth():
+    tree = ast.parse(Path(nodes.__file__).read_text())
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "sim"]
+    assert reads and {n.attr for n in reads} <= SIM_READS
+    # ``sim.nodes`` only to look up or install the node's own object
+    own = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+           and ast.unparse(n.value) == "sim.nodes" and ast.unparse(n.slice) == "self.node_id"}
+    assert own and all(id(n) in own for n in reads if n.attr == "nodes")
 
 
 def test_each_node_objects_heartbeat_chain_runs_once_per_period(monkeypatch):

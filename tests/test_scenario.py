@@ -3,6 +3,8 @@ line wrapper's exit codes and deterministic output."""
 import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 
 from disthash.core import LocalityDescriptor, Role
 from disthash.scenario import (CrashEvent, InsertEvent, JoinEvent, NodeDecl,
-                               ReadEvent, Scenario, ScenarioConfig, ScenarioError,
-                               SearchEvent, UpdateEvent, format_scenario,
-                               parse_scenario)
+                               ReadEvent, RejoinEvent, Scenario, ScenarioConfig,
+                               ScenarioError, SearchEvent, UpdateEvent,
+                               format_scenario, parse_scenario)
+from test_acceptance import random_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
 [nodes]
@@ -66,12 +71,23 @@ def test_parse_full_scenario():
     assert isinstance(sc.events[8], JoinEvent)
 
 
-def test_round_trip():
-    sc = parse_scenario(FULL)
+def assert_round_trips(sc):
     text = format_scenario(sc)
     again = parse_scenario(text)
     assert again == sc
     assert format_scenario(again) == text
+
+
+def test_round_trip():
+    assert_round_trips(parse_scenario(FULL))
+
+
+@pytest.mark.parametrize("source", [
+    *sorted(p.name for p in SCENARIOS.glob("*.txt")), *range(20)])
+def test_round_trip_of_real_inputs(source):
+    # every scenario file, and the acceptance corpus's generated scenarios
+    assert_round_trips(parse_scenario((SCENARIOS / source).read_text())
+                       if isinstance(source, str) else random_scenario(source))
 
 
 HERE = LocalityDescriptor("net1", "as1", "ro", "eu")
@@ -88,13 +104,19 @@ def one_insert(client="c1", label="o1", type_tag="t", keys=("k",), key="k"):
                 ReadEvent(30, client, label)])
 
 
+# a field that breaks its line into more or fewer fields is named by
+# its event and the parser's reason; one that reads back as another
+# value, by its field and both values
+SPLIT = "InsertEvent at 0 ms: insert: client agent label type keys payload"
+
+
 @pytest.mark.parametrize("fields,fragment", [
-    ({"keys": ("-",)}, "InsertEvent at 0 ms: keys ('-',)"),
-    ({"keys": ("a,b",)}, "InsertEvent at 0 ms: keys ('a,b',)"),
-    ({"keys": ("k#1",)}, "InsertEvent at 0 ms: keys 'k#1'"),
-    ({"keys": ("a b",)}, "InsertEvent at 0 ms: keys 'a b'"),
-    ({"label": "o 1"}, "InsertEvent at 0 ms: label 'o 1'"),
-    ({"label": "o#1"}, "InsertEvent at 0 ms: label 'o#1'"),
+    ({"keys": ("-",)}, "InsertEvent at 0 ms: keys ('-',) reads back as ()"),
+    ({"keys": ("a,b",)}, "InsertEvent at 0 ms: keys ('a,b',) reads back as ('a', 'b')"),
+    ({"keys": ("k#1",)}, SPLIT),
+    ({"keys": ("a b",)}, SPLIT),
+    ({"label": "o 1"}, SPLIT),
+    ({"label": "o#1"}, SPLIT),
 ])
 def test_format_rejects_fields_that_do_not_read_back(fields, fragment):
     with pytest.raises(ValueError) as err:
@@ -105,13 +127,16 @@ def test_format_rejects_fields_that_do_not_read_back(fields, fragment):
 def test_format_rejects_a_config_value_that_does_not_read_back():
     sc = one_insert()
     sc.config = ScenarioConfig(min_cluster=2.5)
-    with pytest.raises(ValueError, match=r"config min_cluster: 2\.5 would not read back"):
+    with pytest.raises(ValueError, match=r"config: bad value for min_cluster: '2\.5'"):
         format_scenario(sc)
     for name, value in (("max_cluster", True), ("expect_loss", 1),
                         ("delegation_factor", "x")):
         sc.config = ScenarioConfig(**{name: value})
-        with pytest.raises(ValueError, match=f"config {name}: "):
+        with pytest.raises(ValueError, match=f"config: bad value for {name}: "):
             format_scenario(sc)
+    sc.config = ScenarioConfig(min_cluster="3")
+    with pytest.raises(ValueError, match="config: min_cluster '3' reads back as 3"):
+        format_scenario(sc)
     # values that read back equal are written as before
     sc.config = ScenarioConfig(min_cluster=2, delegation_factor=3, expect_loss=True)
     text = format_scenario(sc)
@@ -121,23 +146,23 @@ def test_format_rejects_a_config_value_that_does_not_read_back():
 def test_format_rejects_a_node_declared_twice():
     sc = one_insert()
     sc.nodes.append(NodeDecl("c1", Role.AGENT, HERE))
-    with pytest.raises(ValueError, match="node 'c1': declared twice"):
+    with pytest.raises(ValueError, match="node 'c1': duplicate node 'c1'"):
         format_scenario(sc)
     sc.nodes.pop()
     sc.events.append(JoinEvent(40, "r1", HERE))
-    with pytest.raises(ValueError, match="JoinEvent at 40 ms: name 'r1' is declared already"):
+    with pytest.raises(ValueError, match="JoinEvent at 40 ms: duplicate node 'r1'"):
         format_scenario(sc)
 
 
 @pytest.mark.parametrize("event,fragment", [
-    (ReadEvent(40, "c1", "nope"), "ReadEvent at 40 ms: label 'nope' names no object"),
-    (UpdateEvent(40, "c1", "r1", "nope", b""), "UpdateEvent at 40 ms: label 'nope'"),
-    (InsertEvent(40, "c1", "r1", "o1", "t", (), b""), "InsertEvent at 40 ms: label 'o1' is inserted"),
-    (SearchEvent(40, "c1", "ghost", "exact", "t", "all"), "SearchEvent at 40 ms: agent 'ghost'"),
-    (ReadEvent(40, "ghost", "o1"), "ReadEvent at 40 ms: client 'ghost'"),
-    (CrashEvent(40, "ghost"), "CrashEvent at 40 ms: node 'ghost'"),
-    (CrashEvent(25, "r1"), "CrashEvent at 25 ms: time_ms 25 is not a whole number of ms at or after 30"),
-    (CrashEvent(40.0, "r1"), "CrashEvent at 40.0 ms: time_ms 40.0"),
+    (ReadEvent(40, "c1", "nope"), "ReadEvent at 40 ms: unknown object label 'nope'"),
+    (UpdateEvent(40, "c1", "r1", "nope", b""), "UpdateEvent at 40 ms: unknown object label 'nope'"),
+    (InsertEvent(40, "c1", "r1", "o1", "t", (), b""), "InsertEvent at 40 ms: duplicate object label 'o1'"),
+    (SearchEvent(40, "c1", "ghost", "exact", "t", "all"), "SearchEvent at 40 ms: undeclared node 'ghost'"),
+    (ReadEvent(40, "ghost", "o1"), "ReadEvent at 40 ms: undeclared node 'ghost'"),
+    (CrashEvent(40, "ghost"), "CrashEvent at 40 ms: undeclared node 'ghost'"),
+    (CrashEvent(25, "r1"), "CrashEvent at 25 ms: event times must be non-decreasing"),
+    (CrashEvent(40.0, "r1"), "CrashEvent at 40.0 ms: bad event time '40.0'"),
 ])
 def test_format_rejects_an_event_that_parse_would_reject_where_it_stands(event, fragment):
     sc = one_insert()
@@ -151,11 +176,11 @@ def test_format_reads_an_event_against_the_nodes_and_labels_before_it():
     sc = one_insert()
     # a label read before its insert, and a node named before its join
     sc.events.insert(0, ReadEvent(0, "c1", "o1"))
-    with pytest.raises(ValueError, match="ReadEvent at 0 ms: label 'o1' names no object"):
+    with pytest.raises(ValueError, match="ReadEvent at 0 ms: unknown object label 'o1'"):
         format_scenario(sc)
     sc = one_insert()
     sc.events += [CrashEvent(40, "a9"), JoinEvent(40, "a9", HERE)]
-    with pytest.raises(ValueError, match="CrashEvent at 40 ms: node 'a9'"):
+    with pytest.raises(ValueError, match="CrashEvent at 40 ms: undeclared node 'a9'"):
         format_scenario(sc)
     sc.events.reverse()
     sc.events.sort(key=lambda ev: ev.time_ms)  # stable: the join first
@@ -166,6 +191,7 @@ def test_format_reads_an_event_against_the_nodes_and_labels_before_it():
     (lambda sc: sc.nodes.pop(0), "at least one ragent"),
     (lambda sc: setattr(sc.config, "max_cluster", 5), "min_cluster < max_cluster"),
     (lambda sc: setattr(sc.config, "failure_timeout_ms", 900), "twice the heartbeat"),
+    (lambda sc: setattr(sc.config, "drain_ms", -1), "drain_ms must not be negative"),
 ])
 def test_format_rejects_a_scenario_parse_rejects_as_a_whole(change, fragment):
     sc = one_insert()
@@ -178,10 +204,22 @@ def test_format_rejects_a_scenario_parse_rejects_as_a_whole(change, fragment):
 def test_format_rejects_a_node_line_that_reads_as_a_section_header():
     sc = one_insert()
     sc.nodes.append(NodeDecl("[a1", Role.AGENT, LocalityDescriptor("n", "a", "c", "eu]")))
-    with pytest.raises(ValueError, match="node '\\[a1': its line would read as a section header"):
+    with pytest.raises(ValueError, match="node '\\[a1': unknown section 'a1 agent n a c eu'"):
         format_scenario(sc)
     sc.nodes[-1] = NodeDecl("[a1", Role.AGENT, HERE)
     assert parse_scenario(format_scenario(sc)) == sc
+
+
+def test_format_names_the_item_whose_text_breaks_its_line():
+    # the parser fails on a later line than the one the item starts on
+    with pytest.raises(ValueError, match="InsertEvent at 0 ms: insert: "):
+        format_scenario(one_insert(label="o1\n1"))
+    # r1's last tier ends in a section header, so c1's node line is read
+    # as an event: r1, not c1, is named
+    sc = one_insert()
+    sc.nodes[0] = NodeDecl("r1", Role.RAGENT, LocalityDescriptor("n", "a", "c", "eu\n[events]"))
+    with pytest.raises(ValueError, match="node 'r1': bad event time 'c1'"):
+        format_scenario(sc)
 
 
 # half the draws are fields that read back
@@ -194,6 +232,68 @@ KEYS = st.lists(WORD, max_size=3).map(lambda ks: tuple(sorted(set(ks)))) | \
 @given(client=WORD, label=WORD, type_tag=WORD, key=WORD, keys=KEYS)
 def test_format_raises_or_round_trips(client, label, type_tag, key, keys):
     sc = one_insert(client, label, type_tag, keys, key)
+    try:
+        text = format_scenario(sc)
+    except ValueError:
+        return
+    assert parse_scenario(text) == sc
+
+
+CONFIG_FIELDS = [f.name for f in fields(ScenarioConfig)]
+PAYLOAD = st.binary(max_size=2)
+
+
+@st.composite
+def scenarios(draw):
+    """Half the draws are tame: each text field one token, whole numbers
+    for config values and event times, and times in order. The rest mix
+    in fields that may not read back: config values of any type, names
+    and tiers with blanks or ``#``, and event times that are not whole or
+    not in order. Either way, every kind of event."""
+    tame = draw(st.booleans())
+    word = st.text("ab,-", min_size=1, max_size=3) if tame else WORD
+    keys = st.lists(st.text("ab", min_size=1, max_size=2), max_size=3).map(
+        lambda ks: tuple(sorted(set(ks)))) if tame else KEYS
+    locality = st.builds(LocalityDescriptor, *[word.filter(bool)] * 4)  # tiers are never empty
+    value = st.integers(1, 999) if tame else (
+        st.integers(-1, 999) | st.floats() | st.booleans() | WORD)
+    time = st.integers(0, 100) if tame else st.integers(-1, 100) | st.floats(0, 100)
+    nodes = draw(st.lists(st.builds(NodeDecl, word, st.sampled_from(Role), locality),
+                          min_size=1, max_size=3, unique_by=(lambda d: d.name) if tame else None))
+
+    def among(*good):
+        return st.sampled_from(good) if tame else st.sampled_from(good) | word
+    node = among(*(d.name for d in nodes))
+    times = draw(st.lists(time, min_size=1, max_size=5))
+    if tame:
+        nodes[0].role = Role.RAGENT
+        times.sort()
+    args = {InsertEvent: (node, node, word, word, keys, PAYLOAD),
+            SearchEvent: (node, node, among("exact", "pattern"), word, among("all", "first")),
+            UpdateEvent: (node, node, word, PAYLOAD),
+            ReadEvent: (node, word),
+            CrashEvent: (node,),
+            RejoinEvent: (node,),
+            JoinEvent: (word, locality)}
+    events, inserted = [], []
+    for t in times:
+        kind = draw(st.sampled_from(list(args)))
+        # a tame read or update names an object inserted before it
+        if tame and kind in (UpdateEvent, ReadEvent) and not inserted:
+            kind = InsertEvent
+        ev = kind(t, *(draw(arg) for arg in args[kind]))
+        if tame and kind in (UpdateEvent, ReadEvent):
+            ev.label = draw(st.sampled_from(inserted))
+        if kind is InsertEvent:
+            inserted.append(ev.label)
+        events.append(ev)
+    config = draw(st.dictionaries(st.sampled_from(CONFIG_FIELDS), value, max_size=2))
+    return Scenario(ScenarioConfig(**config), nodes, events)
+
+
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+@given(sc=scenarios())
+def test_format_raises_or_round_trips_any_scenario(sc):
     try:
         text = format_scenario(sc)
     except ValueError:
@@ -217,6 +317,7 @@ def test_format_raises_or_round_trips(client, label, type_tag, key, keys):
     (MINIMAL + "[events]\n0 insert a1 a1 o1 t k1,,k2 00", "empty index key"),
     (MINIMAL + "[events]\n0 dance a1", "unknown event kind"),
     ("[nodes]\na1 agent net as ro eu", "at least one ragent"),
+    ("[config]\ndrain_ms = -20000\n" + MINIMAL, "drain_ms must not be negative"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError) as err:
@@ -308,6 +409,16 @@ def test_cli_bad_scenario_exits_2(tmp_path):
     f.write_text("[nodes]\nbroken\n")
     r = run_cli("--scenario", str(f))
     assert r.returncode == 2 and "line 2" in r.stderr
+
+
+def test_cli_negative_drain_exits_2(tmp_path):
+    # the engine cannot run back before the last event: a malformed
+    # scenario, not an invariant violation
+    f = tmp_path / "bad.txt"
+    f.write_text(HAPPY.replace("drain_ms = 2000", "drain_ms = -1"))
+    r = run_cli("--scenario", str(f), "--check")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "drain_ms must not be negative" in r.stderr
 
 
 def test_cli_missing_file_exits_2():
