@@ -36,7 +36,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sc = parse_scenario(text)
     except ScenarioError as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        # an error of the scenario as a whole has no line of its own
+        print(f"error: {args.scenario}: {exc.reason if exc.lineno == 0 else exc}",
+              file=sys.stderr)
         return 2
 
     result = run_scenario(sc, trace=bool(args.trace))

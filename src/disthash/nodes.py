@@ -1,7 +1,9 @@
 """Node state machines: Agent (replica holder), RAgent (super-peer with
 the meta-data catalogue), LUS (lookup service) and Client. Each node is
 a single-threaded event handler driven by the simulator; all interaction
-is via messages and timers.
+is via messages and timers. The super-peers write every lookup service
+themselves, one multicast per change, from their own evidence; the
+lookup services keep no protocol among themselves.
 
 Conventions used throughout:
  - every iteration over a set is sorted, so runs are reproducible
@@ -44,7 +46,7 @@ class ClusterConfig:
 
     thresholds: Thresholds
     hb: HeartbeatConfig
-    lus_ids: tuple = ()
+    lus_ids: tuple  # every lookup service, each written by each super-peer
     delegation_factor: float = 0.0  # 0 disables insert delegation
     migration_threshold: int = DEFAULT_MIGRATION_THRESHOLD
 
@@ -62,7 +64,6 @@ class LusQuery:
 @dataclass(kw_only=True)
 class LusQueryReply:
     entries: tuple = ()
-    denied: bool = False
     hop: int = 0
 
 
@@ -76,14 +77,6 @@ class LusRegister:
 @dataclass(kw_only=True)
 class LusDeregister:
     ragent: NodeId
-
-
-@dataclass(kw_only=True)
-class LusSync:
-    action: str  # register | deregister
-    ragent: NodeId
-    locality: LocalityDescriptor | None = None
-    count: int = 0
 
 
 @dataclass(kw_only=True)
@@ -505,37 +498,23 @@ class BaseNode:
 
 
 class LusNode(BaseNode):
-    """One replicated lookup-service instance. Mutations are pushed
-    eagerly to the sibling instances; instances never crash."""
+    """One lookup-service instance: a plain registry that the super-peers
+    write, each to every instance, and that joining agents query. The
+    instances keep no protocol between them; they never crash."""
 
     role = Role.LUS
 
-    def __init__(self, node_id, locality, siblings=()):
+    def __init__(self, node_id, locality):
         super().__init__(node_id, locality)
         self.registry = LusRegistry()
-        self.siblings: tuple[NodeId, ...] = tuple(siblings)
 
     def _on_LusRegister(self, sim, msg: LusRegister, src):
         self.registry.register(msg.ragent, msg.locality, msg.count)
-        sim.multicast(self.node_id, self.siblings, LusSync(
-            action="register", ragent=msg.ragent,
-            locality=msg.locality, count=msg.count))
 
     def _on_LusDeregister(self, sim, msg: LusDeregister, src):
         self.registry.deregister(msg.ragent)
-        sim.multicast(self.node_id, self.siblings,
-                      LusSync(action="deregister", ragent=msg.ragent))
-
-    def _on_LusSync(self, sim, msg: LusSync, src):
-        if msg.action == "register":
-            self.registry.register(msg.ragent, msg.locality, msg.count)
-        else:
-            self.registry.deregister(msg.ragent)
 
     def _on_LusQuery(self, sim, msg: LusQuery, src):
-        if msg.role is Role.CLIENT:
-            sim.send(self.node_id, src, LusQueryReply(denied=True, hop=msg.hop + 1))
-            return
         # a super-peer that rejoined may still be listed: not to itself
         entries = tuple(e for e in self.registry.query(msg.role) if e[0] != src)
         sim.send(self.node_id, src, LusQueryReply(entries=entries, hop=msg.hop + 1))
@@ -585,15 +564,13 @@ class AgentNode(BaseNode):
             self._begin_join(sim)
 
     def _begin_join(self, sim: Simulator) -> None:
-        if not self.config.lus_ids:
-            return
         sim.send(self.node_id, self.config.lus_ids[0],
                  LusQuery(role=Role.AGENT))
 
     def _on_LusQueryReply(self, sim, msg: LusQueryReply, src):
         if self.joined:
             return
-        if msg.denied or not msg.entries:
+        if not msg.entries:
             sim.set_timer(self.node_id, "retry_join", self.hb.period_us)
             return
         choice = join_select_ragent(list(msg.entries), self.locality)
@@ -646,9 +623,9 @@ class AgentNode(BaseNode):
             sim.record_member_event("promote", self.node_id, self.node_id,
                                     f"replacing={replacing}")
         ragent._vacate_holder(sim, self.node_id)
-        if replacing is not None and self.config.lus_ids:
-            sim.send(self.node_id, self.config.lus_ids[0],
-                     LusDeregister(ragent=replacing))
+        if replacing is not None:
+            sim.multicast(self.node_id, self.config.lus_ids,
+                          LusDeregister(ragent=replacing))
         ragent._update_lus_count(sim)
         sim.multicast(self.node_id, ragent.peers.ordered, PeerUpdate(
             add=(self.node_id,), remove=(replacing,) if replacing else ()))
@@ -1025,10 +1002,9 @@ class RAgentNode(BaseNode):
         self._sync_secondary(sim)
 
     def _update_lus_count(self, sim):
-        if self.config.lus_ids:
-            sim.send(self.node_id, self.config.lus_ids[0], LusRegister(
-                ragent=self.node_id, locality=self.locality,
-                count=len(self.members)))
+        sim.multicast(self.node_id, self.config.lus_ids, LusRegister(
+            ragent=self.node_id, locality=self.locality,
+            count=len(self.members)))
 
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
@@ -1077,8 +1053,10 @@ class RAgentNode(BaseNode):
         self.peer_members[src] = msg.member_count
 
     def _on_PeerUpdate(self, sim, msg: PeerUpdate, src):
+        # removed without a merge target: a promotion replaced it
         for p in msg.remove:
-            self._drop_peer(sim, p, into=msg.merged_into)
+            self._drop_peer(sim, p, into=msg.merged_into,
+                            gone=msg.merged_into is None)
         for p in msg.add:
             if p != self.node_id:
                 self.peers.add(p)
@@ -1086,18 +1064,23 @@ class RAgentNode(BaseNode):
         # the secondary must know the peer set it would take over
         self._sync_secondary(sim)
 
-    def _drop_peer(self, sim, peer: NodeId, into: NodeId | None = None):
+    def _drop_peer(self, sim, peer: NodeId, into: NodeId | None = None,
+                   gone: bool = True):
+        """Forget ``peer``. ``gone`` says the drop rests on this node's
+        own evidence that the peer is dead or replaced: a sweep timeout,
+        a bounce or a promotion's ``PeerUpdate``. Its whole cluster may
+        have died with it, and no survivor would then replace its
+        registry entry, so it is deregistered here. A peer that merged
+        away deregistered itself."""
         if peer not in self.peers and peer not in self.peer_last_seen:
             return
         self.peers.discard(peer)
         self.peer_last_seen.pop(peer, None)
         self.peer_sizes.pop(peer, None)
         self.peer_members.pop(peer, None)
-        # a confirmed-dead peer may have taken its whole cluster with it;
-        # no survivor will replace its registry entry, so clear it here
-        if peer in sim.crashed and self.config.lus_ids:
-            sim.send(self.node_id, self.config.lus_ids[0],
-                     LusDeregister(ragent=peer))
+        if gone:
+            sim.multicast(self.node_id, self.config.lus_ids,
+                          LusDeregister(ragent=peer))
         # requests waiting on that peer must not stall; what it still owed
         # is asked of ``into``, the cluster it merged into if it did (by
         # the triangle inequality the ask arrives after the hand-off)
@@ -1323,9 +1306,8 @@ class RAgentNode(BaseNode):
             members=self.members.ordered, peers=self.peers.ordered))
         sim.record_member_event("demote", self.node_id, self.node_id,
                                 f"merged_into={target}")
-        if self.config.lus_ids:
-            sim.send(self.node_id, self.config.lus_ids[0],
-                     LusDeregister(ragent=self.node_id))
+        sim.multicast(self.node_id, self.config.lus_ids,
+                      LusDeregister(ragent=self.node_id))
         sim.multicast(self.node_id, [p for p in self.peers.ordered if p != target],
                       PeerUpdate(remove=(self.node_id,), merged_into=target))
         agent = self._become_agent(sim)
@@ -1353,7 +1335,7 @@ class RAgentNode(BaseNode):
         # with this secondary: the one they had is not a member here
         sim.multicast(self.node_id, newcomers, ConfigUpdate(
             ragent=self.node_id, secondary=self.secondary))
-        self._drop_peer(sim, msg.from_ragent)
+        self._drop_peer(sim, msg.from_ragent, gone=False)
         self._update_lus_count(sim)
         self._sync_secondary(sim)
         sim.record_member_event(

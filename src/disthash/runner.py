@@ -70,9 +70,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
 
     lus_nodes = []
     for d in lus_decls:
-        nid = NodeId(d.name)
-        node = LusNode(nid, d.locality,
-                       siblings=tuple(x for x in lus_ids if x != nid))
+        node = LusNode(NodeId(d.name), d.locality)
         sim.add_node(node)
         lus_nodes.append(node)
 

@@ -237,11 +237,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _whole_scenario_error(sc: Scenario) -> str | None:
-    """What is wrong with ``sc`` as a whole, or None: no super-peer, or
-    cluster bounds, failure timing or drain time out of range."""
+    """What is wrong with ``sc`` as a whole, or None: no super-peer, no
+    lookup service, or cluster bounds, failure timing or drain time out
+    of range."""
     if not any(d.role is Role.RAGENT for d in sc.nodes):
         return "at least one ragent node is required"
     c = sc.config
+    if c.lus_count < 1 and not any(d.role is Role.LUS for d in sc.nodes):
+        return "lus_count must be at least 1 when no lus node is declared"
     if c.min_cluster < 1 or c.min_cluster >= c.max_cluster:
         return "need 1 <= min_cluster < max_cluster"
     if c.heartbeat_period_ms <= 0 or c.failure_timeout_ms < 2 * c.heartbeat_period_ms:

@@ -1172,11 +1172,7 @@ def test_every_timer_tag_has_a_handler_and_every_handler_a_tag():
 # send and to set timers, step accounting, the records it reports into,
 # and its own node's entry in ``sim.nodes``
 SIM_READS = {"clock", "send", "multicast", "set_timer", "every", "steps", "op_records",
-             "record_member_event", "record_loss", "record_cluster_lost", "nodes",
-             # ground truth, read once: ``_drop_peer`` asks whether a lost
-             # peer crashed before it deregisters it. Registry leases
-             # (ROADMAP item 10) remove this read
-             "crashed"}
+             "record_member_event", "record_loss", "record_cluster_lost", "nodes"}
 
 
 def test_protocol_code_reads_no_ground_truth():
@@ -1188,6 +1184,73 @@ def test_protocol_code_reads_no_ground_truth():
     own = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Subscript)
            and ast.unparse(n.value) == "sim.nodes" and ast.unparse(n.slice) == "self.node_id"}
     assert own and all(id(n) in own for n in reads if n.attr == "nodes")
+
+
+# three lookup services; r1 crashes and its secondary a1 takes over, two
+# joins split r2's cluster (a5 heads the new half), and a crash leaves
+# a1's cluster below min_cluster, so a1 hands it to a5
+THREE_REGISTRIES = """
+[config]
+min_cluster = 2
+max_cluster = 4
+lus_count = 3
+drain_ms = 20000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent  net1 as1 ro eu
+a2 agent  net1 as1 ro eu
+a3 agent  net1 as1 ro eu
+a4 agent  net2 as2 us na
+a5 agent  net2 as2 us na
+a6 agent  net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100   insert c1 a1 obj1 sensor k1 01
+200   insert c1 a4 obj2 camera k2 02
+1000  crash r1
+8000  join a7 net2 as2 us na
+8100  join a8 net2 as2 us na
+12000 search c1 a4 exact sensor
+14000 crash a3
+"""
+
+
+def lus_nodes(res):
+    return [n for _, n in sorted(res.sim.nodes.items()) if isinstance(n, LusNode)]
+
+
+def test_every_registry_is_written_by_the_super_peers_alone():
+    res = build(THREE_REGISTRIES, trace=True)
+    assert res.issues == []
+    assert [(e[1], e[3]) for e in res.sim.member_events
+            if e[1] in ("promote", "assume_ragent", "demote", "merge")] == [
+        ("promote", "a1"), ("assume_ragent", "a5"), ("demote", "a1"), ("merge", "a1")]
+    live = {n.node_id: len(n.members) for n in res.sim.nodes.values()
+            if isinstance(n, RAgentNode) and res.sim.is_alive(n.node_id)}
+    assert sorted(live) == ["a5", "r2"]
+    registries = lus_nodes(res)
+    assert [n.node_id for n in registries] == ["lus1", "lus2", "lus3"]
+    for lus in registries:
+        assert {rid: e.connected_count for rid, e in lus.registry.entries.items()} == live
+    # the lookup services keep no protocol among themselves: all they
+    # send is the answer to a joiner's query
+    assert {r.msg_type for r in res.sim.trace if r.kind == "deliver"
+            and r.src in {n.node_id for n in registries}} == {"LusQueryReply"}
+
+
+def test_a_registry_that_lost_an_entry_or_holds_a_stale_count_is_reported():
+    res = build(THREE_REGISTRIES)
+    assert res.issues == []
+    _, lus2, lus3 = lus_nodes(res)
+    del lus2.registry.entries[NodeId("r2")]
+    assert check_invariants(res) == ["lus2: registry wrong (missing=['r2'] extra=[])"]
+    lus2.registry.register(NodeId("r2"), ragent(res, "r2").locality,
+                           len(ragent(res, "r2").members))
+    lus3.registry.entries[NodeId("a5")].connected_count += 1
+    assert check_invariants(res) == ["lus3: stale count for a5"]
 
 
 def test_each_node_objects_heartbeat_chain_runs_once_per_period(monkeypatch):

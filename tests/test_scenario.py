@@ -318,6 +318,7 @@ def test_format_raises_or_round_trips_any_scenario(sc):
     (MINIMAL + "[events]\n0 dance a1", "unknown event kind"),
     ("[nodes]\na1 agent net as ro eu", "at least one ragent"),
     ("[config]\ndrain_ms = -20000\n" + MINIMAL, "drain_ms must not be negative"),
+    ("[config]\nlus_count = 0\n[nodes]\nr1 ragent net1 as1 ro eu", "lus_count must be at least 1"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError) as err:
@@ -419,6 +420,18 @@ def test_cli_negative_drain_exits_2(tmp_path):
     r = run_cli("--scenario", str(f), "--check")
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and "drain_ms must not be negative" in r.stderr
+    # an error of the whole scenario names no line
+    assert "line 0" not in r.stderr
+
+
+def test_cli_no_lookup_service_exits_2(tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("[config]\nlus_count = 0\n" + HAPPY)
+    r = run_cli("--scenario", str(f), "--check")
+    assert r.returncode == 2
+    assert r.stderr == f"error: {f}: lus_count must be at least 1 when no lus node is declared\n"
+    # a declared lookup service is enough
+    assert parse_scenario("[config]\nlus_count = 0\n" + MINIMAL).config.lus_count == 0
 
 
 def test_cli_missing_file_exits_2():
