@@ -30,9 +30,9 @@ GOLDEN = {
 }
 GOLDEN_TRACE = {
     "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
-    "failover.txt": "95b40a59be36f339364c2d56886ae8672ef9b9adf5ba488e80a06bdbd09e76dd",
-    "rejoin_before_detection.txt": "1b9d018b4cd4b92783b7cf1a3d0c24ac496d0100371149a01600fa48a7e11c43",
-    "split_merge.txt": "a0f5cac6212a5b47a7ebc481af922fee1b66167fea597b1ad629120fc9af81c9",
+    "failover.txt": "04b9c7facc73a3ca82706977763a4c4ecddc5cd03686b97dbcf7a5b61e3ae07c",
+    "rejoin_before_detection.txt": "ba58ff03e74afc8707c477a595955426a6651d2f7a62a0412740e931eff2ced4",
+    "split_merge.txt": "8a8210aaafc051de845f30da9f7e71a338ff9a1e7e701b352ba16ef06c56d1c8",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
 GOLDEN_CORPUS = "a4386f9e33b0d2e5642e54f1dd7300d96c31dc4bf4f1a66043493654695aacf7"
