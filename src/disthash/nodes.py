@@ -585,10 +585,7 @@ class AgentNode(BaseNode):
         if self.joined:
             return
         self.joined = True
-        self.ragent = msg.ragent
-        self.secondary_id = msg.secondary
-        self.last_ragent_seen = sim.clock
-        self._suspected_ragent = None
+        self._follow(sim, msg.ragent, msg.secondary)
         sim.every(self.node_id, "hb", self.hb.period_us)
 
     # -- role changes: the only two places a node object is replaced ----
@@ -597,6 +594,7 @@ class AgentNode(BaseNode):
         """Install a fresh agent under this node's id."""
         agent = AgentNode(self.node_id, self.locality, self.config)
         sim.nodes[self.node_id] = agent
+        sim.unsteady()
         return agent
 
     def on_rejoin(self, sim):
@@ -616,6 +614,7 @@ class AgentNode(BaseNode):
         ragent.members = NodeSet(set(members) - gone)
         ragent.peers = NodeSet(set(peers) - gone)
         sim.nodes[self.node_id] = ragent
+        sim.unsteady()
         if replacing is None:
             sim.record_member_event("assume_ragent", self.node_id, self.node_id,
                                     f"members={len(ragent.members)}")
@@ -644,9 +643,33 @@ class AgentNode(BaseNode):
             if silent > self.config.hb.failure_timeout_us and self._suspected_ragent != self.ragent:
                 self._suspect_ragent(sim)
 
+    def steady_beat(self, tag: str):
+        """``(super-peer, beat)`` when an ``hb`` tick sends only the plain
+        beat: joined, with no catalogue copy to repair and no suspicion
+        pending; else None. In a steady cluster whose super-peer was
+        heard within the timeout, the engine queues that beat and calls
+        no ``_tick_hb`` (``Simulator._plan``)."""
+        if (tag == "hb" and self.joined and self.ragent is not None
+                and not self.sync_stale and self._suspected_ragent is None):
+            return self.ragent, AGENT_HEARTBEAT
+        return None
+
+    def steady_since(self, ragent: NodeId, secondary: NodeId | None, timeout: int):
+        """When this agent last heard ``ragent``, if the beats between
+        them only move timestamps: joined, following ``ragent`` and
+        ``secondary``, with ``timeout``, a fresh catalogue copy and no
+        suspicion. Else None. The writes that end it call
+        ``sim.unsteady``."""
+        if (self.joined and self.ragent == ragent and self.secondary_id == secondary
+                and not self.sync_stale and self._suspected_ragent is None
+                and self.hb.failure_timeout_us == timeout):
+            return self.last_ragent_seen
+        return None
+
     def _suspect_ragent(self, sim):
         # the secondary promotes on its own timeout; any other member gives
         # it one more timeout to announce itself, then reports the loss
+        sim.unsteady(self.ragent)
         self._suspected_ragent = self.ragent
         if self.secondary_id == self.node_id:
             self._promote(sim)
@@ -667,19 +690,32 @@ class AgentNode(BaseNode):
         # crash; only its own join answer admits it and starts its beat
         if not self.joined:
             return
-        self.ragent = src
-        self.secondary_id = msg.secondary
-        self.last_ragent_seen = sim.clock
-        self._suspected_ragent = None
+        self._follow(sim, src, msg.secondary)
+
+    @staticmethod
+    def heard_steadily(nodes: dict, agents: tuple, time: int) -> None:
+        """``_on_RAgentHeartbeat`` at each of ``agents``, members of a
+        steady cluster (``Simulator.offer_steady``), who already follow
+        the sender and its secondary: only the last-seen time moves."""
+        for a in agents:
+            nodes[a].last_ragent_seen = time
 
     def _on_ConfigUpdate(self, sim, msg: ConfigUpdate, src):
-        self.ragent = msg.ragent
-        self.secondary_id = msg.secondary
-        self.last_ragent_seen = sim.clock
-        self._suspected_ragent = None
+        self._follow(sim, msg.ragent, msg.secondary)
 
     def _on_ReassignCluster(self, sim, msg: ReassignCluster, src):
-        self.ragent = msg.ragent
+        self._follow(sim, msg.ragent, self.secondary_id)
+
+    def _follow(self, sim, ragent: NodeId, secondary: NodeId | None) -> None:
+        """Heard from ``ragent``, the super-peer now, with ``secondary``.
+        A change to either, or a suspicion it ends, leaves neither the
+        old cluster nor the new one steady."""
+        if (ragent != self.ragent or secondary != self.secondary_id
+                or self._suspected_ragent is not None):
+            sim.unsteady(self.ragent)
+            sim.unsteady(ragent)
+        self.ragent = ragent
+        self.secondary_id = secondary
         self.last_ragent_seen = sim.clock
         self._suspected_ragent = None
 
@@ -687,9 +723,13 @@ class AgentNode(BaseNode):
         if msg.snapshot is not None:
             self.sync_catalogue = msg.snapshot
             self.sync_source = src
+            if self.sync_stale:
+                sim.unsteady(self.ragent)
             self.sync_stale = False
         elif src != self.sync_source or msg.base != self.sync_seq:
             # a batch went missing: keep the copy, ask for a snapshot
+            # with the next beat, which is no plain one
+            sim.unsteady(self.ragent)
             self.sync_stale = True
             return
         else:
@@ -934,6 +974,7 @@ class RAgentNode(BaseNode):
         self._sync_to: NodeId | None = None
         self._sync_cat: MetaCatalogue | None = None
         self._sync_seq = 0
+        self._beat = RAgentHeartbeat(secondary=None)  # the sweep's, reused
 
     @property
     def hb(self) -> HeartbeatConfig:
@@ -994,6 +1035,7 @@ class RAgentNode(BaseNode):
         self._sync_to = self._sync_cat = None
 
     def _elect_secondary(self, sim):
+        sim.unsteady(self.node_id)
         if self.members:
             self.secondary = elect_agent(self.members)
             sim.record_member_event("secondary_elected", self.node_id, self.secondary)
@@ -1009,8 +1051,10 @@ class RAgentNode(BaseNode):
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
     def _tick_sweep(self, sim, payload):
-        sim.multicast(self.node_id, self.members.ordered,
-                      RAgentHeartbeat(secondary=self.secondary))
+        if self._beat.secondary != self.secondary:
+            self._beat = RAgentHeartbeat(secondary=self.secondary)
+        beat = self._beat
+        sim.multicast(self.node_id, self.members.ordered, beat)
         sim.multicast(self.node_id, self.peers.ordered, PeerHeartbeat(
             cat_size=len(self.catalogue), member_count=len(self.members)))
         for dead in detect_failures(sim.clock, self.member_last_seen,
@@ -1027,6 +1071,7 @@ class RAgentNode(BaseNode):
         if len(self.members) >= REPLICATION_FACTOR:
             for oid in sorted(self.catalogue.under_replicated):
                 self._restore_redundancy(sim, oid)
+        sim.offer_steady(self, beat, AgentNode.heard_steadily)
 
     def _check_thresholds(self, sim):
         if len(self.members) > self.thresholds.max_cluster:
@@ -1043,6 +1088,12 @@ class RAgentNode(BaseNode):
             if msg.resync and src == self.secondary:
                 self._forget_sync()
                 self._sync_secondary(sim)
+
+    def heard_steadily(self, agents: tuple, time: int) -> None:
+        """``_on_AgentHeartbeat`` for a plain beat from each of
+        ``agents``, members of this steady cluster: only their
+        last-seen times move."""
+        self.member_last_seen.update(dict.fromkeys(agents, time))
 
     def _on_PeerHeartbeat(self, sim, msg: PeerHeartbeat, src):
         if src == self.node_id:
@@ -1104,6 +1155,7 @@ class RAgentNode(BaseNode):
 
     def _on_JoinRequest(self, sim, msg: JoinRequest, src):
         joiner = msg.joiner
+        sim.unsteady(self.node_id)
         if joiner in self.members:
             # transient crash+rejoin before detection: clear the stale
             # membership first, then admit as a fresh agent
@@ -1196,6 +1248,7 @@ class RAgentNode(BaseNode):
     def _handle_agent_failure(self, sim, failed: NodeId, reason: str):
         if failed not in self.members:
             return  # idempotent under repeated reports
+        sim.unsteady(self.node_id)
         self.members.discard(failed)
         self.member_last_seen.pop(failed, None)
         sim.record_member_event("agent_failed", self.node_id, failed, reason)
@@ -1217,6 +1270,7 @@ class RAgentNode(BaseNode):
     def _split(self, sim):
         if len(self.members) <= self.thresholds.max_cluster:
             return
+        sim.unsteady(self.node_id)
         entries_before = len(self.catalogue)
         candidates = (self.members - {self.secondary}) or self.members
         new_r = elect_agent(candidates)
@@ -1316,6 +1370,7 @@ class RAgentNode(BaseNode):
 
     def _on_MergeRequest(self, sim, msg: MergeRequest, src):
         entries_own = len(self.catalogue)
+        sim.unsteady(self.node_id)
         self.catalogue.merge(msg.catalogue)
         newcomers = sorted((*msg.members, msg.from_ragent))
         for a in newcomers:

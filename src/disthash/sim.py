@@ -17,18 +17,68 @@ pays for the heap. Entries are told apart by length:
 - ``(seq, src, dst, msg)``, 4: a unicast delivery, queued by ``send``;
 - ``(seq, node, owner, tag, payload)``, 5: a timer, ``owner`` being the
   node object that set it;
-- ``(seq, node, owner, tag, None, period)``, 6: a periodic timer, queued
-  by ``every``. After its handler returns, ``run_until`` queues it again
-  at ``time + period`` with the next seq, so behind everything the
-  handler queued, but only if ``owner`` is still the object installed
-  under ``node``: a promotion or a merge demotion replaces it, and the
-  new object runs on its own timers. A crashed node's timer is dropped
-  and not queued again, and neither is one whose handler raised;
+- ``(round,)``, 1: untraced periodic firings, queued by ``every``, or
+  ``(beats,)``, 1: the beats one firing of a steady round sent to one
+  super-peer at one latency (both below);
 - ``(seq, (src, dsts, msg))``, 2: a multicast run, one message to a run
   of destinations that arrive at the same time, the i-th destination
   taking ``seq + i``;
+- ``(seq, node, owner, tag, None, period)``, 6: a periodic timer, queued
+  by ``every`` when tracing;
 - ``(seq, node, "crash"|"rejoin")``, 3: a fault, rare, so it takes the
   shape left over and the last branch.
+
+A periodic firing runs ``owner``'s handler; then ``run_until`` queues the
+next firing at ``time + period`` with the next seq, so behind everything
+the handler queued, but only if ``owner`` is still the object installed
+under ``node``: a promotion or a merge demotion replaces it, and the new
+object runs on its own timers. A crashed node's firing is dropped and not
+queued again, and neither is one whose handler raised. Untraced, firings
+share entries: ``every`` and each re-arm add to the last entry of their
+bucket when that is a round of the same tag and period, and open a new
+round otherwise. So agents that started together share one round, in
+the order their timers would fire, and an entry is only extended while
+it is the last one in its bucket, so each firing keeps the place its own
+timer would have. A handler that queues into the next round's bucket
+splits that round there.
+
+Each round entry and each ``(src, dsts, msg)`` run of an untraced run is
+run one of two ways:
+
+- member by member, through the real ``on_timer`` and ``on_message``:
+  a round as the periodic timers it stands for, a beats entry as the
+  unicasts it stands for;
+- in O(1) of handler work, while the clusters it touches are steady:
+  a round of ``hb`` ticks queues the beat entries its plan holds and
+  itself one period on; a beats entry runs the super-peer's
+  ``heard_steadily``, which moves its members' last-seen times; a
+  super-peer's ``RAgentHeartbeat`` run to its members runs the ``heard``
+  that ``offer_steady`` was given, which moves each member's last-seen
+  time. ``delivered`` grows by the number of beats, and so does
+  ``steady_deliveries``.
+
+A cluster is a super-peer with its members. It is steady after one
+round that ran through the handlers and found nothing unusual: its
+super-peer offers it at the end of each sweep (``offer_steady``), and a
+second offer with no ``unsteady`` in between makes it steady. It stops
+being steady when a node writes what makes a beat do more than move a
+timestamp (the node calls ``unsteady``), at any crash or rejoin, and when
+a node object is replaced. A round's plan relies on the clusters it
+beats to as they were when it was planned, and it runs only while each
+is still steady and each one's members heard their super-peer within the
+timeout (``_Plan.ready``): a tick that may suspect runs its handler. As
+the O(1) ways leave the state exactly as the handlers would, leaving the
+steady state needs no catching up: later entries run member by member.
+Beats that one firing sends to different super-peers at one time are
+queued as one entry per super-peer, which reorders their deliveries
+within that instant. A plain beat only moves its receiver's last-seen
+time, so this commutes; at a crashed receiver each beat is bounced in
+its sender's order, and an agent does nothing with a bounced beat.
+
+With ``trace=True`` every event runs through its handler: periodic
+timers are 6-tuples, beats unicasts, and each delivery is one handler
+call, as the trace records each event by its seq. So a traced run is
+the reference an untraced one is compared with (``tests/test_golden.py``).
 
 ``multicast`` is ``send`` to each destination in order, with the same
 seqs and arrival times, but queues each run of consecutive destinations
@@ -46,6 +96,8 @@ bucket, which the first lookup of a time opens; crash, rejoin and the
 unicast in its own branch, a run in place, and timers inline, and hands
 the rare faults to ``_fault``. It counts deliveries in a local and
 writes the count back to ``deliver_count`` when it returns or raises.
+A handler that raises leaves the rest of its round, beats entry or
+multicast run at the front of its bucket.
 
 No event is scheduled before the clock: ``_push`` checks the time,
 ``set_timer`` rejects a negative delay, ``every`` a period that is not
@@ -350,6 +402,88 @@ class _Buckets(dict):
         return bucket
 
 
+class _Round:
+    """One entry of an untraced run's periodic firings: ``nodes[i]``
+    fires ``tag`` for ``owners[i]``, in order. ``plan`` is what a firing
+    queues while every cluster it beats to is steady."""
+
+    __slots__ = ("tag", "period", "nodes", "owners", "plan")
+
+    def __init__(self, tag: str, period: int, nodes: list, owners: list):
+        self.tag, self.period = tag, period
+        self.nodes, self.owners = nodes, owners
+        self.plan = None
+
+
+def _arm(bucket: deque, node: NodeId, owner, tag: str, period: int) -> None:
+    """Queue a periodic firing at the end of ``bucket``: in the last
+    entry when that is a round of the same tag and period, so firings
+    armed one after another share one entry in the same order, else in
+    a round of its own."""
+    if bucket:
+        last = bucket[-1]
+        if len(last) == 1 and type(rnd := last[0]) is _Round and (
+                rnd.tag == tag and rnd.period == period):
+            rnd.nodes.append(node)
+            rnd.owners.append(owner)
+            rnd.plan = None
+            return
+    bucket.append((_Round(tag, period, [node], [owner]),))
+
+
+class _Steady:
+    """A steady cluster (see ``Simulator.offer_steady``). ``runs`` are
+    the runs of its members' beat list, ``heard`` what its beat does at
+    the members of one run, and ``floor`` a time no member last heard
+    its super-peer before: the oldest last arrival of a run."""
+
+    __slots__ = ("head", "beat", "heard", "runs", "last", "floor", "timeout")
+
+    def __init__(self, head, beat, heard, runs: tuple, floor: int, timeout: int):
+        self.head, self.beat, self.heard, self.runs = head, beat, heard, runs
+        self.last = [floor] * len(runs)
+        self.floor, self.timeout = floor, timeout
+
+    def hear(self, nodes: dict, run: tuple, time: int) -> bool:
+        """Run ``heard`` for one of the cluster's own runs; False for any
+        other destination list."""
+        for i, own in enumerate(self.runs):
+            if own is run:
+                self.heard(nodes, run, time)
+                self.last[i] = time
+                self.floor = min(self.last)
+                return True
+        return False
+
+
+class _Beats:
+    """Beats from ``srcs`` to ``dst`` that one firing of a planned round
+    queued at one arrival time, while ``dst``'s cluster was ``held``."""
+
+    __slots__ = ("srcs", "dst", "msg", "held")
+
+    def __init__(self, srcs: tuple, dst: NodeId, msg, held: _Steady | None):
+        self.srcs, self.dst, self.msg, self.held = srcs, dst, msg, held
+
+
+class _Plan:
+    """What a planned round's firing queues, as ``(latency, entry)``, and
+    the steady clusters it relies on."""
+
+    __slots__ = ("beats", "held")
+
+    def __init__(self, beats: tuple, held: tuple):
+        self.beats, self.held = beats, held
+
+    def ready(self, steady: dict, time: int) -> bool:
+        """Every cluster still steady, and each one's super-peer heard
+        by all its members within the timeout."""
+        for h in self.held:
+            if steady.get(h.head.node_id) is not h or time - h.floor > h.timeout:
+                return False
+        return True
+
+
 class Simulator:
     """Single-threaded engine. Nodes are registered state machines; all
     interaction between them goes through ``send``/``multicast``/``set_timer``/``every``."""
@@ -368,6 +502,10 @@ class Simulator:
         self.trace: list[TraceRecord] = []
         self.steps = StepCounter()
         self.deliver_count = 0
+        self.steady_deliveries = 0  # of deliver_count, run with no handler call
+        # untraced only: head -> _Steady, and heads found steady once
+        self._steady: dict[NodeId, _Steady] = {}
+        self._candidates: dict[NodeId, object] = {}
         # event sinks filled by the node machines, drained by the runner
         self.member_events: list[tuple] = []
         self.loss_records: list[tuple] = []
@@ -472,14 +610,103 @@ class Simulator:
         from now, for as long as the object now installed under ``node``
         stays installed and the node does not crash. ``run_until``
         queues each next firing after the handler returns, so it takes
-        the seq a ``set_timer`` at the end of the handler would take."""
+        the seq a ``set_timer`` at the end of the handler would take.
+        Untraced, firings armed one after another share a round entry."""
         owner = self.nodes.get(node)
         if owner is None:
             raise UnknownNode(node)
         if period <= 0:
             raise SimError(f"periodic timer {tag!r} at {node} has period {period}")
-        self._buckets[self.clock + period].append((self._seq, node, owner, tag, None, period))
+        if self.tracing:
+            self._buckets[self.clock + period].append((self._seq, node, owner, tag, None, period))
+        else:
+            _arm(self._buckets[self.clock + period], node, owner, tag, period)
         self._seq += 1
+
+    # -- steady clusters -----------------------------------------------
+
+    def unsteady(self, head: NodeId | None = None) -> None:
+        """``head``'s cluster is not, or no longer, steady: a node wrote
+        what makes a beat do more than move a timestamp. With no head,
+        no cluster is: a crash, a rejoin or a replaced node object."""
+        if head is None:
+            self._steady.clear()
+            self._candidates.clear()
+        else:
+            self._steady.pop(head, None)
+            self._candidates.pop(head, None)
+
+    def offer_steady(self, head, beat, heard) -> None:
+        """Called by a super-peer at the end of each sweep. ``beat`` is the
+        message the sweep multicast to its members, and ``heard(nodes,
+        run, time)`` does exactly what that beat's handler does at the
+        members of ``run`` while the cluster is steady.
+        Found steady (``_quiet_since``) at two sweeps in a row, with no
+        ``unsteady`` in between, a cluster is steady: one round of beats
+        and ticks ran through the handlers and found nothing unusual.
+        From then on ``run_until`` runs its beats without handler calls.
+        Untraced runs only."""
+        if self.tracing or head.node_id in self._steady:
+            return
+        hid = head.node_id
+        floor = self._quiet_since(head)
+        if self._candidates.pop(hid, None) is not head or floor is None:
+            if floor is not None:
+                self._candidates[hid] = head
+            return
+        dsts = head.members.ordered
+        runs = self._runs.get((hid, dsts)) or self._split_runs(hid, dsts)
+        self._steady[hid] = _Steady(head, beat, heard, tuple(run for _, _, run in runs),
+                                    floor, head.hb.failure_timeout_us)
+
+    def _quiet_since(self, head) -> int | None:
+        """The oldest time a member last heard ``head``, if every member is
+        a live agent whose ``steady_since`` says a plain beat is all that
+        passes between them; else None."""
+        nodes, crashed, hid = self.nodes, self.crashed, head.node_id
+        secondary, timeout = head.secondary, head.hb.failure_timeout_us
+        floor = self.clock
+        for a in head.members.ordered:
+            steady_since = None if a in crashed else getattr(nodes[a], "steady_since", None)
+            since = None if steady_since is None else steady_since(hid, secondary, timeout)
+            if since is None:
+                return None
+            if since < floor:
+                floor = since
+        return floor
+
+    def _plan(self, rnd: _Round) -> _Plan | None:
+        """What a firing of ``rnd`` queues if each firing only sends its
+        owner's ``steady_beat`` to a member of a steady cluster: one
+        ``_Beats`` per (receiver, latency), in order of first use. None
+        when some firing may do more, or a beat would land in the
+        round's next bucket."""
+        steady, nodes, crashed = self._steady, self.nodes, self.crashed
+        groups, held = {}, {}
+        for node, owner in zip(rnd.nodes, rnd.owners):
+            steady_beat = getattr(owner, "steady_beat", None)
+            if steady_beat is None or node in crashed or nodes[node] is not owner:
+                return None
+            beat = steady_beat(rnd.tag)
+            if beat is None:
+                return None
+            dst, msg = beat
+            h = steady.get(dst)
+            if h is None or node not in h.head.members:
+                return None
+            lat = self._latency(node, dst)
+            if lat == rnd.period:
+                return None
+            group = groups.get((lat, dst))
+            if group is None:
+                group = groups[lat, dst] = (msg, [])
+            elif group[0] is not msg:
+                return None
+            group[1].append(node)
+            held[dst] = h
+        return _Plan(tuple((lat, (_Beats(tuple(srcs), dst, msg, held[dst]),))
+                           for (lat, dst), (msg, srcs) in groups.items()),
+                     tuple(held.values()))
 
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
@@ -515,7 +742,8 @@ class Simulator:
         # request deliveries are counted here, inline, not through
         # StepCounter.on_message: one dict update per delivery
         tracing, trace, messages = self.tracing, self.trace, self.steps.messages
-        delivered = self.deliver_count
+        steady = self._steady
+        delivered, in_bulk = self.deliver_count, self.steady_deliveries
         try:
             while heap and heap[0] <= t:
                 # the time leaves the heap only once its bucket is empty, so
@@ -548,20 +776,6 @@ class Simulator:
                         # a node whose role has no handler for the type returns False
                         if nodes[dst].on_message(self, msg, src) is False and tracing:
                             trace.append(replace(rec, kind="ignored"))
-                    elif n == 6:
-                        seq, node, owner, tag, _, period = ev
-                        if node in crashed:
-                            continue
-                        if tracing:
-                            trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
-                        if nodes[node] is owner:
-                            owner.on_timer(self, tag, None)
-                            # a handler that replaced its owner (a promotion,
-                            # a merge demotion) ends the chain
-                            if nodes[node] is owner:
-                                buckets[time + period].append(
-                                    (self._seq, node, owner, tag, None, period))
-                                self._seq += 1
                     elif n == 5:
                         seq, node, owner, tag, payload = ev
                         if node in crashed:
@@ -570,8 +784,75 @@ class Simulator:
                             trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
                         if nodes[node] is owner:
                             owner.on_timer(self, tag, payload)
+                    elif n == 1:
+                        entry = ev[0]
+                        if type(entry) is _Beats:
+                            srcs, dst, msg = entry.srcs, entry.dst, entry.msg
+                            if entry.held is not None and steady.get(dst) is entry.held:
+                                # what _on_AgentHeartbeat does for each beat
+                                entry.held.head.heard_steadily(srcs, time)
+                                delivered += len(srcs)
+                                in_bulk += len(srcs)
+                                continue
+                            # each beat as the unicast it stands for
+                            i = 0
+                            try:
+                                for i, src in enumerate(srcs):
+                                    if dst in crashed:
+                                        self._bounce(time, src, dst, msg, None)
+                                    else:
+                                        delivered += 1
+                                        nodes[dst].on_message(self, msg, src)
+                            except BaseException:
+                                if srcs[i + 1:]:
+                                    bucket.appendleft((_Beats(srcs[i + 1:], dst, msg, None),))
+                                raise
+                            continue
+                        rnd = entry
+                        tag, period = rnd.tag, rnd.period
+                        plan = rnd.plan
+                        if plan is None and steady:
+                            plan = rnd.plan = self._plan(rnd)
+                        if plan is not None:
+                            if plan.ready(steady, time):
+                                # each firing would only send its beat: queue
+                                # the beats and the round, and call no handler
+                                for lat, beats in plan.beats:
+                                    buckets[time + lat].append(beats)
+                                buckets[time + period].append(ev)
+                                self._seq += len(plan.beats) + 1
+                                continue
+                            rnd.plan = None
+                        # each firing as the periodic timer it stands for;
+                        # the re-arms extend the round they open, inline
+                        owners, nxt, ahead, i = rnd.owners, None, None, 0
+                        try:
+                            for i, node in enumerate(rnd.nodes):
+                                owner = owners[i]
+                                if node in crashed or nodes[node] is not owner:
+                                    continue
+                                owner.on_timer(self, tag, None)
+                                if nodes[node] is owner:
+                                    if nxt is not None and ahead[-1] is nxt:
+                                        nxt[0].nodes.append(node)
+                                        nxt[0].owners.append(owner)
+                                    else:
+                                        ahead = buckets[time + period]
+                                        _arm(ahead, node, owner, tag, period)
+                                        nxt = ahead[-1]
+                                    self._seq += 1
+                        except BaseException:
+                            if rnd.nodes[i + 1:]:
+                                bucket.appendleft((_Round(tag, period, rnd.nodes[i + 1:],
+                                                          owners[i + 1:]),))
+                            raise
                     elif n == 2:
                         seq0, (src, dsts, msg) = ev
+                        held = steady.get(src)
+                        if held is not None and msg is held.beat and held.hear(nodes, dsts, time):
+                            delivered += len(dsts)
+                            in_bulk += len(dsts)
+                            continue
                         rid = getattr(msg, "request_id", None)
                         seq = seq0
                         try:
@@ -598,12 +879,26 @@ class Simulator:
                             if rest:
                                 bucket.appendleft((seq + 1, (src, rest, msg)))
                             raise
+                    elif n == 6:
+                        seq, node, owner, tag, _, period = ev
+                        if node in crashed:
+                            continue
+                        trace.append(TraceRecord(time, seq, "timer", node, tag=tag))
+                        if nodes[node] is owner:
+                            owner.on_timer(self, tag, None)
+                            # a handler that replaced its owner (a promotion,
+                            # a merge demotion) ends the chain
+                            if nodes[node] is owner:
+                                buckets[time + period].append(
+                                    (self._seq, node, owner, tag, None, period))
+                                self._seq += 1
                     else:
                         self._fault(*ev)
                 heapq.heappop(heap)
                 del buckets[time]
         finally:
             self.deliver_count = delivered
+            self.steady_deliveries = in_bulk
         self.clock = t
 
     def _bounce(self, time: int, src: NodeId, dead: NodeId, msg, rid) -> None:
@@ -624,6 +919,7 @@ class Simulator:
             self.crashed.discard(node)
         else:
             raise NotCrashed(node)
+        self.unsteady()
         if self.tracing:
             self.trace.append(TraceRecord(self.clock, seq, kind, node))
         getattr(self.nodes[node], "on_" + kind)(self)  # on_crash / on_rejoin

@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 from disthash.cli import main
-from disthash.runner import format_metrics, run_scenario
-from disthash.scenario import parse_scenario
-from disthash.sim import SimError, TraceRecord
+from disthash.runner import build_simulation, format_metrics, run_scenario, schedule_events
+from disthash.scenario import CrashEvent, RejoinEvent, parse_scenario
+from disthash.sim import MS, SimError, TraceRecord
 from test_acceptance import random_scenario
+from test_protocols import (MERGE_TARGET_DIES, REJOINED_SUPER_PEER, SECONDARY_REJOIN,
+                            SPLIT_ACROSS, WARM_THEN_CRASH)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -126,19 +128,77 @@ def test_no_settled_request_keeps_a_tally_or_a_progress_count(source, bench_work
     assert all(c.progress.keys() <= c.pending.keys() for c in res.clients.values())
 
 
-@pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(5)])
-def test_untraced_run_simulates_the_same(source):
-    def load():
-        if isinstance(source, int):
-            return random_scenario(source)
-        return parse_scenario((SCENARIOS / source).read_text())
+# staged layouts of tests/test_protocols.py with crashes, rejoins, a
+# split and a merge, each of which ends some cluster's steady state
+FAULT_LAYOUTS = {"WARM_THEN_CRASH": WARM_THEN_CRASH, "SECONDARY_REJOIN": SECONDARY_REJOIN,
+                 "SPLIT_ACROSS": SPLIT_ACROSS, "MERGE_TARGET_DIES": MERGE_TARGET_DIES,
+                 "REJOINED_SUPER_PEER": REJOINED_SUPER_PEER}
+CHURN_SEEDS = [f"churn:{seed}" for seed in range(1, 5)]
+# links slower than the failure timeout: the cluster is found steady
+# before any beat arrives, and the next tick must still suspect r1
+SLOW_LINKS = """
+[config]
+min_cluster = 2
+heartbeat_period_ms = 10
+failure_timeout_ms = 20
+drain_ms = 400
 
-    plain, traced = run_scenario(load()), run_scenario(load(), trace=True)
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net2 as2 us na
+a2 agent net2 as2 us na
+a3 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 search c1 a2 exact none
+"""
+FAULT_LAYOUTS["SLOW_LINKS"] = SLOW_LINKS
+
+
+def load_source(source, bench_workloads):
+    """A scenario by pin name, corpus seed, layout name or ``workload:seed``."""
+    if isinstance(source, int):
+        return random_scenario(source)
+    if source in GOLDEN:
+        return parse_scenario((SCENARIOS / source).read_text())
+    if source in FAULT_LAYOUTS:
+        return parse_scenario(FAULT_LAYOUTS[source])
+    name, _, seed = source.partition(":")
+    return parse_scenario(bench_workloads.generate(name, int(seed or 0)).text)
+
+
+@pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(20), *sorted(GOLDEN_WORKLOADS),
+                                    *CHURN_SEEDS, *sorted(FAULT_LAYOUTS)])
+def test_untraced_run_simulates_the_same(source, bench_workloads):
+    """The traced run takes every event through its handler, as the
+    engine did before steady clusters; the untraced run runs the beats of
+    steady clusters without handler calls, and must simulate the same."""
+    plain = run_scenario(load_source(source, bench_workloads))
+    traced = run_scenario(load_source(source, bench_workloads), trace=True)
     assert format_metrics(plain) == format_metrics(traced)
     assert plain.sim.deliver_count == traced.sim.deliver_count > 0
     assert plain.sim.trace == [] and len(traced.sim.trace) > traced.sim.deliver_count
+    assert traced.sim.steady_deliveries == 0
     with pytest.raises(SimError):
         plain.sim.trace_lines()
+
+
+@pytest.mark.parametrize("source", ["WARM_THEN_CRASH", "SECONDARY_REJOIN", "churn:1"])
+def test_a_cluster_goes_steady_again_after_a_fault(source, bench_workloads):
+    """Every crash and rejoin ends every steady cluster; here one is
+    steady again after the last fault, so the comparison above covers runs
+    that leave the steady path and come back to it."""
+    sc = load_source(source, bench_workloads)
+    last_fault = max(ev.time_ms for ev in sc.events if isinstance(ev, (CrashEvent, RejoinEvent)))
+    res = build_simulation(sc)
+    schedule_events(res)
+    sim = res.sim
+    sim.run_until(last_fault * MS)
+    assert sim._steady == {}
+    before = sim.steady_deliveries
+    sim.run_until((max(ev.time_ms for ev in sc.events) + sc.config.drain_ms) * MS)
+    assert sim._steady and sim.steady_deliveries > before
 
 
 def test_jsonl_trace_has_one_record_per_digest_line(tmp_path):

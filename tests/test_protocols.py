@@ -24,8 +24,8 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             OwnerQuery, OwnerQueryReply, PeerHeartbeat,
                             RAgentHeartbeat, RAgentNode, RemoteSearch,
                             RemoteSearchReply, UpdateRetry)
-from disthash.runner import (build_simulation, check_invariants, run_scenario,
-                             schedule_events)
+from disthash.runner import (build_simulation, check_invariants, format_metrics,
+                             run_scenario, schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
 from disthash.sim import MS, NetworkModel, Simulator, StepCounter
 from test_acceptance import opened_tallies, random_scenario
@@ -1170,9 +1170,11 @@ def test_every_timer_tag_has_a_handler_and_every_handler_a_tag():
 
 # all that protocol code may read of the engine: the clock, the ways to
 # send and to set timers, step accounting, the records it reports into,
-# and its own node's entry in ``sim.nodes``
+# the two hints that a cluster's beats do or may do more than move a
+# timestamp, which read nothing, and its own node's entry in ``sim.nodes``
 SIM_READS = {"clock", "send", "multicast", "set_timer", "every", "steps", "op_records",
-             "record_member_event", "record_loss", "record_cluster_lost", "nodes"}
+             "record_member_event", "record_loss", "record_cluster_lost",
+             "unsteady", "offer_steady", "nodes"}
 
 
 def test_protocol_code_reads_no_ground_truth():
@@ -1253,34 +1255,114 @@ def test_a_registry_that_lost_an_entry_or_holds_a_stale_count_is_reported():
     assert check_invariants(res) == ["lus3: stale count for a5"]
 
 
-def test_each_node_objects_heartbeat_chain_runs_once_per_period(monkeypatch):
+# r1's cluster is steady by 3,000 ms; r1 crashes after that round's
+# beats were queued and before they arrive at 3,005 ms
+BEATS_IN_FLIGHT = """
+[config]
+min_cluster = 2
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+3002 crash r1
+6000 search c1 a2 exact sensor
+"""
+
+
+def test_beats_on_their_way_to_a_super_peer_that_crashes_bounce_one_by_one():
+    plain, traced = staged(BEATS_IN_FLIGHT), staged(BEATS_IN_FLIGHT, trace=True)
+    plain.sim.run_until(3001 * MS)
+    in_flight = [ev[0] for ev in plain.sim._buckets[3005 * MS] if len(ev) == 1]
+    assert NodeId("r1") in plain.sim._steady and [b.dst for b in in_flight] == ["r1"]
+    for res in (plain, traced):
+        finish(res)
+    # each beat is dropped and bounced as the unicast it stands for
+    assert len([r for r in traced.sim.trace if r.time == 3005 * MS and r.kind == "drop"
+                and r.msg_type == "AgentHeartbeat"]) == 3
+    assert format_metrics(plain) == format_metrics(traced) and plain.issues == traced.issues == []
+    assert plain.sim.deliver_count == traced.sim.deliver_count
+    assert isinstance(plain.sim.nodes[NodeId("a1")], RAgentNode)
+
+
+def _dead_member(res):
+    res.sim.crashed.add(NodeId("a2"))  # not r1's secondary, a1
+
+
+def _stray_agent(res):
+    a1 = res.sim.nodes[NodeId("a1")]
+    res.sim.add_node(AgentNode(NodeId("a9"), a1.locality, a1.config))
+
+
+def _secondary_not_an_agent(res):
+    ragent(res, "r1").secondary = NodeId("r2")
+
+
+def _no_secondary(res):
+    ragent(res, "r1").secondary = None
+
+
+@pytest.mark.parametrize("corrupt,issue", [
+    (_dead_member, "r1: member a2 is dead"),
+    (_stray_agent, "a9: live agent in no cluster"),
+    (_secondary_not_an_agent, "r1: secondary r2 unavailable"),
+    (_no_secondary, "r1: members but no secondary"),
+], ids=["dead-member", "agent-in-no-cluster", "secondary-unavailable", "no-secondary"])
+def test_a_failure_the_detectors_missed_is_reported(corrupt, issue):
+    # the checker's failure-detection lines, each provoked by one wrong
+    # fact on a finished clean run
+    res = build(TWO_CLUSTERS)
+    assert res.issues == []
+    corrupt(res)
+    assert check_invariants(res) == [issue]
+
+
+def queued_firings(sim, time=None):
+    """(owner, tag) -> times of the periodic firings queued in round
+    entries, all of them or those at ``time`` only. An untraced engine
+    queues every periodic firing in a round, and a firing runs from it,
+    through a handler or, in a steady cluster, with none."""
+    out = {}
+    for t in ([time] if time is not None else list(sim._buckets)):
+        for ev in sim._buckets.get(t, ()):
+            if len(ev) == 1 and hasattr(ev[0], "owners"):  # a round
+                for owner in ev[0].owners:
+                    out.setdefault((owner, ev[0].tag), []).append(t)
+    return out
+
+
+def test_each_node_objects_heartbeat_chain_runs_once_per_period():
     # promotions, merge demotions and crash-rejoins replace node objects:
-    # each object's hb or sweep handler must run exactly one period apart,
-    # never twice at one instant, and end with exactly one firing queued
-    # while the object is installed and its node up
-    fired = {}
-    on_timer = BaseNode.on_timer
-
-    def spy(self, sim, tag, payload):
-        if tag in ("hb", "sweep"):
-            fired.setdefault((self, tag), []).append(sim.clock)
-        on_timer(self, sim, tag, payload)
-
-    monkeypatch.setattr(BaseNode, "on_timer", spy)
+    # each object's hb or sweep firings must come exactly one period
+    # apart, never twice at one instant, and end with exactly one firing
+    # queued while the object is installed and its node up. Each instant
+    # is run on its own, so the rounds it held are the firings due there
     runs = [parse_scenario(p.read_text()) for p in sorted(SCENARIOS.glob("*.txt"))]
     runs += [random_scenario(seed) for seed in range(20)]
     replaced = 0
     for sc in runs:
-        fired.clear()
-        sim = run_scenario(sc).sim
-        queued = {}
-        for time, bucket in sim._buckets.items():
-            for ev in bucket:
-                if len(ev) >= 5 and ev[3] in ("hb", "sweep"):  # a timer
-                    queued.setdefault((ev[2], ev[3]), []).append(time)
+        res = build_simulation(sc)
+        schedule_events(res)
+        sim = res.sim
+        end = (max(ev.time_ms for ev in sc.events) + sc.config.drain_ms) * MS
+        fired = {}
+        while sim._heap and sim._heap[0] <= end:
+            time = sim._heap[0]
+            for key, times in queued_firings(sim, time).items():
+                fired.setdefault(key, []).extend(times)
+            sim.run_until(time)
+        sim.run_until(end)
+        queued = queued_firings(sim)
+        assert all(len(times) == 1 for times in queued.values())
         for (node, tag), times in fired.items():
             period = node.config.hb.period_us
-            chain = times + sorted(queued.get((node, tag), []))
+            chain = times + queued.get((node, tag), [])
             assert all(b - a == period for a, b in zip(chain, chain[1:])), (node.node_id, tag)
             replaced += sim.nodes[node.node_id] is not node
         for node_id, node in sim.nodes.items():
@@ -1290,7 +1372,6 @@ def test_each_node_objects_heartbeat_chain_runs_once_per_period(monkeypatch):
                    else "hb" if isinstance(node, AgentNode) and node.joined else None)
             if tag is not None:
                 assert len(queued.get((node, tag), [])) == 1, (node_id, tag)
-        assert all(len(times) == 1 for times in queued.values())
     assert replaced >= 3  # promotion, demotion and rejoin each ended a chain
 
 
@@ -1564,10 +1645,55 @@ def test_the_engine_calls_every_wrap_point_through_its_class(monkeypatch):
     for trace in (False, True):
         counts.clear()
         res = build(text, trace)
-        assert res.issues == [] and counts["on_message"] == res.sim.deliver_count
+        assert res.issues == []
+        # untraced, the beats of steady clusters run with no handler call,
+        # and the engine counts each of them
+        steady = res.sim.steady_deliveries
+        assert steady > 0 if not trace else steady == 0
+        assert counts["on_message"] + steady == res.sim.deliver_count
         seen[trace] = dict(counts)
-    assert seen[False] == seen[True]
-    assert all(seen[False][name] > 0 for name in ("send", "set_timer", "latency", "on_timer"))
+    assert seen[False]["set_timer"] == seen[True]["set_timer"]
+    assert all(seen[trace][name] > 0 for trace in (False, True)
+               for name in ("send", "set_timer", "latency", "on_timer"))
+
+
+def steady_layout(clusters: int, agents: int, run_ms: int) -> str:
+    """A steady overlay: ``clusters`` super-peers with ``agents`` agents
+    each, one network per cluster, nothing but heartbeats."""
+    lines = ["[config]", "min_cluster = 2", f"drain_ms = {run_ms}", "", "[nodes]"]
+    for c in range(1, clusters + 1):
+        lines.append(f"r{c} ragent net{c} as{c} ro eu")
+        lines += [f"a{c}x{i:03d} agent net{c} as{c} ro eu" for i in range(agents)]
+    lines += ["c1 client net1 as1 ro eu", "", "[events]", "100 search c1 a1x000 exact none"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_steady_overlay_runs_its_beats_without_handler_calls(monkeypatch):
+    """An exact work count: 2 clusters of 50 agents beat for 20 s, 40
+    periods, yet the beat and tick handlers run only for the rounds
+    before the clusters are found steady, not once per beat."""
+    calls = Counter()
+    on_message, on_timer = BaseNode.on_message, BaseNode.on_timer
+
+    def count_message(self, sim, msg, src):
+        calls[type(msg).__name__] += 1
+        return on_message(self, sim, msg, src)
+
+    def count_timer(self, sim, tag, payload):
+        calls[tag] += 1
+        return on_timer(self, sim, tag, payload)
+
+    text = steady_layout(2, 50, 20_000)
+    traced = build(text, trace=True)
+    monkeypatch.setattr(BaseNode, "on_message", count_message)
+    monkeypatch.setattr(BaseNode, "on_timer", count_timer)
+    res = build(text)
+    agents = 100
+    assert res.issues == [] and res.sim.deliver_count == traced.sim.deliver_count
+    assert format_metrics(res) == format_metrics(traced)
+    for name in ("AgentHeartbeat", "RAgentHeartbeat", "hb"):
+        assert 0 < calls[name] <= 3 * agents, (name, calls[name])
+    assert res.sim.steady_deliveries > 70 * agents  # of 8,086 deliveries
 
 
 @pytest.mark.parametrize("text", [FAILOVER, SPLIT_MERGE], ids=["failover", "split_merge"])

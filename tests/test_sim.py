@@ -520,6 +520,58 @@ def test_traced_and_untraced_periodic_runs_agree():
     assert [r.tag for r in traced.trace if r.kind == "timer"].count("tick") == 2
 
 
+def shared_round(trace: bool, react_b1):
+    """b0, b1 and b2 arm one beat each, one after another: untraced, the
+    three firings share one round entry."""
+    sim = Simulator(NetworkModel(5 * MS, 10 * MS), trace=trace)
+    a = Recorder(NodeId("a"), loc())
+    beaters = [Scripted(NodeId(f"b{i}"), loc(), react_b1 if i == 1 else {}) for i in range(3)]
+    for node in (a, *beaters):
+        sim.add_node(node)
+    for b in beaters:
+        sim.every(b.node_id, "beat", 4 * MS)
+    return sim, [a, *beaters]
+
+
+def test_a_handler_that_queues_into_the_next_round_splits_it():
+    # b1's beat sets a timer one period ahead, where the round re-arms:
+    # b0's next firing, then the timer, then b1's and b2's, as traced
+    react = {"beat": lambda s: (s.set_timer(NodeId("b1"), "z", 4 * MS),
+                                s.send(NodeId("b1"), NodeId("a"), "x"))}
+    traced, logs = shared_round(True, react)
+    plain, plain_logs = shared_round(False, react)
+    (round0,) = plain._buckets[4 * MS]
+    assert [n for n in round0[0].nodes] == ["b0", "b1", "b2"]
+    for sim in (traced, plain):
+        sim.run_until(4 * MS)
+    assert [len(ev) for ev in plain._buckets[8 * MS]] == [1, 5, 1]
+    assert [ev[0].nodes for ev in plain._buckets[8 * MS] if len(ev) == 1] == [["b0"], ["b1", "b2"]]
+    for sim in (traced, plain):
+        sim.run_until(20 * MS)
+    assert [n.log for n in plain_logs] == [n.log for n in logs]
+    assert plain._seq == traced._seq and plain.deliver_count == traced.deliver_count == 3
+
+
+def test_a_handler_that_raises_mid_round_leaves_the_rest_of_the_round_queued():
+    def boom(s):
+        raise RuntimeError("boom")
+
+    runs = []
+    for trace in (True, False):
+        sim, nodes = shared_round(trace, {"beat": boom})
+        with pytest.raises(RuntimeError):
+            sim.run_until(20 * MS)
+        assert seen(nodes[3]) == [] and sim.clock == 4 * MS
+        sim.run_until(20 * MS)
+        runs.append((sim, nodes))
+    (traced, logs), (plain, plain_logs) = runs
+    # b2 fired at 4 ms when the run went on; b1's beat, which raised, is
+    # not queued again
+    assert seen(plain_logs[3])[0] == (4 * MS, "beat") and len(seen(plain_logs[2])) == 1
+    assert [n.log for n in plain_logs] == [n.log for n in logs]
+    assert plain._seq == traced._seq
+
+
 def test_every_rejects_an_unknown_node_and_a_period_not_above_zero():
     sim, a, _ = two_nodes()
     with pytest.raises(UnknownNode):
