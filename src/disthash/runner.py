@@ -215,7 +215,8 @@ def check_invariants(result: RunResult) -> list[str]:
             if not sim.is_alive(m):
                 issues.append(f"{tag}: member {m} is dead")
         # catalogue: owner-first holder lists over live members, fully
-        # replicated whenever enough members exist
+        # replicated whenever enough members exist, whose replicas agree
+        # with the owner's
         want = 2 if len(r.members) >= 2 else 1
         truth: dict[NodeId, int] = {}
         holders = r.catalogue.holders
@@ -225,14 +226,18 @@ def check_invariants(result: RunResult) -> list[str]:
                 issues.append(f"{tag}: duplicate holders for {oid.hex()[:12]}")
             if len(hl) < want:
                 issues.append(f"{tag}: {oid.hex()[:12]} has {len(hl)} holders, want {want}")
+            owner = sim.nodes[hl[0]].store.get(oid) if hl[0] in r.members else None
             for h in hl:
                 truth[h] = truth.get(h, 0) + 1
                 if h not in r.members:
                     issues.append(f"{tag}: holder {h} of {oid.hex()[:12]} not a member")
                     continue
-                holder_node = sim.nodes[h]
-                if oid not in holder_node.store:
+                obj = sim.nodes[h].store.get(oid)
+                if obj is None:
                     issues.append(f"{tag}: {h} listed for {oid.hex()[:12]} but does not store it")
+                elif owner is not None and (obj.version, obj.payload) != (owner.version, owner.payload):
+                    issues.append(f"{tag}: {h}'s replica of {oid.hex()[:12]} differs from its owner's "
+                                  f"(version {obj.version} against {owner.version})")
         # the catalogue's replica counts match its holder lists
         counts = r.catalogue.loads.counts
         for a in sorted(counts.keys() | truth.keys()):

@@ -1323,6 +1323,24 @@ def test_a_failure_the_detectors_missed_is_reported(corrupt, issue):
     assert check_invariants(res) == [issue]
 
 
+def _replica_ahead(res):
+    oid = res.labels["obj1"].id
+    store = res.sim.nodes[ragent(res, "r1").catalogue.holders_of(oid)[1]].store
+    store[oid] = store[oid].with_payload(store[oid].payload, store[oid].version + 1)
+
+
+@pytest.mark.parametrize("corrupt,issue", [
+    (_replica_ahead, "r1: a2's replica of {obj1} differs from its owner's (version 1 against 0)"),
+], ids=["replicas-differ"])
+def test_a_corrupted_catalogue_or_replica_is_reported(corrupt, issue):
+    # the checker's catalogue and replica lines, each provoked by one
+    # wrong fact on a finished clean run
+    res = build(TWO_CLUSTERS)
+    assert res.issues == []
+    corrupt(res)
+    assert check_invariants(res) == [issue.format(obj1=res.labels["obj1"].id.hex()[:12])]
+
+
 def queued_firings(sim, time=None):
     """(owner, tag) -> times of the periodic firings queued in round
     entries, all of them or those at ``time`` only. An untraced engine
