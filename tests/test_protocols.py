@@ -1323,15 +1323,59 @@ def test_a_failure_the_detectors_missed_is_reported(corrupt, issue):
     assert check_invariants(res) == [issue]
 
 
-def _replica_ahead(res):
+def _r1_catalogues(res):
+    """r1's catalogue and its secondary's copy, which must stay equal."""
+    r1 = ragent(res, "r1")
+    return r1.catalogue, res.sim.nodes[r1.secondary].sync_catalogue
+
+
+def _obj1_holders(res):
     oid = res.labels["obj1"].id
-    store = res.sim.nodes[ragent(res, "r1").catalogue.holders_of(oid)[1]].store
+    return oid, ragent(res, "r1").catalogue.holders_of(oid)
+
+
+def _holder_twice(res):
+    oid, (owner, _) = _obj1_holders(res)
+    for cat in _r1_catalogues(res):
+        cat.holders[oid].append(owner)
+    ragent(res, "r1").catalogue.loads.bump(owner)
+
+
+def _holder_unlisted(res):
+    oid, (_, second) = _obj1_holders(res)
+    for cat in _r1_catalogues(res):
+        cat.remove_holder(oid, second)
+    del res.sim.nodes[second].store[oid]
+
+
+def _replica_wiped(res):
+    oid, (owner, _) = _obj1_holders(res)
+    del res.sim.nodes[owner].store[oid]
+
+
+def _count_bumped(res):
+    ragent(res, "r1").catalogue.loads.bump(_obj1_holders(res)[1][0])
+
+
+def _replica_ahead(res):
+    oid, (_, second) = _obj1_holders(res)
+    store = res.sim.nodes[second].store
     store[oid] = store[oid].with_payload(store[oid].payload, store[oid].version + 1)
 
 
+def _loss_recorded(res):
+    res.sim.record_loss(res.labels["obj1"].id, "all-holders-gone")
+
+
 @pytest.mark.parametrize("corrupt,issue", [
+    (_holder_twice, "r1: duplicate holders for {obj1}"),
+    (_holder_unlisted, "r1: {obj1} has 1 holders, want 2"),
+    (_replica_wiped, "r1: a1 listed for {obj1} but does not store it"),
+    (_count_bumped, "r1: replica count says 3 for a1, holder lists say 2"),
     (_replica_ahead, "r1: a2's replica of {obj1} differs from its owner's (version 1 against 0)"),
-], ids=["replicas-differ"])
+    (_loss_recorded, "unexpected object loss {obj1} (all-holders-gone)"),
+], ids=["duplicate-holders", "too-few-holders", "listed-not-stored", "replica-count",
+        "replicas-differ", "unexpected-loss"])
 def test_a_corrupted_catalogue_or_replica_is_reported(corrupt, issue):
     # the checker's catalogue and replica lines, each provoked by one
     # wrong fact on a finished clean run
@@ -1339,6 +1383,14 @@ def test_a_corrupted_catalogue_or_replica_is_reported(corrupt, issue):
     assert res.issues == []
     corrupt(res)
     assert check_invariants(res) == [issue.format(obj1=res.labels["obj1"].id.hex()[:12])]
+
+
+def test_a_cluster_above_its_size_bound_is_reported():
+    # the one cluster of three agents: no merge partner, so no lower bound
+    res = build(ONE_CLUSTER)
+    assert res.issues == []
+    res.scenario.config.max_cluster = 2
+    assert check_invariants(res) == ["r1: 3 members above max"]
 
 
 def queued_firings(sim, time=None):
