@@ -1944,7 +1944,7 @@ class ClientNode(BaseNode):
         self.pending.pop(rid, None)
         steps = sim.steps
         acct = steps.account_search(rid) if rid in steps.requests else _NOT_A_SEARCH
-        steps.settle(rid)
+        messages = steps.settle(rid)
         rec = {
             "time": sim.clock,
             "op": op,
@@ -1954,7 +1954,7 @@ class ClientNode(BaseNode):
             "decomposed": acct.decomposed,
             "bound_applicable": acct.bound_applicable,
             "clusters": acct.clusters,
-            "messages": steps.message_count(rid),
+            "messages": messages,
             "hops": hop,
             "outcome": outcome,
             "results": len(objects),

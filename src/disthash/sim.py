@@ -254,12 +254,13 @@ class StepCounter:
 
     A tally lives only as long as its request: from the first ``tally``
     of its (request, cluster) pair until the client reads the request's
-    accounting and calls ``settle``, which drops the request's tallies.
-    A tally opened after that, by a peer that a search reaches after the
-    search was answered, is charged but not kept. So ``requests`` is
-    bounded by the requests in flight, while ``settled``, one id per
-    settled request, and ``messages``, one count per request id, grow
-    with the run."""
+    accounting and calls ``settle``, which drops the request's tallies
+    and hands over and drops its message count. A tally opened after
+    that, by a peer that a search reaches after the search was answered,
+    is charged but not kept; a delivery after it opens a count that
+    nothing reads. So ``requests`` is bounded by the requests in flight,
+    and ``messages`` by those and the few delivered to after settlement,
+    while ``settled``, one id per settled request, grows with the run."""
 
     def __init__(self):
         self.requests: dict[str, dict[str, ClusterTally]] = {}
@@ -288,11 +289,12 @@ class StepCounter:
     def on_probe(self, request_id: str, cluster: str, store_size: int, n_objects: int) -> None:
         self.tally(request_id, cluster).probe(store_size, n_objects)
 
-    def settle(self, request_id: str) -> None:
+    def settle(self, request_id: str) -> int:
         """The request is answered: drop its tallies, and keep none that
-        a late charge opens."""
+        a late charge opens. Returns its message count, which is dropped."""
         self.requests.pop(request_id, None)
         self.settled.add(request_id)
+        return self.messages.pop(request_id, 0)
 
     def on_message(self, request_id: str) -> None:
         """Count one delivery of a request's message. ``run_until`` makes

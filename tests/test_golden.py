@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from disthash.cli import main
+from disthash.nodes import ClientNode
 from disthash.runner import build_simulation, format_metrics, run_scenario, schedule_events
 from disthash.scenario import CrashEvent, RejoinEvent, parse_scenario
 from disthash.sim import MS, SimError, TraceRecord
@@ -112,10 +113,20 @@ def test_benchmark_workload_metrics_are_pinned(name, bench_workloads):
 
 
 @pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(20), *sorted(GOLDEN_WORKLOADS)])
-def test_no_settled_request_keeps_a_tally_or_a_progress_count(source, bench_workloads):
-    """A request's tallies and its client's count of its progress notes
-    live until the client settles it: what a run keeps of them is
-    bounded by the ops still in flight."""
+def test_no_settled_request_keeps_a_tally_or_a_progress_count(source, bench_workloads,
+                                                              monkeypatch):
+    """A request's tallies, its message count and its client's count of
+    its progress notes live until the client settles it: what a run
+    keeps of the tallies and notes is bounded by the ops still in
+    flight. A message count is gone once its op is recorded; a delivery
+    after that opens one that nothing reads."""
+    recorded, settled_counts = ClientNode._record, []
+
+    def spy(self, sim, rid, *args, **kwargs):
+        recorded(self, sim, rid, *args, **kwargs)
+        settled_counts.append(sim.steps.messages.get(rid))
+
+    monkeypatch.setattr(ClientNode, "_record", spy)
     if isinstance(source, int):
         sc = random_scenario(source)
     elif source in GOLDEN:
@@ -126,6 +137,7 @@ def test_no_settled_request_keeps_a_tally_or_a_progress_count(source, bench_work
     pending = set().union(*(c.pending for c in res.clients.values()))
     assert res.sim.steps.requests.keys() <= pending
     assert all(c.progress.keys() <= c.pending.keys() for c in res.clients.values())
+    assert len(settled_counts) == len(res.ops) and set(settled_counts) == {None}
 
 
 # staged layouts of tests/test_protocols.py with crashes, rejoins, a

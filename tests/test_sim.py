@@ -740,12 +740,15 @@ BOUNCED_AT_A_CRASHED_AGENT = _REJOIN[:_REJOIN.index("[events]")] + """[events]
                          + [pytest.param(BOUNCED_AT_A_CRASHED_AGENT, id="bounced")])
 def test_each_request_is_charged_one_message_per_traced_delivery(source):
     # run_until counts a request's deliveries inline, in its unicast and
-    # its multicast branch; a message dropped at a crashed node is not one
+    # its multicast branch; a message dropped at a crashed node is not one.
+    # The op record takes the count its client settled; a delivery after
+    # that opens a count of its own
     sc = parse_scenario(source) if isinstance(source, str) else random_scenario(source)
-    sim = run_scenario(sc, trace=True).sim
+    res = run_scenario(sc, trace=True)
+    sim = res.sim
     delivered = Counter(r.request_id for r in sim.trace
                         if r.kind == "deliver" and r.request_id is not None)
-    assert sim.steps.messages == dict(delivered)
+    assert Counter({r["id"]: r["messages"] for r in res.ops}) + Counter(sim.steps.messages) == delivered
     # both branches carry requests: a fan-out or a replica store is a
     # multicast, a fetch or a reply a unicast
     kinds = {r.msg_type for r in sim.trace if r.kind == "deliver" and r.request_id}
