@@ -326,11 +326,17 @@ class UpdateRetry:
     hop: int = 0
 
 
+# super-peer -> every holder of the object, under its lock. Without a
+# version, the holder stores the payload as its own version + 1; with
+# one, only if that is higher than its own
+
+
 @dataclass(kw_only=True)
 class ApplyUpdate:
     request_id: str
     oid: ObjectId
     payload: bytes
+    version: int | None = None
     hop: int = 0
 
 
@@ -338,30 +344,7 @@ class ApplyUpdate:
 class ApplyAck:
     request_id: str
     oid: ObjectId
-    version: int
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class ApplyMissing:
-    request_id: str
-    oid: ObjectId
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class ReplicaUpdate:
-    request_id: str
-    oid: ObjectId
-    payload: bytes
-    version: int
-    hop: int = 0
-
-
-@dataclass(kw_only=True)
-class ReplicaUpdateAck:
-    request_id: str
-    oid: ObjectId
+    version: int | None  # the holder's after the update; None: it lacks the object
     hop: int = 0
 
 
@@ -791,26 +774,16 @@ class AgentNode(BaseNode):
 
     def _on_ApplyUpdate(self, sim, msg: ApplyUpdate, src):
         obj = self.store.get(msg.oid)
-        if obj is None:
-            # a rejoin wiped the store; the super-peer unlists this node
-            sim.send(self.node_id, src, ApplyMissing(
-                request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
-            return
-        new = obj.with_payload(msg.payload, obj.version + 1)
-        self.store[msg.oid] = new
-        self._record_version(msg.oid, new.version)
+        if obj is not None:
+            version = obj.version + 1 if msg.version is None else msg.version
+            # versions are monotone; a copy that raced ahead is kept
+            if version > obj.version:
+                obj = self.store[msg.oid] = obj.with_payload(msg.payload, version)
+                self._record_version(msg.oid, version)
+        # with no version, a rejoin wiped the store: the super-peer unlists this node
         sim.send(self.node_id, src, ApplyAck(
-            request_id=msg.request_id, oid=msg.oid, version=new.version,
-            hop=msg.hop + 1))
-
-    def _on_ReplicaUpdate(self, sim, msg: ReplicaUpdate, src):
-        current = self.store.get(msg.oid)
-        # versions are monotone; a copy that raced ahead is kept
-        if current is not None and msg.version > current.version:
-            self.store[msg.oid] = current.with_payload(msg.payload, msg.version)
-            self._record_version(msg.oid, msg.version)
-        sim.send(self.node_id, src, ReplicaUpdateAck(
-            request_id=msg.request_id, oid=msg.oid, hop=msg.hop + 1))
+            request_id=msg.request_id, oid=msg.oid,
+            version=None if obj is None else obj.version, hop=msg.hop + 1))
 
     def _on_CRead(self, sim, msg: CRead, src):
         obj = self.store.get(msg.oid)
@@ -934,8 +907,8 @@ class ResolveState:
 class UpdateExec:
     pu: PendingUpdate
     oid: ObjectId
-    awaiting_acks: set = field(default_factory=set)
-    version: int | None = None
+    awaiting: set                                 # holders asked, not yet answered
+    versions: dict = field(default_factory=dict)  # holder -> version it answered
 
 
 class RAgentNode(BaseNode):
@@ -1673,13 +1646,18 @@ class RAgentNode(BaseNode):
                 self._resolve_update(sim, pu.request_id, oid, pu.payload,
                                      pu.route, pu.hop)
             return
-        self.updates[pu.request_id] = UpdateExec(pu=pu, oid=oid)
+        holders = self.catalogue.holders_of(oid)
+        ue = self.updates[pu.request_id] = UpdateExec(pu=pu, oid=oid, awaiting=set(holders))
         sim.send(self.node_id, pu.route[0], ProgressNote(
             request_id=pu.request_id, oid=oid, route=pu.route[1:],
             hop=pu.hop + 1))
-        sim.send(self.node_id, self.catalogue.owner_of(oid), ApplyUpdate(
-            request_id=pu.request_id, oid=oid, payload=pu.payload,
-            hop=pu.hop + 1))
+        self._apply(sim, ue, holders, None)
+
+    def _apply(self, sim, ue: UpdateExec, holders, version: int | None):
+        pu = ue.pu
+        sim.multicast(self.node_id, holders, ApplyUpdate(
+            request_id=pu.request_id, oid=ue.oid, payload=pu.payload,
+            version=version, hop=pu.hop + 1))
 
     def _release_lock(self, sim, oid: ObjectId):
         nxt = self.locks.release(oid)
@@ -1687,54 +1665,38 @@ class RAgentNode(BaseNode):
             self._lock_granted(sim, oid, nxt)
 
     def _on_ApplyAck(self, sim, msg: ApplyAck, src):
+        if msg.version is None:
+            # a holder that lacks the object is unlisted, even once the
+            # update it answers is over
+            self._unlist(sim, src, (msg.oid,))
         ue = self.updates.get(msg.request_id)
-        if ue is None:
+        if ue is not None:
+            if msg.version is not None:
+                ue.versions[src] = msg.version
+            self._update_answered(sim, ue, src)
+
+    def _update_answered(self, sim, ue: UpdateExec, holder: NodeId):
+        """``holder`` answered, or its ``ApplyUpdate`` bounced. Once every
+        holder asked has, reply at the highest version any of them
+        stored, after bringing each listed holder that is behind it, or
+        was listed meanwhile, up to it. If none stored one, ask again
+        those listed meanwhile; with none listed, the object is lost."""
+        ue.awaiting.discard(holder)
+        if ue.awaiting:
             return
-        ue.version = msg.version
+        top = max(ue.versions.values(), default=None)
         holders = self.catalogue.holders_of(ue.oid) if ue.oid in self.catalogue else []
-        others = [h for h in holders if h != src]
-        if not others:
-            self._finish_update(sim, msg.request_id, "ok")
-            return
-        ue.awaiting_acks = set(others)
-        sim.multicast(self.node_id, sorted(others), ReplicaUpdate(
-            request_id=msg.request_id, oid=ue.oid, payload=ue.pu.payload,
-            version=msg.version, hop=msg.hop + 1))
-
-    def _on_ReplicaUpdateAck(self, sim, msg: ReplicaUpdateAck, src):
-        ue = self.updates.get(msg.request_id)
-        if ue is None:
-            return
-        ue.awaiting_acks.discard(src)
-        if not ue.awaiting_acks:
-            self._finish_update(sim, msg.request_id, "ok")
-
-    def _finish_update(self, sim, rid: str, outcome: str):
-        ue = self.updates.pop(rid, None)
-        if ue is None:
-            return
+        behind = [h for h in holders if top is None or ue.versions.get(h, -1) < top]
+        if behind:
+            self._apply(sim, ue, behind, top)
+            if top is None:
+                ue.awaiting = set(behind)
+                return
         pu = ue.pu
-        self._reply(sim, pu.route, request_id=rid, op="update", outcome=outcome,
-                    version=ue.version, hop=pu.hop + 2)
+        del self.updates[pu.request_id]
+        self._reply(sim, pu.route, request_id=pu.request_id, op="update",
+                    outcome="lost" if top is None else "ok", version=top, hop=pu.hop + 2)
         self._release_lock(sim, ue.oid)
-
-    def _on_ApplyMissing(self, sim, msg: ApplyMissing, src):
-        # retry at once at the next holder, as after a bounce
-        self._unlist(sim, src, (msg.oid,))
-        if msg.request_id in self.updates:
-            sim.set_timer(self.node_id, "apply_retry", 0, msg.request_id)
-
-    def _tick_apply_retry(self, sim, rid):
-        ue = self.updates.get(rid)
-        if ue is None:
-            return
-        if ue.oid not in self.catalogue:
-            ue.version = None
-            self._finish_update(sim, rid, "lost")
-            return
-        sim.send(self.node_id, self.catalogue.owner_of(ue.oid), ApplyUpdate(
-            request_id=rid, oid=ue.oid, payload=ue.pu.payload,
-            hop=ue.pu.hop + 1))
 
     # -- migration -----------------------------------------------------------
 
@@ -1836,14 +1798,9 @@ class RAgentNode(BaseNode):
         if isinstance(orig, FetchObjects):
             self._fetch_bounced(sim, orig)
         elif isinstance(orig, ApplyUpdate):
-            if orig.request_id in self.updates:
-                sim.set_timer(self.node_id, "apply_retry", 0, orig.request_id)
-        elif isinstance(orig, ReplicaUpdate):
             ue = self.updates.get(orig.request_id)
             if ue is not None:
-                ue.awaiting_acks.discard(dead)
-                if not ue.awaiting_acks:
-                    self._finish_update(sim, orig.request_id, "ok")
+                self._update_answered(sim, ue, dead)
         elif isinstance(orig, StoreReplica) and orig.request_id:
             if orig.obj.id not in self.catalogue:
                 sim.record_loss(orig.obj.id, "insert-holders-crashed")

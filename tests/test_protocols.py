@@ -15,7 +15,7 @@ from disthash.catalogue import MetaCatalogue
 from disthash.core import (KeyKind, LocalityDescriptor, NodeId, PatternKey, Role,
                            make_object)
 from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
-                            AgentHeartbeat, AgentNode, ApplyMissing,
+                            AgentHeartbeat, AgentNode, ApplyAck,
                             AssumeRAgent, BaseNode, CatalogueSync, CInsert,
                             ClientNode, CopyDone, CopyFailed, CopyReplica,
                             CRead, CSearch, DelegateInsert, FetchObjects,
@@ -674,8 +674,10 @@ def test_a_bounced_forward_gives_its_op_one_outcome(bounced, text, rid, outcome)
 @pytest.mark.parametrize("ops,bounced,results,progress", [
     # a2 relays the search to r1, then dies before r1's answer reaches it
     ("600 search c1 a2 exact sensor\n606 crash a2\n", ["OpReply"], 1, 0),
-    # a2 relays the update, then dies before the lock note and the answer
-    ("900 update c1 a2 obj1 beef\n906 crash a2\n", ["ProgressNote", "OpReply"], 0, 1),
+    # a2, also a holder of obj1, relays the update, then dies before the
+    # lock note, its ApplyUpdate and the answer reach it; the bounced
+    # ApplyUpdate is its answer, so the update ends on a1's
+    ("900 update c1 a2 obj1 beef\n906 crash a2\n", ["ProgressNote", "ApplyUpdate", "OpReply"], 0, 1),
 ], ids=["search", "update"])
 def test_a_reply_bounced_off_a_dead_relay_still_reaches_its_client(ops, bounced, results, progress):
     res = build(ONE_CLUSTER.split("600 search")[0] + ops, trace=True)
@@ -1988,19 +1990,22 @@ def test_each_op_goes_on_one_round_trip_after_a_holder_says_it_lacks_the_object(
     assert res.issues == [] and res.sim.loss_records == []
     # every node shares one locality, so every message takes one hop
     hop = res.sim.network.latency(*(res.sim.nodes[NodeId(n)].locality for n in ("r1", "a2")))
+    # a1 answers a fetch and an ApplyUpdate with nothing
     misses = {r.request_id: r.time for r in res.sim.trace if r.kind == "deliver"
-              and (r.node, r.src) == ("r1", "a1") and r.msg_type in ("FetchReply", "ApplyMissing")}
+              and (r.node, r.src) == ("r1", "a1") and r.msg_type in ("FetchReply", "ApplyAck")}
     assert sorted(misses) == ["q0002", "q0003", "q0004"]
-    for rid, miss in misses.items():
-        # on to the next holder at once, not a heartbeat period later
-        assert [r.time for r in res.sim.trace if r.kind == "deliver" and r.node == "a2"
-                and r.request_id == rid and r.msg_type in ("FetchObjects", "ApplyUpdate")] == [miss + hop]
+    to_a2 = {rid: [r.time for r in res.sim.trace if r.kind == "deliver" and r.node == "a2"
+                   and r.request_id == rid and r.msg_type in ("FetchObjects", "ApplyUpdate")]
+             for rid in misses}
+    # a search: on to the next holder at once, not a heartbeat period
+    # later; an update asked a2 in the same round as a1
+    assert to_a2 == {"q0002": [misses["q0002"] + hop], "q0003": [misses["q0003"] + hop],
+                     "q0004": [misses["q0004"] - hop]}
     recs = completions(res)
     # a search: the fetch round trip to a2, then the reply's two hops to
-    # c1; the update also waits for the ReplicaUpdate round trip to the
-    # new copy, listed by then
+    # c1; the update: the reply's two hops, once a1's miss is in
     assert recs["q0002"]["time"] == recs["q0003"]["time"] == misses["q0002"] + 4 * hop
-    assert recs["q0004"]["time"] == misses["q0004"] + 6 * hop
+    assert recs["q0004"]["time"] == misses["q0004"] + 2 * hop
     assert res.scenario.config.heartbeat_period_ms * MS > 6 * hop
     assert [(recs[q]["outcome"], recs[q]["results"]) for q in ("q0002", "q0003", "q0005")] == [
         ("ok", 1)] * 3
@@ -2082,9 +2087,9 @@ def test_an_export_whose_owner_lacks_the_object_is_denied_and_the_owner_unlisted
 @pytest.mark.parametrize("says", [
     lambda oid: FetchReply(request_id="q9", objects=(), missing=(oid,), store_size=0,
                            purpose="search"),
-    lambda oid: ApplyMissing(request_id="q9", oid=oid),
+    lambda oid: ApplyAck(request_id="q9", oid=oid, version=None),
     lambda oid: CopyFailed(oid=oid, copy_id="r1.cp9"),
-], ids=["FetchReply", "ApplyMissing", "CopyFailed"])
+], ids=["FetchReply", "ApplyAck", "CopyFailed"])
 def test_a_sole_holder_that_lacks_its_object_loses_it(says):
     res = staged(ONE_CLUSTER)
     sim = res.sim
@@ -2095,6 +2100,69 @@ def test_a_sole_holder_that_lacks_its_object_loses_it(says):
     assert [(d[1], d[2]) for d in sim.loss_records] == [(oid, "all-holders-gone")]
     assert oid not in r1.catalogue and owner not in r1.catalogue.loads.counts
     assert sim.nodes[r1.secondary].sync_catalogue == r1.catalogue
+
+
+UPDATE_AT_900 = ONE_CLUSTER + "900 update c1 a2 obj1 beef\n"
+
+
+def test_an_update_no_holder_could_take_ends_lost():
+    # r1 sends obj1's ApplyUpdate to both holders at 910 ms; by 915 ms
+    # neither stores obj1, so both answer with no version
+    res = staged(UPDATE_AT_900, trace=True)
+    r1, oid, owner, second = wipe(res, 912)
+    del res.sim.nodes[second].store[oid]
+    finish(res)
+    assert [r.node for r in deliveries(res, "ApplyUpdate", "q0005")] == [owner, second]
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], rec["version"]) == ("lost", None)
+    assert [(d[1], d[2]) for d in res.sim.loss_records] == [(oid, "all-holders-gone")]
+    assert oid not in r1.catalogue and r1.updates == {} and not r1.locks.is_locked(oid)
+
+
+@pytest.mark.parametrize("wiped", [False, True], ids=["caught-up", "asked-next"])
+def test_a_holder_listed_while_an_update_is_in_flight_gets_it_before_the_reply(wiped):
+    # a copy of obj1 to a third agent is listed at 915 ms, while the
+    # update's round is in flight. It gets the version the holders asked
+    # stored; if neither still stores obj1, it is asked next, and the
+    # update ends on its answer
+    res = staged(UPDATE_AT_900, trace=True)
+    sim = res.sim
+    sim.run_until(900 * MS)
+    r1, oid = ragent(res, "r1"), res.labels["obj1"].id
+    owner, second = r1.catalogue.holders_of(oid)
+    dest = next(a for a in sorted(r1.members) if a not in (owner, second))
+    r1.pending_copies["r1.cp9"] = (oid, dest, owner)
+    sim.send(r1.node_id, owner, CopyReplica(oid=oid, dest=dest, copy_id="r1.cp9"))
+    sim.run_until(907 * MS)  # the copy has left the owner
+    if wiped:
+        for h in (owner, second):
+            del sim.nodes[h].store[oid]
+    finish(res)
+    to_dest = [r for r in deliveries(res, "ApplyUpdate", "q0005") if r.node == dest]
+    [reply] = [r for r in deliveries(res, "OpReply", "q0005") if r.src == "r1"]
+    assert [r.time for r in to_dest] == [925 * MS] and to_dest[0].seq < reply.seq
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], rec["version"]) == ("ok", 1)
+    assert sim.nodes[dest].history[oid] == [0, 1]
+    assert res.issues == [] and sim.loss_records == []
+
+
+def test_a_holder_behind_is_brought_to_the_top_version_before_the_reply():
+    res = staged(UPDATE_AT_900, trace=True)
+    sim = res.sim
+    sim.run_until(900 * MS)
+    oid = res.labels["obj1"].id
+    owner, second = ragent(res, "r1").catalogue.holders_of(oid)
+    store = sim.nodes[owner].store
+    store[oid] = store[oid].with_payload(store[oid].payload, 1)  # second is behind
+    finish(res)
+    [reply] = [r for r in deliveries(res, "OpReply", "q0005") if r.src == "r1"]
+    assert [(r.time, r.node) for r in deliveries(res, "ApplyUpdate", "q0005")
+            if r.seq < reply.seq] == [(915 * MS, owner), (915 * MS, second), (925 * MS, second)]
+    rec = completions(res)["q0005"]
+    assert (rec["outcome"], rec["version"]) == ("ok", 2)
+    assert sim.nodes[second].history[oid] == [0, 1, 2]
+    assert res.issues == []
 
 
 # -- every handler is reached ---------------------------------------------
@@ -2586,9 +2654,11 @@ def test_an_update_resolving_at_the_merge_target_finds_the_object_it_takes_in():
     res = build(with_events(SEARCH_ACROSS_A_MERGE, "3000 update c1 d2 obj1 beef"), trace=True)
     assert res.issues == []
     [merged] = [e[0] for e in res.sim.member_events if e[1] == "merge"]
-    [applied] = [r.time for r in deliveries(res, "ApplyUpdate", "q0003")]
+    applied = [(r.time, r.node) for r in deliveries(res, "ApplyUpdate", "q0003")]
     assert [r.node for r in deliveries(res, "OwnerQuery", "q0003")] == ["r1", "r2"]
-    assert applied == merged + 15 * MS
+    # one round: the update reaches every holder at once
+    holders = ragent(res, "r3").catalogue.holders_of(res.labels["obj1"].id)
+    assert len(holders) == 2 and applied == [(merged + 15 * MS, h) for h in holders]
     rec = completions(res)["q0003"]
     assert (rec["outcome"], rec["version"]) == ("ok", 1)
 
