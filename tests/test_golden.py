@@ -26,15 +26,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 GOLDEN = {
-    "basic.txt": "7352d3f80c99267e3eadbc1c8d237f7fa95aebbff82c3c774cf158f2031ed65b",
+    "basic.txt": "22cc70253f17af5159c0206b847ba119daa6d3eb0ff511d486ebfd87940808e0",
     "failover.txt": "c3dd1714402cd5e241da626ff124bf8154f03f77bd2920c46aa429b7120e2259",
-    "rejoin_before_detection.txt": "c26d238fc4d321d27334a2e90c13e539dbd712f989394495a3daf1077a0dd2f9",
+    "rejoin_before_detection.txt": "5fb97e541476cf3f7f9f0ca3d7fd689eec47b47cd7882cd254c4aa6783dfcc29",
     "split_merge.txt": "3233db43dd705d2bf9c28597f8e75e2b6e0544c8d707cbde5d0457dddd452e1a",
 }
 GOLDEN_TRACE = {
-    "basic.txt": "ced20555978c138da67635ce3d96d601faad88f90dec5b1fa913874204b91733",
+    "basic.txt": "2534fafdfd016247c5daf8039369dc219d02bdd4470e23f03fa8fa2d62c5329c",
     "failover.txt": "04b9c7facc73a3ca82706977763a4c4ecddc5cd03686b97dbcf7a5b61e3ae07c",
-    "rejoin_before_detection.txt": "ba58ff03e74afc8707c477a595955426a6651d2f7a62a0412740e931eff2ced4",
+    "rejoin_before_detection.txt": "324e79999a969cef69c30d4b07d89a074a61e0d2de3e76cd81e088d2a01ef288",
     "split_merge.txt": "8a8210aaafc051de845f30da9f7e71a338ff9a1e7e701b352ba16ef06c56d1c8",
 }
 # one digest over random_scenario(0), ..., random_scenario(19), in order
@@ -45,7 +45,7 @@ GOLDEN_CORPUS_TRACE = "a1ab38b20a98dbc78ca6d4fad6b1e8bfafe8673e26f25fa9bb9634598
 GOLDEN_WORKLOADS = {
     "insert_search": "751c871ea84f6847ae86126f67b1c6c0899207a4071a8500d0d273f1c6912920",
     "heartbeat": "7dfcb8784120cd1c215f100a5f174e72c3e6024e7849a83af07b3af30b6692c0",
-    "churn": "5dc12b9fd113ddd99a34c33558cee39c2678fe986b947f1dc486a16cb59c2b91",
+    "churn": "b2d2f025662d61f4326c01dda1a67c588c490102d0a846cadb8bd45db42fccf1",
 }
 
 
