@@ -1798,6 +1798,7 @@ class RAgentNode(BaseNode):
         if isinstance(orig, FetchObjects):
             self._fetch_bounced(sim, orig)
         elif isinstance(orig, ApplyUpdate):
+            # the dead holder's answer, now that it is vacated
             ue = self.updates.get(orig.request_id)
             if ue is not None:
                 self._update_answered(sim, ue, dead)

@@ -1369,30 +1369,29 @@ def _loss_recorded(res):
     res.sim.record_loss(res.labels["obj1"].id, "all-holders-gone")
 
 
-@pytest.mark.parametrize("corrupt,issue", [
-    (_holder_twice, "r1: duplicate holders for {obj1}"),
-    (_holder_unlisted, "r1: {obj1} has 1 holders, want 2"),
-    (_replica_wiped, "r1: a1 listed for {obj1} but does not store it"),
-    (_count_bumped, "r1: replica count says 3 for a1, holder lists say 2"),
-    (_replica_ahead, "r1: a2's replica of {obj1} differs from its owner's (version 1 against 0)"),
-    (_loss_recorded, "unexpected object loss {obj1} (all-holders-gone)"),
+def _bound_lowered(res):
+    res.scenario.config.max_cluster = 2
+
+
+@pytest.mark.parametrize("layout,corrupt,issue", [
+    (TWO_CLUSTERS, _holder_twice, "r1: duplicate holders for {obj1}"),
+    (TWO_CLUSTERS, _holder_unlisted, "r1: {obj1} has 1 holders, want 2"),
+    (TWO_CLUSTERS, _replica_wiped, "r1: a1 listed for {obj1} but does not store it"),
+    (TWO_CLUSTERS, _count_bumped, "r1: replica count says 3 for a1, holder lists say 2"),
+    (TWO_CLUSTERS, _replica_ahead,
+     "r1: a2's replica of {obj1} differs from its owner's (version 1 against 0)"),
+    (TWO_CLUSTERS, _loss_recorded, "unexpected object loss {obj1} (all-holders-gone)"),
+    # one cluster of three agents: no merge partner, so no lower bound
+    (ONE_CLUSTER, _bound_lowered, "r1: 3 members above max"),
 ], ids=["duplicate-holders", "too-few-holders", "listed-not-stored", "replica-count",
-        "replicas-differ", "unexpected-loss"])
-def test_a_corrupted_catalogue_or_replica_is_reported(corrupt, issue):
-    # the checker's catalogue and replica lines, each provoked by one
-    # wrong fact on a finished clean run
-    res = build(TWO_CLUSTERS)
+        "replicas-differ", "unexpected-loss", "members-above-max"])
+def test_a_corrupted_catalogue_replica_or_cluster_is_reported(layout, corrupt, issue):
+    # the checker's catalogue, replica and cluster-size lines, each
+    # provoked by one wrong fact on a finished clean run
+    res = build(layout)
     assert res.issues == []
     corrupt(res)
     assert check_invariants(res) == [issue.format(obj1=res.labels["obj1"].id.hex()[:12])]
-
-
-def test_a_cluster_above_its_size_bound_is_reported():
-    # the one cluster of three agents: no merge partner, so no lower bound
-    res = build(ONE_CLUSTER)
-    assert res.issues == []
-    res.scenario.config.max_cluster = 2
-    assert check_invariants(res) == ["r1: 3 members above max"]
 
 
 def queued_firings(sim, time=None):
