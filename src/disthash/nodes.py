@@ -1023,10 +1023,15 @@ class RAgentNode(BaseNode):
 
     # -- sweep: heartbeats, detection, threshold checks --------------------
 
-    def _tick_sweep(self, sim, payload):
+    def sweep_beat(self) -> RAgentHeartbeat:
+        """The beat a sweep multicasts to the members: one object, reused
+        while the secondary stays the same."""
         if self._beat.secondary != self.secondary:
             self._beat = RAgentHeartbeat(secondary=self.secondary)
-        beat = self._beat
+        return self._beat
+
+    def _tick_sweep(self, sim, payload):
+        beat = self.sweep_beat()
         sim.multicast(self.node_id, self.members.ordered, beat)
         sim.multicast(self.node_id, self.peers.ordered, PeerHeartbeat(
             cat_size=len(self.catalogue), member_count=len(self.members)))

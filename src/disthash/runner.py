@@ -47,7 +47,10 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
     """Wire the declared topology at time zero: clusters formed, the
     lookup service pre-filled, secondaries elected and synced. The
     bootstrap is message-free so the first scripted event sees a steady
-    system. ``trace`` turns on the engine's event trace."""
+    system, and each cluster is registered with the engine as steady
+    (``Simulator.register_steady``): untraced, its beats run without
+    handler calls from the first round on. ``trace`` turns on the
+    engine's event trace."""
     c = sc.config
     sim = Simulator(trace=trace)
 
@@ -130,6 +133,7 @@ def build_simulation(sc: Scenario, trace: bool = False) -> RunResult:
     for r in ragents:
         if len(r.members) > cfg.thresholds.max_cluster:
             sim.set_timer(r.node_id, "reconfig_check", 0)
+        sim.register_steady(r, r.sweep_beat(), AgentNode.heard_steadily)
 
     return RunResult(sim=sim, scenario=sc, clients=clients, labels={})
 

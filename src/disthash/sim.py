@@ -53,20 +53,26 @@ run one of two ways:
   itself one period on; a beats entry runs the super-peer's
   ``heard_steadily``, which moves its members' last-seen times; a
   super-peer's ``RAgentHeartbeat`` run to its members runs the ``heard``
-  that ``offer_steady`` was given, which moves each member's last-seen
+  its cluster was made steady with, which moves each member's last-seen
   time. ``delivered`` grows by the number of beats, and so does
   ``steady_deliveries``.
 
-A cluster is a super-peer with its members. It is steady after one
-round that ran through the handlers and found nothing unusual: its
-super-peer offers it at the end of each sweep (``offer_steady``), and a
-second offer with no ``unsteady`` in between makes it steady. It stops
-being steady when a node writes what makes a beat do more than move a
-timestamp (the node calls ``unsteady``), at any crash or rejoin, and when
-a node object is replaced. A round's plan relies on the clusters it
-beats to as they were when it was planned, and it runs only while each
-is still steady and each one's members heard their super-peer within the
-timeout (``_Plan.ready``): a tick that may suspect runs its handler. As
+A cluster is a super-peer with its members. Set-up builds every cluster
+message-free and registers it (``register_steady``). The first round
+that plans beats to a registered cluster checks its members as
+``offer_steady`` does (``_quiet_since``) and makes it steady, so no beat
+of a fault-free run reaches a handler; a cluster that fails the check
+loses its registration. Any other cluster is steady after one round
+that ran through the handlers and found nothing unusual: its super-peer
+offers it at the end of each sweep (``offer_steady``), and a second
+offer with no ``unsteady`` in between makes it steady. It stops being
+steady, and loses any registration, when a node writes what makes a
+beat do more than move a timestamp (the node calls ``unsteady``), at
+any crash or rejoin, and when a node object is replaced. A round's plan
+relies on the clusters it beats to as they were when it was planned,
+and it runs only while each is still steady and each one's members
+heard their super-peer within the timeout (``_Plan.ready``): a tick
+that may suspect runs its handler. As
 the O(1) ways leave the state exactly as the handlers would, leaving the
 steady state needs no catching up: later entries run member by member.
 Beats that one firing sends to different super-peers at one time are
@@ -384,6 +390,13 @@ class TraceRecord:
     def json_line(self) -> str:
         return json.dumps({f: getattr(self, f) for f in self.__slots__})
 
+    def __reduce__(self):
+        # copied and pickled as one tuple of plain values, with no state
+        # dict per record: the trace is most of a traced run's state, and
+        # this copies it in a third of the time and pickles it in half
+        # the bytes
+        return TraceRecord, tuple(getattr(self, f) for f in self.__slots__)
+
 
 # ``trace_lines`` formats: the digest line is compact and pinned by the
 # golden tests; the JSON object is readable
@@ -505,9 +518,11 @@ class Simulator:
         self.steps = StepCounter()
         self.deliver_count = 0
         self.steady_deliveries = 0  # of deliver_count, run with no handler call
-        # untraced only: head -> _Steady, and heads found steady once
+        # untraced only: head -> _Steady, heads found steady once, and
+        # heads set-up registered, each as (head, beat, heard)
         self._steady: dict[NodeId, _Steady] = {}
         self._candidates: dict[NodeId, object] = {}
+        self._registered: dict[NodeId, tuple] = {}
         # event sinks filled by the node machines, drained by the runner
         self.member_events: list[tuple] = []
         self.loss_records: list[tuple] = []
@@ -634,18 +649,31 @@ class Simulator:
         if head is None:
             self._steady.clear()
             self._candidates.clear()
+            self._registered.clear()
         else:
             self._steady.pop(head, None)
             self._candidates.pop(head, None)
+            self._registered.pop(head, None)
+
+    def register_steady(self, head, beat, heard) -> None:
+        """Set-up built ``head``'s cluster message-free, so nothing but
+        plain beats passes in it: ``beat`` and ``heard`` as for
+        ``offer_steady``. The first round that plans beats to the cluster
+        confirms it (``_confirm``) and makes it steady, with no round
+        through the handlers. O(1): no member is read here. Untraced
+        runs only."""
+        if not self.tracing:
+            self._registered[head.node_id] = (head, beat, heard)
 
     def offer_steady(self, head, beat, heard) -> None:
         """Called by a super-peer at the end of each sweep. ``beat`` is the
         message the sweep multicast to its members, and ``heard(nodes,
         run, time)`` does exactly what that beat's handler does at the
         members of ``run`` while the cluster is steady.
-        Found steady (``_quiet_since``) at two sweeps in a row, with no
-        ``unsteady`` in between, a cluster is steady: one round of beats
-        and ticks ran through the handlers and found nothing unusual.
+        A cluster neither steady nor confirmed from set-up, as after a
+        fault, is steady once found so (``_quiet_since``) at two sweeps
+        in a row, with no ``unsteady`` in between: one round of beats and
+        ticks ran through the handlers and found nothing unusual.
         From then on ``run_until`` runs its beats without handler calls.
         Untraced runs only."""
         if self.tracing or head.node_id in self._steady:
@@ -656,10 +684,26 @@ class Simulator:
             if floor is not None:
                 self._candidates[hid] = head
             return
-        dsts = head.members.ordered
+        self._make_steady(head, beat, heard, floor)
+
+    def _confirm(self, hid: NodeId) -> _Steady | None:
+        """The steady state of ``hid``'s registered cluster, if its
+        members pass ``_quiet_since`` now. The registration goes either
+        way: a cluster that fails waits for ``offer_steady``."""
+        reg = self._registered.pop(hid, None)
+        if reg is None:
+            return None
+        head, beat, heard = reg
+        floor = self._quiet_since(head)
+        return None if floor is None else self._make_steady(head, beat, heard, floor)
+
+    def _make_steady(self, head, beat, heard, floor: int) -> _Steady:
+        """Make ``head``'s cluster steady, ``floor`` from ``_quiet_since``."""
+        hid, dsts = head.node_id, head.members.ordered
         runs = self._runs.get((hid, dsts)) or self._split_runs(hid, dsts)
-        self._steady[hid] = _Steady(head, beat, heard, tuple(run for _, _, run in runs),
-                                    floor, head.hb.failure_timeout_us)
+        held = self._steady[hid] = _Steady(head, beat, heard, tuple(run for _, _, run in runs),
+                                           floor, head.hb.failure_timeout_us)
+        return held
 
     def _quiet_since(self, head) -> int | None:
         """The oldest time a member last heard ``head``, if every member is
@@ -682,7 +726,8 @@ class Simulator:
         owner's ``steady_beat`` to a member of a steady cluster: one
         ``_Beats`` per (receiver, latency), in order of first use. None
         when some firing may do more, or a beat would land in the
-        round's next bucket."""
+        round's next bucket. A registered cluster is confirmed here, the
+        first time a firing beats to it."""
         steady, nodes, crashed = self._steady, self.nodes, self.crashed
         groups, held = {}, {}
         for node, owner in zip(rnd.nodes, rnd.owners):
@@ -693,7 +738,7 @@ class Simulator:
             if beat is None:
                 return None
             dst, msg = beat
-            h = steady.get(dst)
+            h = steady.get(dst) or self._confirm(dst)
             if h is None or node not in h.head.members:
                 return None
             lat = self._latency(node, dst)
@@ -744,7 +789,7 @@ class Simulator:
         # request deliveries are counted here, inline, not through
         # StepCounter.on_message: one dict update per delivery
         tracing, trace, messages = self.tracing, self.trace, self.steps.messages
-        steady = self._steady
+        steady, registered = self._steady, self._registered
         delivered, in_bulk = self.deliver_count, self.steady_deliveries
         try:
             while heap and heap[0] <= t:
@@ -813,7 +858,7 @@ class Simulator:
                         rnd = entry
                         tag, period = rnd.tag, rnd.period
                         plan = rnd.plan
-                        if plan is None and steady:
+                        if plan is None and (steady or registered):
                             plan = rnd.plan = self._plan(rnd)
                         if plan is not None:
                             if plan.ready(steady, time):

@@ -5,17 +5,21 @@ benchmark's workloads. A change that alters simulated behaviour must
 re-pin these and say why. Also: turning the trace off changes nothing
 that is simulated, and the JSONL trace says what the digest trace
 hashes."""
+import copy
 import hashlib
 import importlib.util
 import json
+import pickle
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from disthash.cli import main
-from disthash.nodes import ClientNode
-from disthash.runner import build_simulation, format_metrics, run_scenario, schedule_events
+from disthash.nodes import BaseNode, ClientNode
+from disthash.runner import (build_simulation, check_invariants, format_metrics, run_scenario,
+                             schedule_events)
 from disthash.scenario import CrashEvent, RejoinEvent, parse_scenario
 from disthash.sim import MS, SimError, TraceRecord
 from test_acceptance import random_scenario
@@ -167,6 +171,87 @@ c1 client net1 as1 ro eu
 """
 FAULT_LAYOUTS["SLOW_LINKS"] = SLOW_LINKS
 
+# set-up registers every cluster as steady, and the first beat round
+# confirms it: each layout below ends or changes a cluster before that
+# round, at the edges of the bootstrap
+TWO_CLUSTERS_AT = """
+[config]
+min_cluster = 2
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net2 as2 us na
+a5 agent net2 as2 us na
+a6 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+{first}
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a4 obj2 camera k2 02
+4000 search c1 a3 exact camera
+"""
+# r1 holds six agents above max_cluster = 4, and splits at 0 ms
+OVERSIZE_AT_SETUP = """
+[config]
+min_cluster = 2
+max_cluster = 4
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net1 as1 ro eu
+a6 agent net1 as1 ro eu
+a7 agent net2 as2 us na
+a8 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a7 obj2 camera k2 02
+3000 search c1 a3 exact camera
+"""
+# no agent is near r2, so set-up gives it none and r1 one; r2 merges
+# into r1 at its first sweep
+ONE_AND_NO_MEMBER = """
+[config]
+min_cluster = 1
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net9 as9 jp as
+r3 ragent net3 as3 us na
+a1 agent net1 as1 ro eu
+a3 agent net3 as3 us na
+a4 agent net3 as3 us na
+a5 agent net3 as3 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a4 obj2 camera k2 02
+3000 search c1 a1 exact camera
+"""
+BOOTSTRAP_LAYOUTS = {
+    "AGENT_CRASH_AT_ZERO": TWO_CLUSTERS_AT.format(first="0 crash a2"),
+    "SUPER_PEER_CRASH_BEFORE_SWEEP": TWO_CLUSTERS_AT.format(first="50 crash r1"),
+    "JOIN_BEFORE_FIRST_BEAT": TWO_CLUSTERS_AT.format(first="50 join a7 net1 as1 ro eu"),
+    "OVERSIZE_AT_SETUP": OVERSIZE_AT_SETUP,
+    "ONE_AND_NO_MEMBER": ONE_AND_NO_MEMBER,
+}
+FAULT_LAYOUTS.update(BOOTSTRAP_LAYOUTS)
+
 
 def load_source(source, bench_workloads):
     """A scenario by pin name, corpus seed, layout name or ``workload:seed``."""
@@ -194,6 +279,69 @@ def test_untraced_run_simulates_the_same(source, bench_workloads):
     assert traced.sim.steady_deliveries == 0
     with pytest.raises(SimError):
         plain.sim.trace_lines()
+
+
+@pytest.mark.parametrize("name", sorted(BOOTSTRAP_LAYOUTS))
+def test_each_bootstrap_edge_layout_ends_clean(name):
+    res = run_scenario(parse_scenario(BOOTSTRAP_LAYOUTS[name]))
+    assert res.issues == [] and len(res.ops) == 3
+
+
+def test_the_heartbeat_workload_runs_no_beat_handler(bench_workloads, monkeypatch):
+    """Set-up leaves every cluster steady and ``heartbeat`` seed 0 has no
+    fault, so an exact count: no beat or tick reaches a handler, and each
+    delivery is either a handler call or a beat the engine ran itself."""
+    calls, handled = Counter(), []
+    on_message, on_timer = BaseNode.on_message, BaseNode.on_timer
+
+    def count_message(self, sim, msg, src):
+        calls[type(msg).__name__] += 1
+        handled.append(1)
+        return on_message(self, sim, msg, src)
+
+    def count_timer(self, sim, tag, payload):
+        calls[tag] += 1
+        return on_timer(self, sim, tag, payload)
+
+    monkeypatch.setattr(BaseNode, "on_message", count_message)
+    monkeypatch.setattr(BaseNode, "on_timer", count_timer)
+    res = run_scenario(load_source("heartbeat", bench_workloads))
+    assert res.issues == []
+    assert [calls[name] for name in ("AgentHeartbeat", "RAgentHeartbeat", "hb")] == [0, 0, 0]
+    assert calls["sweep"] > 0 and calls["PeerHeartbeat"] > 0
+    assert len(handled) + res.sim.steady_deliveries == res.sim.deliver_count
+
+
+def pickled(res):
+    return pickle.loads(pickle.dumps(res))
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(5), "heartbeat"])
+def test_a_copied_run_resumes_to_the_metrics_of_an_uninterrupted_one(source, trace,
+                                                                     bench_workloads):
+    """A run copied by pickle and by copy.deepcopy, at 250 ms, while its
+    clusters are registered and not yet confirmed, and at half its end
+    time, resumes to the metrics of a run never stopped: the copy shares
+    nothing with the original, and no closure or lambda sits in engine
+    or node state."""
+    want = format_metrics(run_scenario(load_source(source, bench_workloads), trace))
+    res = build_simulation(load_source(source, bench_workloads), trace)
+    schedule_events(res)
+    sc = res.scenario
+    end = (max(ev.time_ms for ev in sc.events) + sc.config.drain_ms) * MS
+    for cut in (250 * MS, end // 2):
+        res.sim.run_until(cut)
+        if cut == 250 * MS:
+            # untraced, set-up registered the clusters, and no beat round
+            # has confirmed one yet
+            assert bool(res.sim._registered) is not trace and res.sim._steady == {}
+        for copier in (pickled, copy.deepcopy):
+            twin = copier(res)
+            twin.sim.run_until(end)
+            twin.issues = check_invariants(twin)
+            assert format_metrics(twin) == want, (cut, copier.__name__)
+            del twin  # one copy alive at a time
 
 
 @pytest.mark.parametrize("source", ["WARM_THEN_CRASH", "SECONDARY_REJOIN", "churn:1"])

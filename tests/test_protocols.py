@@ -1741,8 +1741,8 @@ def steady_layout(clusters: int, agents: int, run_ms: int) -> str:
 
 def test_a_steady_overlay_runs_its_beats_without_handler_calls(monkeypatch):
     """An exact work count: 2 clusters of 50 agents beat for 20 s, 40
-    periods, yet the beat and tick handlers run only for the rounds
-    before the clusters are found steady, not once per beat."""
+    periods, and no beat or tick handler runs: set-up leaves each
+    cluster steady, so the engine runs every beat itself."""
     calls = Counter()
     on_message, on_timer = BaseNode.on_message, BaseNode.on_timer
 
@@ -1763,8 +1763,53 @@ def test_a_steady_overlay_runs_its_beats_without_handler_calls(monkeypatch):
     assert res.issues == [] and res.sim.deliver_count == traced.sim.deliver_count
     assert format_metrics(res) == format_metrics(traced)
     for name in ("AgentHeartbeat", "RAgentHeartbeat", "hb"):
-        assert 0 < calls[name] <= 3 * agents, (name, calls[name])
-    assert res.sim.steady_deliveries > 70 * agents  # of 8,086 deliveries
+        assert calls[name] == 0, (name, calls[name])
+    beats = [r for r in traced.sim.trace if r.kind == "deliver"
+             and r.msg_type in ("AgentHeartbeat", "RAgentHeartbeat")]
+    # a beat each way per agent and period, 8,000 of the 8,086 deliveries
+    assert res.sim.steady_deliveries == len(beats) == 40 * 2 * agents
+
+
+def test_a_registered_cluster_that_fails_its_check_waits_for_two_sweeps(monkeypatch):
+    """A member that does not follow its super-peer's secondary fails the
+    check of the first beat round: the registration is dropped, the
+    rounds run through the handlers, and the cluster is steady only
+    once two sweeps in a row have found it so."""
+    calls = Counter()
+    on_timer = BaseNode.on_timer
+
+    def count_timer(self, sim, tag, payload):
+        calls[tag] += 1
+        return on_timer(self, sim, tag, payload)
+
+    monkeypatch.setattr(BaseNode, "on_timer", count_timer)
+    text = steady_layout(1, 3, 4000)
+    plain, traced = staged(text), staged(text, trace=True)
+    for res in (plain, traced):
+        r1 = ragent(res, "r1")
+        stray = next(a for a in r1.members.ordered if a != r1.secondary)
+        res.sim.nodes[stray].secondary_id = None  # no write told the engine
+    assert NodeId("r1") in plain.sim._registered
+    plain.sim.run_until(501 * MS)
+    assert plain.sim._registered == {} and plain.sim._steady == {}
+    assert calls["hb"] == 3
+    plain.sim.run_until(1501 * MS)
+    assert list(plain.sim._steady) == ["r1"]
+    for res in (plain, traced):
+        finish(res)
+    assert plain.issues == [] and format_metrics(plain) == format_metrics(traced)
+    assert plain.sim.deliver_count == traced.sim.deliver_count
+    assert plain.sim.steady_deliveries > 0
+
+
+def test_unsteady_drops_a_registration_as_it_drops_a_candidate():
+    sim = staged(steady_layout(3, 2, 1000)).sim
+    assert sorted(sim._registered) == ["r1", "r2", "r3"]
+    sim.unsteady(NodeId("r2"))
+    assert sorted(sim._registered) == ["r1", "r3"]
+    sim.unsteady()
+    assert sim._registered == {}
+    assert staged(steady_layout(1, 2, 1000), trace=True).sim._registered == {}
 
 
 @pytest.mark.parametrize("text", [FAILOVER, SPLIT_MERGE], ids=["failover", "split_merge"])
