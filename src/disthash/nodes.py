@@ -676,12 +676,15 @@ class AgentNode(BaseNode):
         self._follow(sim, src, msg.secondary)
 
     @staticmethod
-    def heard_steadily(nodes: dict, agents: tuple, time: int) -> None:
-        """``_on_RAgentHeartbeat`` at each of ``agents``, members of a
-        steady cluster (``Simulator.offer_steady``), who already follow
-        the sender and its secondary: only the last-seen time moves."""
+    def heard_steadily(agents: tuple, time: int) -> None:
+        """``_on_RAgentHeartbeat`` for a beat that arrived at ``time`` at
+        each of ``agents``, members of a steady cluster
+        (``Simulator.offer_steady``), who already follow the sender and
+        its secondary: only the last-seen time moves, unless a handler
+        moved it past ``time`` since."""
         for a in agents:
-            nodes[a].last_ragent_seen = time
+            if a.last_ragent_seen < time:
+                a.last_ragent_seen = time
 
     def _on_ConfigUpdate(self, sim, msg: ConfigUpdate, src):
         self._follow(sim, msg.ragent, msg.secondary)
@@ -947,7 +950,9 @@ class RAgentNode(BaseNode):
         self._sync_to: NodeId | None = None
         self._sync_cat: MetaCatalogue | None = None
         self._sync_seq = 0
-        self._beat = RAgentHeartbeat(secondary=None)  # the sweep's, reused
+        # the sweep's two beats, each reused while what it carries holds
+        self._beat = RAgentHeartbeat(secondary=None)
+        self._peer_beat = PeerHeartbeat(cat_size=0, member_count=0)
 
     @property
     def hb(self) -> HeartbeatConfig:
@@ -1030,11 +1035,34 @@ class RAgentNode(BaseNode):
             self._beat = RAgentHeartbeat(secondary=self.secondary)
         return self._beat
 
+    def peer_beat(self) -> PeerHeartbeat:
+        """The beat a sweep multicasts to the peers: one object, reused
+        while the catalogue and member counts stay the same."""
+        beat, size, members = self._peer_beat, len(self.catalogue), len(self.members)
+        if beat.cat_size != size or beat.member_count != members:
+            beat = self._peer_beat = PeerHeartbeat(cat_size=size, member_count=members)
+        return beat
+
+    def steady_sweep(self, tag: str, time: int):
+        """``(beat, peers, peer beat)`` when a sweep at ``time`` only
+        multicasts the beat to the members and the peer beat to
+        ``peers``: the cluster is within its thresholds, no id is short
+        of holders and no peer is overdue; else None. The engine, which
+        keeps the members' beat times of a steady cluster, checks that no
+        member is overdue, and then sends the two beats and calls no
+        ``_tick_sweep`` (``Simulator._fire_steadily``)."""
+        size, config = len(self.members), self.config
+        if (tag != "sweep"
+                or not config.thresholds.min_cluster <= size <= config.thresholds.max_cluster
+                or self.catalogue.under_replicated
+                or detect_failures(time, self.peer_last_seen, config.hb.failure_timeout_us)):
+            return None
+        return self.sweep_beat(), self.peers.ordered, self.peer_beat()
+
     def _tick_sweep(self, sim, payload):
         beat = self.sweep_beat()
         sim.multicast(self.node_id, self.members.ordered, beat)
-        sim.multicast(self.node_id, self.peers.ordered, PeerHeartbeat(
-            cat_size=len(self.catalogue), member_count=len(self.members)))
+        sim.multicast(self.node_id, self.peers.ordered, self.peer_beat())
         for dead in detect_failures(sim.clock, self.member_last_seen,
                                     self.hb.failure_timeout_us):
             self._handle_agent_failure(sim, dead, "heartbeat")
@@ -1069,9 +1097,37 @@ class RAgentNode(BaseNode):
 
     def heard_steadily(self, agents: tuple, time: int) -> None:
         """``_on_AgentHeartbeat`` for a plain beat from each of
-        ``agents``, members of this steady cluster: only their
-        last-seen times move."""
-        self.member_last_seen.update(dict.fromkeys(agents, time))
+        ``agents``, members of this steady cluster, that arrived at
+        ``time``: only their last-seen times move, each still listed and
+        not moved past ``time`` since."""
+        seen = self.member_last_seen
+        for a in agents:
+            if seen.get(a, time) < time:
+                seen[a] = time
+
+    def last_heard(self, agents: tuple, default: int) -> int:
+        """The oldest time one of ``agents`` was last heard, or
+        ``default`` if none is listed."""
+        seen = self.member_last_seen
+        return min([seen[a] for a in agents if a in seen], default=default)
+
+    @staticmethod
+    def peers_heard_steadily(nodes: dict, src: NodeId, peers: tuple,
+                             msg: PeerHeartbeat, time: int) -> bool:
+        """``_on_PeerHeartbeat`` from ``src`` at each of ``peers``, live
+        nodes, when each is a super-peer that already lists ``src``: only
+        what it keeps of ``src`` moves. False, with nothing written, when
+        one is not; their handlers take the beat."""
+        for p in peers:
+            r = nodes[p]
+            if type(r) is not RAgentNode or src not in r.peers:
+                return False
+        for p in peers:
+            r = nodes[p]
+            r.peer_last_seen[src] = time
+            r.peer_sizes[src] = msg.cat_size
+            r.peer_members[src] = msg.member_count
+        return True
 
     def _on_PeerHeartbeat(self, sim, msg: PeerHeartbeat, src):
         if src == self.node_id:

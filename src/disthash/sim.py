@@ -48,14 +48,30 @@ run one of two ways:
 - member by member, through the real ``on_timer`` and ``on_message``:
   a round as the periodic timers it stands for, a beats entry as the
   unicasts it stands for;
-- in O(1) of handler work, while the clusters it touches are steady:
-  a round of ``hb`` ticks queues the beat entries its plan holds and
-  itself one period on; a beats entry runs the super-peer's
-  ``heard_steadily``, which moves its members' last-seen times; a
-  super-peer's ``RAgentHeartbeat`` run to its members runs the ``heard``
-  its cluster was made steady with, which moves each member's last-seen
-  time. ``delivered`` grows by the number of beats, and so does
+- in O(1) of handler work and of member count, while the clusters it
+  touches are steady:
+  - a round of ``hb`` ticks queues the beat entries its plan holds and
+    itself one period on;
+  - a super-peer's ``sweep`` firing that would only multicast its two
+    beats queues them and calls no ``_tick_sweep`` (``_fire_steadily``);
+  - a beats entry, or a super-peer's ``RAgentHeartbeat`` run to its
+    members, stamps its arrival on the engine's record of the cluster
+    (``_Steady``), where the handlers would write one last-seen time
+    per member;
+  - a steady sweep's ``PeerHeartbeat`` run to live super-peers that
+    list the sender runs ``peers_heard_steadily``, which moves what each
+    keeps of the sender.
+
+  ``delivered`` grows by the number of beats, and so does
   ``steady_deliveries``.
+
+A cluster's stamps are settled into the node objects it was made steady
+with (``_Steady.settle``): each member's last-seen time of its
+super-peer, and the super-peer's of each member, each the later of the
+stored and the stamped time. That happens when the cluster stops being
+steady (``unsteady``), before one of its ticks or sweeps runs its
+handler, and before ``run_until`` returns. Only those handlers read the
+times, and every membership change calls ``unsteady`` before it writes.
 
 A cluster is a super-peer with its members. Set-up builds every cluster
 message-free and registers it (``register_steady``). The first round
@@ -72,9 +88,12 @@ any crash or rejoin, and when a node object is replaced. A round's plan
 relies on the clusters it beats to as they were when it was planned,
 and it runs only while each is still steady and each one's members
 heard their super-peer within the timeout (``_Plan.ready``): a tick
-that may suspect runs its handler. As
-the O(1) ways leave the state exactly as the handlers would, leaving the
-steady state needs no catching up: later entries run member by member.
+that may suspect runs its handler. A sweep runs steady only while the
+stamps show every member's beat planned and heard within the timeout
+(``_Steady.fresh``): a sweep that may find one overdue runs its handler.
+As the O(1) ways, once settled, leave the state exactly as the handlers
+would, leaving the steady state needs no catching up beyond the settle:
+later entries run member by member.
 Beats that one firing sends to different super-peers at one time are
 queued as one entry per super-peer, which reorders their deliveries
 within that instant. A plain beat only moves its receiver's last-seen
@@ -447,38 +466,90 @@ def _arm(bucket: deque, node: NodeId, owner, tag: str, period: int) -> None:
 
 
 class _Steady:
-    """A steady cluster (see ``Simulator.offer_steady``). ``runs`` are
-    the runs of its members' beat list, ``heard`` what its beat does at
-    the members of one run, and ``floor`` a time no member last heard
-    its super-peer before: the oldest last arrival of a run."""
+    """A steady cluster (see ``Simulator.offer_steady``) and its beat
+    times, which the engine keeps instead of writing them into the nodes
+    at each beat (``settle``).
 
-    __slots__ = ("head", "beat", "heard", "runs", "last", "floor", "timeout")
+    Of the super-peer's beat to the members: ``runs`` are the memoized
+    ``(first index, latency, run)`` of its members' beat list, ``agents``
+    the member objects of each run as the cluster was made steady with,
+    ``last`` the last arrival at each run, and ``floor`` the oldest of
+    those, a time no member last heard its super-peer before.
 
-    def __init__(self, head, beat, heard, runs: tuple, floor: int, timeout: int):
-        self.head, self.beat, self.heard, self.runs = head, beat, heard, runs
+    Of the members' beats to the super-peer: ``beats`` holds the planned
+    entries that beat to it, by sender tuple, each stamped with its last
+    arrival, and ``covered`` their senders until they are all the members,
+    then None. ``peer_beat`` is the
+    ``PeerHeartbeat`` its last steady sweep multicast. ``dirty`` says a
+    stamp is newer than the last ``settle``."""
+
+    __slots__ = ("head", "beat", "heard", "runs", "agents", "size", "last", "floor",
+                 "timeout", "beats", "covered", "peer_beat", "dirty")
+
+    def __init__(self, head, beat, heard, runs: tuple, agents: tuple, floor: int, timeout: int):
+        self.head, self.beat, self.heard = head, beat, heard
+        self.runs, self.agents = runs, agents
+        self.size = len(head.members)
         self.last = [floor] * len(runs)
         self.floor, self.timeout = floor, timeout
+        self.beats: dict[tuple, _Beats] = {}
+        self.covered: set | None = set()
+        self.peer_beat = None
+        self.dirty = False
 
-    def hear(self, nodes: dict, run: tuple, time: int) -> bool:
-        """Run ``heard`` for one of the cluster's own runs; False for any
-        other destination list."""
+    def hear(self, run: tuple, time: int) -> bool:
+        """Stamp the beat's arrival at one of the cluster's own runs;
+        False for any other destination list."""
         for i, own in enumerate(self.runs):
-            if own is run:
-                self.heard(nodes, run, time)
+            if own[2] is run:
                 self.last[i] = time
                 self.floor = min(self.last)
+                self.dirty = True
                 return True
         return False
+
+    def fresh(self, time: int) -> bool:
+        """What a sweep at ``time`` would find of the members by their
+        stamped times: each one's beat is planned to the super-peer, and
+        each planned entry last arrived within the timeout. A stamp is a
+        time its senders were heard at or after, so this may find a member
+        overdue that is not, never the other way round."""
+        if self.covered is not None:
+            return False
+        oldest = time - self.timeout
+        for b in self.beats.values():
+            if b.time < oldest:
+                return False
+        return True
+
+    def settle(self) -> None:
+        """Write the stamped times into the objects the cluster was made
+        steady with: each member's last-seen time of its super-peer, by
+        the ``heard`` it was made steady with, and the super-peer's of
+        each member, by its ``heard_steadily``. Each keeps the later of
+        the stored and the stamped time, as a handler may have written
+        since; no replacement object is written."""
+        if not self.dirty:
+            return
+        self.dirty = False
+        for agents, time in zip(self.agents, self.last):
+            self.heard(agents, time)
+        head = self.head
+        for b in self.beats.values():
+            head.heard_steadily(b.srcs, b.time)
 
 
 class _Beats:
     """Beats from ``srcs`` to ``dst`` that one firing of a planned round
-    queued at one arrival time, while ``dst``'s cluster was ``held``."""
+    queues at one arrival time, while ``dst``'s cluster is ``held``.
+    ``time`` is the last time they arrived while it still was; before
+    the first arrival, a time no sender was last heard before. One entry
+    serves every period of every plan that beats from ``srcs``."""
 
-    __slots__ = ("srcs", "dst", "msg", "held")
+    __slots__ = ("srcs", "dst", "msg", "held", "time")
 
-    def __init__(self, srcs: tuple, dst: NodeId, msg, held: _Steady | None):
-        self.srcs, self.dst, self.msg, self.held = srcs, dst, msg, held
+    def __init__(self, srcs: tuple, dst: NodeId, msg, held: _Steady | None, time: int = 0):
+        self.srcs, self.dst, self.msg, self.held, self.time = srcs, dst, msg, held, time
 
 
 class _Plan:
@@ -645,13 +716,19 @@ class Simulator:
     def unsteady(self, head: NodeId | None = None) -> None:
         """``head``'s cluster is not, or no longer, steady: a node wrote
         what makes a beat do more than move a timestamp. With no head,
-        no cluster is: a crash, a rejoin or a replaced node object."""
+        no cluster is: a crash, a rejoin or a replaced node object. A
+        cluster that stops being steady has its beat times settled first,
+        so the node reads and writes them as its handlers would."""
         if head is None:
+            for held in self._steady.values():
+                held.settle()
             self._steady.clear()
             self._candidates.clear()
             self._registered.clear()
         else:
-            self._steady.pop(head, None)
+            held = self._steady.pop(head, None)
+            if held is not None:
+                held.settle()
             self._candidates.pop(head, None)
             self._registered.pop(head, None)
 
@@ -667,14 +744,18 @@ class Simulator:
 
     def offer_steady(self, head, beat, heard) -> None:
         """Called by a super-peer at the end of each sweep. ``beat`` is the
-        message the sweep multicast to its members, and ``heard(nodes,
-        run, time)`` does exactly what that beat's handler does at the
-        members of ``run`` while the cluster is steady.
+        message the sweep multicast to its members, and ``heard(agents,
+        time)`` does what that beat's handler does at the member objects
+        ``agents`` while the cluster is steady, for a beat that arrived at
+        ``time``: it moves their last-seen times, unless a handler moved
+        one past ``time`` since. ``run_until`` stamps each arrival and
+        calls ``heard`` only when it settles the stamps (``_Steady``).
         A cluster neither steady nor confirmed from set-up, as after a
         fault, is steady once found so (``_quiet_since``) at two sweeps
         in a row, with no ``unsteady`` in between: one round of beats and
         ticks ran through the handlers and found nothing unusual.
-        From then on ``run_until`` runs its beats without handler calls.
+        From then on ``run_until`` runs its beats, and its sweeps that
+        would only send them (``_fire_steadily``), without handler calls.
         Untraced runs only."""
         if self.tracing or head.node_id in self._steady:
             return
@@ -699,10 +780,11 @@ class Simulator:
 
     def _make_steady(self, head, beat, heard, floor: int) -> _Steady:
         """Make ``head``'s cluster steady, ``floor`` from ``_quiet_since``."""
-        hid, dsts = head.node_id, head.members.ordered
+        hid, dsts, nodes = head.node_id, head.members.ordered, self.nodes
         runs = self._runs.get((hid, dsts)) or self._split_runs(hid, dsts)
-        held = self._steady[hid] = _Steady(head, beat, heard, tuple(run for _, _, run in runs),
-                                           floor, head.hb.failure_timeout_us)
+        agents = tuple(tuple(map(nodes.__getitem__, run)) for _, _, run in runs)
+        held = self._steady[hid] = _Steady(head, beat, heard, runs, agents, floor,
+                                           head.hb.failure_timeout_us)
         return held
 
     def _quiet_since(self, head) -> int | None:
@@ -724,10 +806,11 @@ class Simulator:
     def _plan(self, rnd: _Round) -> _Plan | None:
         """What a firing of ``rnd`` queues if each firing only sends its
         owner's ``steady_beat`` to a member of a steady cluster: one
-        ``_Beats`` per (receiver, latency), in order of first use. None
-        when some firing may do more, or a beat would land in the
-        round's next bucket. A registered cluster is confirmed here, the
-        first time a firing beats to it."""
+        ``_Beats`` per (receiver, latency), in order of first use, the
+        receiver's own entry for those senders if it has one. None when
+        some firing may do more, or a beat would land in the round's next
+        bucket. A registered cluster is confirmed here, the first time a
+        firing beats to it."""
         steady, nodes, crashed = self._steady, self.nodes, self.crashed
         groups, held = {}, {}
         for node, owner in zip(rnd.nodes, rnd.owners):
@@ -751,9 +834,48 @@ class Simulator:
                 return None
             group[1].append(node)
             held[dst] = h
-        return _Plan(tuple((lat, (_Beats(tuple(srcs), dst, msg, held[dst]),))
-                           for (lat, dst), (msg, srcs) in groups.items()),
-                     tuple(held.values()))
+        beats = []
+        for (lat, dst), (msg, srcs) in groups.items():
+            h, srcs = held[dst], tuple(srcs)
+            entry = h.beats.get(srcs)
+            if entry is None or entry.msg is not msg:
+                entry = h.beats[srcs] = _Beats(srcs, dst, msg, h,
+                                               h.head.last_heard(srcs, self.clock))
+                if h.covered is not None:
+                    h.covered.update(srcs)
+                    if len(h.covered) == h.size:
+                        h.covered = None
+            beats.append((lat, (entry,)))
+        return _Plan(tuple(beats), tuple(held.values()))
+
+    def _fire_steadily(self, node: NodeId, owner, tag: str, time: int) -> bool:
+        """Run ``owner``'s firing of ``tag`` with no handler call if it is
+        the sweep of a steady cluster's super-peer that would only
+        multicast its two beats (``steady_sweep``) and that finds no
+        member overdue by the stamped times (``_Steady.fresh``): queue
+        the beats as ``_tick_sweep`` would and return True. Else settle
+        the steady cluster whose times the handler reads, the node's own
+        as super-peer or as member, and return False."""
+        held = self._steady.get(node)
+        if held is None:
+            steady_beat = getattr(owner, "steady_beat", None)
+            beat = steady_beat(tag) if steady_beat is not None else None
+            held = self._steady.get(beat[0]) if beat is not None else None
+            if held is not None:
+                held.settle()
+            return False
+        sweep = owner.steady_sweep(tag, time)
+        if sweep is None or sweep[0] is not held.beat or not held.fresh(time):
+            held.settle()
+            return False
+        beat, peers, peer_beat = sweep
+        buckets, seq0 = self._buckets, self._seq
+        for i, lat, run in held.runs:
+            buckets[time + lat].append((seq0 + i, (node, run, beat)))
+        self._seq = seq0 + held.size
+        held.peer_beat = peer_beat
+        self.multicast(node, peers, peer_beat)
+        return True
 
     def inject_crash(self, node: NodeId, at: int) -> None:
         if node not in self.nodes:
@@ -835,9 +957,12 @@ class Simulator:
                         entry = ev[0]
                         if type(entry) is _Beats:
                             srcs, dst, msg = entry.srcs, entry.dst, entry.msg
-                            if entry.held is not None and steady.get(dst) is entry.held:
-                                # what _on_AgentHeartbeat does for each beat
-                                entry.held.head.heard_steadily(srcs, time)
+                            held = entry.held
+                            if held is not None and steady.get(dst) is held:
+                                # what _on_AgentHeartbeat does for each beat,
+                                # stamped, to be settled later
+                                entry.time = time
+                                held.dirty = True
                                 delivered += len(srcs)
                                 in_bulk += len(srcs)
                                 continue
@@ -878,7 +1003,8 @@ class Simulator:
                                 owner = owners[i]
                                 if node in crashed or nodes[node] is not owner:
                                     continue
-                                owner.on_timer(self, tag, None)
+                                if not (steady and self._fire_steadily(node, owner, tag, time)):
+                                    owner.on_timer(self, tag, None)
                                 if nodes[node] is owner:
                                     if nxt is not None and ahead[-1] is nxt:
                                         nxt[0].nodes.append(node)
@@ -896,7 +1022,10 @@ class Simulator:
                     elif n == 2:
                         seq0, (src, dsts, msg) = ev
                         held = steady.get(src)
-                        if held is not None and msg is held.beat and held.hear(nodes, dsts, time):
+                        if held is not None and (
+                                held.hear(dsts, time) if msg is held.beat else
+                                msg is held.peer_beat and crashed.isdisjoint(dsts)
+                                and held.head.peers_heard_steadily(nodes, src, dsts, msg, time)):
                             delivered += len(dsts)
                             in_bulk += len(dsts)
                             continue
@@ -946,6 +1075,8 @@ class Simulator:
         finally:
             self.deliver_count = delivered
             self.steady_deliveries = in_bulk
+            for held in steady.values():
+                held.settle()
         self.clock = t
 
     def _bounce(self, time: int, src: NodeId, dead: NodeId, msg, rid) -> None:

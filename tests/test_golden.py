@@ -6,25 +6,30 @@ re-pin these and say why. Also: turning the trace off changes nothing
 that is simulated, and the JSONL trace says what the digest trace
 hashes."""
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import pickle
+import random
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from disthash import sim as engine
 from disthash.cli import main
-from disthash.nodes import BaseNode, ClientNode
+from disthash.core import Role
+from disthash.nodes import AgentNode, BaseNode, ClientNode, RAgentNode
 from disthash.runner import (build_simulation, check_invariants, format_metrics, run_scenario,
                              schedule_events)
-from disthash.scenario import CrashEvent, RejoinEvent, parse_scenario
+from disthash.scenario import (CrashEvent, InsertEvent, RejoinEvent, Scenario, SearchEvent,
+                               parse_scenario)
 from disthash.sim import MS, SimError, TraceRecord
 from test_acceptance import random_scenario
-from test_protocols import (MERGE_TARGET_DIES, REJOINED_SUPER_PEER, SECONDARY_REJOIN,
-                            SPLIT_ACROSS, WARM_THEN_CRASH)
+from test_protocols import (BELOW_MIN, MERGE_TARGET_DIES, PEER_DOWN, REJOINED_SUPER_PEER,
+                            SECONDARY_REJOIN, SPLIT_ACROSS, WARM_THEN_CRASH)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -252,9 +257,91 @@ BOOTSTRAP_LAYOUTS = {
 }
 FAULT_LAYOUTS.update(BOOTSTRAP_LAYOUTS)
 
+# steady clusters at the edges of the steady path: a join that splits
+# one, a crash that merges one, a crash that only the peers' sweeps see
+# (PEER_DOWN), and inserts placed by the sizes steady peer beats carry
+# r1 holds max_cluster = 4 agents when a8 joins it, and splits
+JOIN_PAST_MAX = """
+[config]
+min_cluster = 2
+max_cluster = 4
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net1 as1 ro eu
+a5 agent net2 as2 us na
+a6 agent net2 as2 us na
+a7 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+200 insert c1 a2 obj2 sensor k2 02
+300 insert c1 a5 obj3 camera k1 03
+2000 join a8 net1 as1 ro eu
+5000 search c1 a6 exact sensor
+5100 search c1 a3 pattern k1
+"""
+# inserts spread over three clusters by the catalogue sizes that the
+# super-peers' steady peer beats carry
+DELEGATION_BY_PEER_BEATS = """
+[config]
+min_cluster = 2
+delegation_factor = 1.2
+drain_ms = 3000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+r3 ragent net3 as3 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+a5 agent net3 as3 ro eu
+a6 agent net3 as3 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+700 insert c1 a1 obj2 sensor k2 02
+1300 insert c1 a2 obj3 camera k1 03
+1900 insert c1 a1 obj4 camera k2 04
+2500 insert c1 a3 obj5 sensor k3 05
+3100 insert c1 a2 obj6 sensor k1 06
+3700 search c1 a5 exact sensor
+3800 search c1 a1 pattern k1
+"""
+STEADY_EDGES = {"JOIN_PAST_MAX": JOIN_PAST_MAX, "CRASH_BELOW_MIN": BELOW_MIN,
+                "SUPER_PEER_SEEN_BY_SWEEPS": PEER_DOWN,
+                "DELEGATION_BY_PEER_BEATS": DELEGATION_BY_PEER_BEATS}
+FAULT_LAYOUTS.update(STEADY_EDGES)
+# the generated corpus beats once a minute, so no cluster of it goes
+# steady; these beat every 100 ms and crash and rejoin one agent
+BEATING_SEEDS = [f"beating:{seed}" for seed in range(5)]
+
+
+def beating_scenario(seed):
+    """``random_scenario(seed)`` with beats every 100 ms, a 400 ms
+    timeout, and one seeded agent that crashes after the inserts and
+    rejoins after the searches."""
+    sc = random_scenario(seed)
+    agent = random.Random(seed).choice([d.name for d in sc.nodes if d.role is Role.AGENT])
+    inserted = max(ev.time_ms for ev in sc.events if isinstance(ev, InsertEvent))
+    searched = max(ev.time_ms for ev in sc.events if isinstance(ev, SearchEvent))
+    config = dataclasses.replace(sc.config, heartbeat_period_ms=100, failure_timeout_ms=400)
+    return Scenario(config=config, nodes=sc.nodes, events=[
+        *sc.events, CrashEvent(inserted + 100, agent), RejoinEvent(searched + 300, agent)])
+
 
 def load_source(source, bench_workloads):
-    """A scenario by pin name, corpus seed, layout name or ``workload:seed``."""
+    """A scenario by pin name, corpus seed, layout name, ``beating:seed``
+    or ``workload:seed``."""
     if isinstance(source, int):
         return random_scenario(source)
     if source in GOLDEN:
@@ -262,11 +349,13 @@ def load_source(source, bench_workloads):
     if source in FAULT_LAYOUTS:
         return parse_scenario(FAULT_LAYOUTS[source])
     name, _, seed = source.partition(":")
+    if name == "beating":
+        return beating_scenario(int(seed))
     return parse_scenario(bench_workloads.generate(name, int(seed or 0)).text)
 
 
 @pytest.mark.parametrize("source", [*sorted(GOLDEN), *range(20), *sorted(GOLDEN_WORKLOADS),
-                                    *CHURN_SEEDS, *sorted(FAULT_LAYOUTS)])
+                                    *CHURN_SEEDS, *sorted(FAULT_LAYOUTS), *BEATING_SEEDS])
 def test_untraced_run_simulates_the_same(source, bench_workloads):
     """The traced run takes every event through its handler, as the
     engine did before steady clusters; the untraced run runs the beats of
@@ -287,10 +376,32 @@ def test_each_bootstrap_edge_layout_ends_clean(name):
     assert res.issues == [] and len(res.ops) == 3
 
 
+@pytest.mark.parametrize("source", [*sorted(STEADY_EDGES), *BEATING_SEEDS])
+def test_each_steady_edge_and_beating_source_ends_clean(source):
+    """Each runs steady clusters, untraced, with no handler call, and does
+    what its name says; all end with no invariant issue."""
+    res = run_scenario(load_source(source, None))
+    assert res.issues == [] and res.sim.steady_deliveries > 0
+    events = [e[1] for e in res.sim.member_events]
+    heads = [n for _, n in sorted(res.sim.nodes.items()) if isinstance(n, RAgentNode)]
+    if source == "JOIN_PAST_MAX":
+        assert "assume_ragent" in events
+    elif source == "CRASH_BELOW_MIN":
+        assert "merge" in events
+    elif source == "SUPER_PEER_SEEN_BY_SWEEPS":
+        # no member was left to report r2: the peers dropped it
+        assert events == [] and all("r2" not in r.peers for r in heads if r.node_id != "r2")
+    elif source == "DELEGATION_BY_PEER_BEATS":
+        assert [len(r.catalogue) for r in heads] == [2, 2, 2]
+    else:
+        assert events.count("agent_failed") == 1 and events.count("admit") == 1
+
+
 def test_the_heartbeat_workload_runs_no_beat_handler(bench_workloads, monkeypatch):
     """Set-up leaves every cluster steady and ``heartbeat`` seed 0 has no
-    fault, so an exact count: no beat or tick reaches a handler, and each
-    delivery is either a handler call or a beat the engine ran itself."""
+    fault, so an exact count: no beat, tick or sweep reaches a handler,
+    and each delivery is either a handler call or a beat the engine ran
+    itself."""
     calls, handled = Counter(), []
     on_message, on_timer = BaseNode.on_message, BaseNode.on_timer
 
@@ -307,9 +418,49 @@ def test_the_heartbeat_workload_runs_no_beat_handler(bench_workloads, monkeypatc
     monkeypatch.setattr(BaseNode, "on_timer", count_timer)
     res = run_scenario(load_source("heartbeat", bench_workloads))
     assert res.issues == []
-    assert [calls[name] for name in ("AgentHeartbeat", "RAgentHeartbeat", "hb")] == [0, 0, 0]
-    assert calls["sweep"] > 0 and calls["PeerHeartbeat"] > 0
+    beats = ("AgentHeartbeat", "RAgentHeartbeat", "PeerHeartbeat", "hb", "sweep")
+    assert [calls[name] for name in beats] == [0, 0, 0, 0, 0]
     assert len(handled) + res.sim.steady_deliveries == res.sim.deliver_count
+
+
+def test_the_heartbeat_workload_writes_beat_times_only_when_run_until_returns(
+        bench_workloads, monkeypatch):
+    """Steady beats are stamped on the engine's records and settled into
+    the nodes only when a cluster stops being steady, before one of its
+    ticks or sweeps runs its handler, or when ``run_until`` returns.
+    ``heartbeat`` seed 0 has none of the first two, so each of its 8
+    clusters settles once per ``run_until`` call, whatever the number of
+    periods: one write per member each way, none per period."""
+    settled, writes = [], Counter()
+    settle = engine._Steady.settle
+    agent_heard, head_heard = AgentNode.heard_steadily, RAgentNode.heard_steadily
+
+    def count_settle(self):
+        settled.append((self.head.node_id, self.dirty))
+        settle(self)
+
+    def count_agent(agents, time):
+        writes["last_ragent_seen"] += len(agents)
+        agent_heard(agents, time)
+
+    def count_head(self, agents, time):
+        writes["member_last_seen"] += len(agents)
+        head_heard(self, agents, time)
+
+    monkeypatch.setattr(engine._Steady, "settle", count_settle)
+    monkeypatch.setattr(AgentNode, "heard_steadily", staticmethod(count_agent))
+    monkeypatch.setattr(RAgentNode, "heard_steadily", count_head)
+    res = build_simulation(load_source("heartbeat", bench_workloads))
+    schedule_events(res)
+    sc, sim = res.scenario, res.sim
+    end = (max(ev.time_ms for ev in sc.events) + sc.config.drain_ms) * MS
+    agents = sum(len(n.members) for n in sim.nodes.values() if isinstance(n, RAgentNode))
+    for calls, cut in enumerate((end // 2, end), 1):
+        sim.run_until(cut)
+        assert len(settled) == 8 * calls and all(dirty for _, dirty in settled)
+        assert writes == {"last_ragent_seen": agents * calls, "member_last_seen": agents * calls}
+    res.issues = check_invariants(res)
+    assert agents == 2000 and res.issues == []
 
 
 def pickled(res):

@@ -14,6 +14,7 @@ from disthash import nodes
 from disthash.catalogue import MetaCatalogue
 from disthash.core import (KeyKind, LocalityDescriptor, NodeId, PatternKey, Role,
                            make_object)
+from disthash.membership import detect_failures
 from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
                             AgentHeartbeat, AgentNode, ApplyAck,
                             AssumeRAgent, BaseNode, CatalogueSync, CInsert,
@@ -27,7 +28,7 @@ from disthash.nodes import (AGENT_HEARTBEAT, AGENT_HEARTBEAT_RESYNC,
 from disthash.runner import (build_simulation, check_invariants, format_metrics,
                              run_scenario, schedule_events)
 from disthash.scenario import JoinEvent, parse_scenario
-from disthash.sim import MS, NetworkModel, Simulator, StepCounter
+from disthash.sim import MS, NetworkModel, Simulator, StepCounter, _Steady
 from test_acceptance import opened_tallies, random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1696,7 +1697,9 @@ def test_role_comes_from_the_node_class():
 
 def test_the_engine_calls_every_wrap_point_through_its_class(monkeypatch):
     """Per-layer tracing wraps these methods on their classes. An engine
-    that called around a wrap would leave that layer reading zero."""
+    that called around a wrap would leave that layer reading zero. The
+    run has a crash: untraced, a fault-free run's beats, ticks and sweeps
+    all run with no handler call."""
     counts = Counter()
 
     def count(owner, name):
@@ -1711,7 +1714,7 @@ def test_the_engine_calls_every_wrap_point_through_its_class(monkeypatch):
                         (NetworkModel, "latency"), (BaseNode, "on_message"),
                         (BaseNode, "on_timer")):
         count(owner, name)
-    text = (SCENARIOS / "basic.txt").read_text()
+    text = (SCENARIOS / "failover.txt").read_text()
     seen = {}
     for trace in (False, True):
         counts.clear()
@@ -1741,8 +1744,8 @@ def steady_layout(clusters: int, agents: int, run_ms: int) -> str:
 
 def test_a_steady_overlay_runs_its_beats_without_handler_calls(monkeypatch):
     """An exact work count: 2 clusters of 50 agents beat for 20 s, 40
-    periods, and no beat or tick handler runs: set-up leaves each
-    cluster steady, so the engine runs every beat itself."""
+    periods, and no beat, tick or sweep handler runs: set-up leaves each
+    cluster steady, so the engine runs every beat and sweep itself."""
     calls = Counter()
     on_message, on_timer = BaseNode.on_message, BaseNode.on_timer
 
@@ -1762,12 +1765,13 @@ def test_a_steady_overlay_runs_its_beats_without_handler_calls(monkeypatch):
     agents = 100
     assert res.issues == [] and res.sim.deliver_count == traced.sim.deliver_count
     assert format_metrics(res) == format_metrics(traced)
-    for name in ("AgentHeartbeat", "RAgentHeartbeat", "hb"):
+    for name in ("AgentHeartbeat", "RAgentHeartbeat", "PeerHeartbeat", "hb", "sweep"):
         assert calls[name] == 0, (name, calls[name])
     beats = [r for r in traced.sim.trace if r.kind == "deliver"
-             and r.msg_type in ("AgentHeartbeat", "RAgentHeartbeat")]
-    # a beat each way per agent and period, 8,000 of the 8,086 deliveries
-    assert res.sim.steady_deliveries == len(beats) == 40 * 2 * agents
+             and r.msg_type in ("AgentHeartbeat", "RAgentHeartbeat", "PeerHeartbeat")]
+    # a beat each way per agent and period, and one each way between the
+    # super-peers: 8,080 of the 8,086 deliveries
+    assert res.sim.steady_deliveries == len(beats) == 40 * 2 * (agents + 1)
 
 
 def test_a_registered_cluster_that_fails_its_check_waits_for_two_sweeps(monkeypatch):
@@ -1810,6 +1814,366 @@ def test_unsteady_drops_a_registration_as_it_drops_a_candidate():
     sim.unsteady()
     assert sim._registered == {}
     assert staged(steady_layout(1, 2, 1000), trace=True).sim._registered == {}
+
+
+def simulates_the_same(plain, traced):
+    return (format_metrics(plain) == format_metrics(traced)
+            and plain.sim.deliver_count == traced.sim.deliver_count)
+
+
+def plan_refusals(monkeypatch):
+    """Count, by cause, the firings of the rounds ``Simulator._plan``
+    plans no beats for while some cluster is steady: an agent with no
+    plain beat, a beat as slow as the period, or a beat object other
+    than the one its group of (latency, super-peer) already has."""
+    refusals, plan = Counter(), Simulator._plan
+
+    def spy(self, rnd):
+        made = plan(self, rnd)
+        if made is None and self._steady:
+            groups = {}
+            for node, owner in zip(rnd.nodes, rnd.owners):
+                if (node in self.crashed or self.nodes[node] is not owner
+                        or not isinstance(owner, AgentNode)):
+                    continue
+                beat = owner.steady_beat(rnd.tag)
+                if beat is None:
+                    refusals["no plain beat"] += 1
+                    continue
+                lat = self._latency(node, beat[0])
+                if lat == rnd.period:
+                    refusals["latency is the period"] += 1
+                if groups.setdefault((lat, beat[0]), beat[1]) is not beat[1]:
+                    refusals["two beats in one group"] += 1
+        return made
+
+    monkeypatch.setattr(Simulator, "_plan", spy)
+    return refusals
+
+
+# r1 and its secondary a1 crash together: a2 and a3 suspect r1 for good,
+# so their ticks send no plain beat, while r2's cluster is steady again
+LOST_CLUSTER = """
+[config]
+min_cluster = 2
+drain_ms = 8000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net2 as2 us na
+a5 agent net2 as2 us na
+a6 agent net2 as2 us na
+c1 client net2 as2 us na
+
+[events]
+100 insert c1 a4 obj1 sensor k1 01
+1000 crash r1
+1000 crash a1
+5000 search c1 a5 exact sensor
+"""
+# r2's members are 15 ms from it, the period: their beats would land in
+# the bucket of the round's next firing, so no round is planned, and no
+# member of either cluster has its beat planned to its super-peer
+BEAT_AT_THE_PERIOD = """
+[config]
+min_cluster = 2
+heartbeat_period_ms = 15
+failure_timeout_ms = 60
+drain_ms = 1000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net3 as3 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net1 as1 ro eu
+a4 agent net4 as3 us na
+a5 agent net4 as3 us na
+a6 agent net4 as3 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+500 search c1 a4 exact sensor
+"""
+
+
+@pytest.mark.parametrize("layout, refusal", [(LOST_CLUSTER, "no plain beat"),
+                                             (BEAT_AT_THE_PERIOD, "latency is the period")],
+                         ids=["no_plain_beat", "latency_is_the_period"])
+def test_a_round_that_may_do_more_than_beat_runs_its_handlers(layout, refusal, monkeypatch):
+    refusals = plan_refusals(monkeypatch)
+    plain, traced = build(layout), build(layout, trace=True)
+    assert refusals[refusal] > 0
+    assert simulates_the_same(plain, traced) and plain.issues == []
+    assert plain.sim.steady_deliveries > 0
+
+
+def test_a_round_whose_beats_to_one_super_peer_differ_runs_its_handlers(monkeypatch):
+    """The beats one firing sends to one super-peer at one latency share
+    one entry, and so one message: a firing whose steady beat is another
+    object, equal or not, sends the round through its handlers."""
+    steady_beat = AgentNode.steady_beat
+
+    def another_object(self, tag):
+        beat = steady_beat(self, tag)
+        if beat is not None and self.node_id == "a1x001":
+            return beat[0], AgentHeartbeat()
+        return beat
+
+    monkeypatch.setattr(AgentNode, "steady_beat", another_object)
+    refusals = plan_refusals(monkeypatch)
+    text = steady_layout(2, 3, 2000)
+    plain, traced = build(text), build(text, trace=True)
+    assert refusals["two beats in one group"] > 0
+    assert simulates_the_same(plain, traced) and plain.issues == []
+
+
+class Refused(Exception):
+    pass
+
+
+def test_the_rest_of_a_beats_entry_stays_queued_when_a_handler_raises(monkeypatch):
+    """r1's cluster stops being steady while a round's beats to it are on
+    their way, so they arrive through the handler, one by one; the
+    handler raises at the second. The beat after it stays at the front
+    of the bucket, and the run resumes as the traced one does."""
+    handler, raised = RAgentNode._on["AgentHeartbeat"], set()
+
+    def refuse_once(self, sim, msg, src):
+        if src == "a1x001" and id(sim) not in raised:
+            raised.add(id(sim))
+            raise Refused(src)
+        return handler(self, sim, msg, src)
+
+    text = steady_layout(1, 3, 4000)
+    plain, traced = staged(text), staged(text, trace=True)
+    for res in (plain, traced):
+        res.sim.run_until(1001 * MS)
+    assert NodeId("r1") in plain.sim._steady
+    plain.sim.unsteady(NodeId("r1"))
+    monkeypatch.setitem(RAgentNode._on, "AgentHeartbeat", refuse_once)
+    for res in (plain, traced):
+        with pytest.raises(Refused):
+            res.sim.run_until(1010 * MS)
+    rest = plain.sim._buckets[1005 * MS][0][0]
+    assert (rest.srcs, rest.dst, rest.held) == (("a1x002",), "r1", None)
+    for res in (plain, traced):
+        finish(res)
+    assert simulates_the_same(plain, traced) and plain.issues == []
+
+
+def test_a_steady_cluster_settles_before_a_handler_reads_its_beat_times(monkeypatch):
+    """r2 stops being steady at 5 s, and each of its sweeps ends it again
+    until 8 s, while r1 stays steady. The tick round beats to both, so it
+    runs through the handlers: from 7 s on, r1's members tick by the
+    last-seen times r1's steady beats stamped, and r1's sweep, its
+    members' planned beats 2.5 s old, finds them by the times their
+    ticks' handlers wrote since. Each reads what the traced run reads
+    only if the stamps are settled first, the later time kept."""
+    sweep = RAgentNode._tick["sweep"]
+
+    def keep_r2_unsteady(self, sim, payload):
+        sweep(self, sim, payload)
+        if self.node_id == "r2" and sim.clock < 8000 * MS:
+            sim.unsteady(self.node_id)
+
+    text = steady_layout(2, 3, 10_000)
+    plain, traced = staged(text), staged(text, trace=True)
+    for res in (plain, traced):
+        res.sim.run_until(5001 * MS)
+    assert sorted(plain.sim._steady) == ["r1", "r2"]
+    plain.sim.unsteady(NodeId("r2"))
+    monkeypatch.setitem(RAgentNode._tick, "sweep", keep_r2_unsteady)
+    for res in (plain, traced):
+        finish(res)
+    assert simulates_the_same(plain, traced) and plain.issues == []
+    assert sorted(plain.sim._steady) == ["r1", "r2"]
+
+
+def sweep_refusals(monkeypatch):
+    """Count, by cause, the sweeps of steady clusters that run their
+    handler, and the peer beats of steady sweeps that run the peers'
+    handlers."""
+    refusals = Counter()
+    steady_sweep, fresh = RAgentNode.steady_sweep, _Steady.fresh
+    peers_heard, bounce = RAgentNode.peers_heard_steadily, Simulator._bounce
+
+    def spy_sweep(self, tag, time):
+        sweep = steady_sweep(self, tag, time)
+        if sweep is None:
+            limits = self.thresholds
+            if not limits.min_cluster <= len(self.members) <= limits.max_cluster:
+                refusals["threshold crossed"] += 1
+            if self.catalogue.under_replicated:
+                refusals["under-replicated id"] += 1
+            if detect_failures(time, self.peer_last_seen, self.hb.failure_timeout_us):
+                refusals["peer overdue"] += 1
+        return sweep
+
+    def spy_fresh(self, time):
+        ok = fresh(self, time)
+        if not ok:
+            refusals["member not covered" if self.covered is not None
+                     else "member overdue"] += 1
+        return ok
+
+    def spy_peers(nodes, src, peers, msg, time):
+        ok = peers_heard(nodes, src, peers, msg, time)
+        if not ok and any(src not in getattr(nodes[p], "peers", ()) for p in peers):
+            refusals["peer does not list the sender"] += 1
+        return ok
+
+    def spy_bounce(self, time, src, dead, msg, rid):
+        held = self._steady.get(src)
+        if held is not None and msg is held.peer_beat:
+            refusals["peer down"] += 1
+        return bounce(self, time, src, dead, msg, rid)
+
+    monkeypatch.setattr(RAgentNode, "steady_sweep", spy_sweep)
+    monkeypatch.setattr(_Steady, "fresh", spy_fresh)
+    monkeypatch.setattr(RAgentNode, "peers_heard_steadily", staticmethod(spy_peers))
+    monkeypatch.setattr(Simulator, "_bounce", spy_bounce)
+    return refusals
+
+
+# one cluster below min_cluster, with no peer to merge into
+ALONE_BELOW_MIN = """
+[config]
+min_cluster = 2
+drain_ms = 4000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+a1 agent net1 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+2000 search c1 a1 exact sensor
+"""
+# a2's crash leaves obj1 one holder in a cluster of one, where no second
+# holder can be found
+ONE_HOLDER_LEFT = """
+[config]
+min_cluster = 1
+drain_ms = 6000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+1000 crash a2
+5000 search c1 a3 exact sensor
+"""
+# the super-peers are 45 ms apart, more than the timeout less a period:
+# each finds the other overdue at its fifth sweep, before the first peer
+# beat arrives, drops it, and lists it again at the next beat
+SLOW_PEER_LINK = """
+[config]
+min_cluster = 2
+heartbeat_period_ms = 10
+failure_timeout_ms = 40
+drain_ms = 400
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 search c1 a1 exact none
+"""
+# r2 crashes with its members, so only its peers' sweeps can find it
+# gone. A beat to it and the bounce back take 90 ms, nine periods: r1
+# and r3 are steady again, and their steady sweeps still beat to r2,
+# before the first bounce tells them
+PEER_DOWN = """
+[config]
+min_cluster = 2
+heartbeat_period_ms = 10
+failure_timeout_ms = 200
+drain_ms = 1000
+
+[nodes]
+r1 ragent net1 as1 ro eu
+r2 ragent net2 as2 us na
+r3 ragent net3 as3 us na
+a1 agent net1 as1 ro eu
+a2 agent net1 as1 ro eu
+a3 agent net2 as2 us na
+a4 agent net2 as2 us na
+a5 agent net3 as3 us na
+a6 agent net3 as3 us na
+c1 client net1 as1 ro eu
+
+[events]
+100 insert c1 a1 obj1 sensor k1 01
+150 insert c1 a5 obj2 sensor k2 02
+300 crash r2
+300 crash a3
+300 crash a4
+800 search c1 a2 exact sensor
+"""
+
+
+# j0 joins r1 from 35 ms away. r1 admits it at 381 ms, its accept
+# arrives at 416 ms and its first beat at 481 ms; r1 is steady again by
+# 450 ms and plans j0's beat at 476 ms, so its sweep at 480 ms finds j0
+# last heard 99 ms ago, past the timeout, by the time of the admission
+LATE_FIRST_BEAT = """
+[config]
+min_cluster = 1
+heartbeat_period_ms = 30
+failure_timeout_ms = 90
+drain_ms = 600
+
+[nodes]
+r1 ragent net2 as1 ro eu
+a1 agent net1 as1 ro eu
+a2 agent net2 as1 ro eu
+c1 client net1 as1 ro eu
+
+[events]
+50 insert c1 a1 obj1 sensor k1 01
+276 join j0 net4 as3 us eu
+500 search c1 a2 exact sensor
+"""
+
+
+@pytest.mark.parametrize("layout, refusal", [
+    (ALONE_BELOW_MIN, "threshold crossed"), (ONE_HOLDER_LEFT, "under-replicated id"),
+    (SLOW_PEER_LINK, "peer overdue"), (BEAT_AT_THE_PERIOD, "member not covered"),
+    (LATE_FIRST_BEAT, "member overdue"), (PEER_DOWN, "peer down"),
+    (SLOW_PEER_LINK, "peer does not list the sender"),
+], ids=["threshold", "under_replicated", "peer_overdue", "member_not_covered",
+        "member_overdue", "peer_down", "peer_does_not_list_the_sender"])
+def test_a_steady_sweep_that_may_do_more_runs_through_the_handlers(layout, refusal,
+                                                                   monkeypatch):
+    """A steady cluster's sweep runs no handler only while it would just
+    multicast its two beats, and its peer beat runs none only at live
+    super-peers that list the sender: each way out, traced against
+    untraced."""
+    refusals = sweep_refusals(monkeypatch)
+    plain, traced = build(layout), build(layout, trace=True)
+    assert refusals[refusal] > 0
+    assert simulates_the_same(plain, traced)
+    assert plain.sim.steady_deliveries > 0
 
 
 @pytest.mark.parametrize("text", [FAILOVER, SPLIT_MERGE], ids=["failover", "split_merge"])
