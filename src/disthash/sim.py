@@ -479,9 +479,9 @@ class _Steady:
     Of the members' beats to the super-peer: ``beats`` holds the planned
     entries that beat to it, by sender tuple, each stamped with its last
     arrival, and ``covered`` their senders until they are all the members,
-    then None. ``peer_beat`` is the
-    ``PeerHeartbeat`` its last steady sweep multicast. ``dirty`` says a
-    stamp is newer than the last ``settle``."""
+    then None. ``peer_beat`` is the ``PeerHeartbeat`` its last steady
+    sweep multicast. ``dirty`` says a stamp is newer than the last
+    ``settle``."""
 
     __slots__ = ("head", "beat", "heard", "runs", "agents", "size", "last", "floor",
                  "timeout", "beats", "covered", "peer_beat", "dirty")
